@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from .correlators import (
@@ -38,7 +39,6 @@ from .recursion import (
     ConsistencyError,
     OmegaTable,
     TruncationOrderError,
-    _branch_multisets,
     stable_entries,
     symmetry_check,
 )
@@ -72,6 +72,7 @@ class RunConfig:
         self.coeff_bound = int(raw.get("coeff_bound", 3))
         self.order = int(raw.get("L", 0))
         self.r = self._resolve_r(raw)
+        self._ctx: FormContext | None = None
 
     def _resolve_r(self, raw) -> RMatrix:
         source = raw.get("R")
@@ -89,7 +90,10 @@ class RunConfig:
         return rmatrix_from_json(source, exact=exact)
 
     def context(self) -> FormContext:
-        return FormContext(self.datum, self.r)
+        """The one form context of this run, shared by every table and check."""
+        if self._ctx is None:
+            self._ctx = FormContext(self.datum, self.r)
+        return self._ctx
 
     def table(self) -> OmegaTable:
         extra = int(self.window) if self.window is not None else 0
@@ -126,7 +130,7 @@ def cmd_omega(cfg: RunConfig, g: int, n: int, out: str | None) -> int:
         return EXIT_VALIDATION
     table = cfg.table()
     entries = []
-    for branches in _branch_multisets(cfg.datum.n, n):
+    for branches in combinations_with_replacement(range(1, cfg.datum.n + 1), n):
         form = table.omega(g, branches)
         entries.append({"branches": list(branches), "form": form_to_json(form)})
     _emit({"g": g, "n": n, "entries": entries}, out)
@@ -175,10 +179,10 @@ def _check_battery(cfg: RunConfig) -> Report:
         for a in range(1, n + 1):
             rep.checks.extend(insertion_reconstruct_check(ctx, k, a).checks)
 
-    table = OmegaTable(ctx, bound=cfg.bound)
+    table = cfg.table()
     sym_bound = min(cfg.bound, 2 if n > 1 or not cfg.r.exact else 4)
     for g, nn in stable_entries(sym_bound):
-        for branches in _branch_multisets(n, nn):
+        for branches in combinations_with_replacement(range(1, n + 1), nn):
             rep.checks.extend(symmetry_check(table, g, branches).checks)
 
     corr = extract_all(table, bound=sym_bound)
@@ -193,40 +197,16 @@ def _check_battery(cfg: RunConfig) -> Report:
         if 2 * g - 2 + (nn + 1) > sym_bound:
             continue
         budget = 3 * g - 3 + (nn + 1)
-        for ks in _psi_multisets(nn, budget):
-            for avec in _flat_tuples(n, nn):
+        for ks in combinations_with_replacement(range(budget + 1), nn):
+            if sum(ks) > budget:
+                continue
+            for avec in product(range(1, n + 1), repeat=nn):
                 ins = tuple(zip(ks, avec))
                 for ext in range(1, n + 1):
                     rep.checks.extend(
                         virasoro_check(ctx, corr, g, ins, i_ext=ext).checks
                     )
     return rep
-
-
-def _psi_multisets(n, budget):
-    def rec(start, left, total):
-        if left == 0:
-            yield ()
-            return
-        for k in range(start, budget + 1):
-            if total + k > budget:
-                break
-            for tail in rec(k, left - 1, total + k):
-                yield (k,) + tail
-
-    return list(rec(0, n, 0))
-
-
-def _flat_tuples(n_branches, slots):
-    def rec(left):
-        if left == 0:
-            yield ()
-            return
-        for a in range(1, n_branches + 1):
-            for tail in rec(left - 1):
-                yield (a,) + tail
-
-    return list(rec(slots))
 
 
 def cmd_check(cfg: RunConfig, out: str | None) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
@@ -157,18 +157,9 @@ def extract_correlators(
                 total += prod_c
         return total
 
-    kvecs: list[tuple[int, ...]] = []
-
-    def gen(start, left, acc):
-        if left == 0:
-            kvecs.append(tuple(acc))
-            return
-        for k in range(start, kslot + 1):
-            gen(k, left - 1, acc + [k])
-
-    gen(0, n, [])
-    kvecs.sort(key=lambda kv: (-sum(kv), kv))
-
+    kvecs = sorted(
+        combinations_with_replacement(range(kslot + 1), n), key=lambda kv: (-sum(kv), kv)
+    )
     for kvec in kvecs:
         exps = tuple(-2 * k - 2 for k in kvec)
         try:

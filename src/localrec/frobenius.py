@@ -361,14 +361,14 @@ class VTable:
 
     n: int
     top: int  # entries with k + l <= top are stored
-    mats: tuple  # flattened dict as tuple of ((k, l), matrix) pairs
+    mats: dict  # (k, l) -> matrix as a tuple of row tuples
 
     def mat(self, k: int, l: int) -> Matrix:
         if k < 0 or l < 0:
             raise KeyError((k, l))
-        for (kk, ll), m in self.mats:
-            if (kk, ll) == (k, l):
-                return [list(row) for row in m]
+        m = self.mats.get((k, l))
+        if m is not None:
+            return [list(row) for row in m]
         if k + l <= self.top:
             return zeros(self.n)
         raise KeyError((k, l))
@@ -430,10 +430,7 @@ def compute_vkl(r: RMatrix, top: int) -> VTable:
     for (k, l), m in sorted(out.items()):
         if not mat_eq(m, transpose(out[(l, k)])):
             raise DatumError(f"V_({k},{l}) != V_({l},{k})^T; symplectic condition broken")
-    frozen = tuple(
-        ((k, l), tuple(tuple(x for x in row) for row in m))
-        for (k, l), m in sorted(out.items())
-    )
+    frozen = {kl: tuple(tuple(row) for row in m) for kl, m in out.items()}
     return VTable(n=n, top=top, mats=frozen)
 
 

@@ -10,10 +10,6 @@ Matrix = list[list[Rat]]
 Vector = list[Rat]
 
 
-def mat(rows: Sequence[Sequence[Rat | int]]) -> Matrix:
-    return [[Rat(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     return [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
 
@@ -48,14 +44,6 @@ def mat_vec(a: Matrix, v: Sequence[Rat]) -> Vector:
     return [sum((x * y for x, y in zip(row, v)), Rat(0)) for row in a]
 
 
-def dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
-    return sum((x * y for x, y in zip(u, v)), Rat(0))
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -78,24 +66,3 @@ def mat_inv(a: Matrix) -> Matrix:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
-
-def det(a: Matrix) -> Rat:
-    """Determinant by fraction-free-ish elimination (exact, small N)."""
-    n = len(a)
-    m = [[Rat(x) for x in row] for row in a]
-    sign = 1
-    out = Rat(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Rat(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out * sign

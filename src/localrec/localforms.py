@@ -52,10 +52,8 @@ def a1_period(k: int, v: Var) -> MultiForm:
     For k >= 0 this is 2 (-1)^k (2k-1)!! s^(-2k-1); for k = -(m+1) it is
     2 s^(2m+1) / (2m+1)!!.  Exact monomials, so the window is unbounded.
     """
-    if k >= 0:
-        return monomial(v, -2 * k - 1, Rat(2 * (-1) ** k * double_factorial(2 * k - 1)))
-    m = -k - 1
-    return monomial(v, 2 * m + 1, Fraction(2, double_factorial(2 * m + 1)))
+    exp, c = _a1_data(k)
+    return monomial(v, exp, c)
 
 
 def _a1_data(k: int) -> tuple[int, Rat]:
@@ -165,7 +163,7 @@ def one_point_form(ctx: FormContext, j: int, v: Var) -> MultiForm:
 
     Built by two routes that must agree: 4 (I^(-1), 1) dlambda, and the
     closing Taylor expansion whose half powers of 2 cancel exactly against
-    the pullback (the cancellation is asserted, not assumed).
+    the pullback.
     """
     key = (j, v.name, v.branch)
     if key in ctx._one_point:
@@ -179,11 +177,8 @@ def one_point_form(ctx: FormContext, j: int, v: Var) -> MultiForm:
         if pair == 0:
             continue
         # 8 (-1)^k 2^(k+1/2) / (2k+1)!! times the pullback of
-        # (lambda - u_j)^(k+1/2), which is s^(2k+1) 2^(-k-1/2)
-        half_twos = (2 * k + 1) + (-(2 * k + 1))
-        assert half_twos % 2 == 0
-        two_power = Rat(2) ** (half_twos // 2)
-        c = Rat(8 * (-1) ** k, double_factorial(2 * k + 1)) * pair * two_power
+        # (lambda - u_j)^(k+1/2), which is s^(2k+1) 2^(-k-1/2): the powers of 2 cancel
+        c = Rat(8 * (-1) ** k, double_factorial(2 * k + 1)) * pair
         coeffs[(2 * k + 2,)] = c  # the trailing dlambda = s ds adds one power
     hi = INF if ctx.r.exact else 2 * ctx.r.order + 3
     route2 = MultiForm((v,), (1,), coeffs, (2,), (hi,))
@@ -206,6 +201,31 @@ def _pairing_sum(
     return acc
 
 
+def _closing_part(ctx: FormContext, i: int, j: int, rv: Var, sv: Var) -> MultiForm | None:
+    """The polynomial part of B(rv, sv) drv dsv carried by the closing matrices.
+
+    4 V_(k,l)[i,j] r^2k s^2l / ((2k-1)!! (2l-1)!!), restricted to a box inside
+    the certified triangle k + l <= top; None when no V_(k,l) is certified.
+    """
+    top = ctx.max_vkl_top()
+    if top < 0:
+        return None
+    vt = ctx.vtable(top)
+    a_cap = top if ctx.r.exact else top // 2
+    b_cap = top if ctx.r.exact else top - top // 2
+    coeffs: dict[tuple, Rat] = {}
+    for kk in range(0, a_cap + 1):
+        for ll in range(0, min(b_cap, top - kk) + 1):
+            val = vt.mat(kk, ll)[i - 1][j - 1]
+            if val:
+                coeffs[(2 * kk, 2 * ll)] = Rat(4) * val / (
+                    double_factorial(2 * kk - 1) * double_factorial(2 * ll - 1)
+                )
+    hi_r = INF if ctx.r.exact else 2 * a_cap + 1
+    hi_s = INF if ctx.r.exact else 2 * b_cap + 1
+    return MultiForm((rv, sv), (1, 1), coeffs, (0, 0), (hi_r, hi_s))
+
+
 def two_point_form(
     ctx: FormContext, i: int, j: int, rv: Var, sv: Var, s_hi: int
 ) -> MultiForm:
@@ -226,30 +246,14 @@ def two_point_form(
         acc = acc + (term * drv * dsv).scale((-1) ** (k + 1))
     route_a = acc.cap_hi(sv, 2 * kmax + 1)
 
-    top = ctx.max_vkl_top()
-    vt = ctx.vtable(top) if top >= 0 else None
     parts = []
     if i == j:
         geo = geometric_expand(2, rv, sv, 2 * kmax + 1)
         sing = (geo + geo.reflect(sv)).scale(2)
         parts.append(sing * d_unit(rv) * d_unit(sv))
-    if vt is not None:
-        # the polynomial part: 4 V_(k,l)[i,j] r^2k s^2l / ((2k-1)!! (2l-1)!!),
-        # restricted to a box inside the certified triangle k + l <= top
-        a_cap = top if ctx.r.exact else top // 2
-        b_cap = top if ctx.r.exact else top - top // 2
-        coeffs: dict[tuple, Rat] = {}
-        for kk in range(0, a_cap + 1):
-            for ll in range(0, min(b_cap, top - kk) + 1):
-                val = vt.mat(kk, ll)[i - 1][j - 1]
-                if val:
-                    c = Rat(4) * val / (
-                        double_factorial(2 * kk - 1) * double_factorial(2 * ll - 1)
-                    )
-                    coeffs[(2 * kk, 2 * ll)] = c
-        hi_r = INF if ctx.r.exact else 2 * a_cap + 1
-        hi_s = INF if ctx.r.exact else 2 * b_cap + 1
-        parts.append(MultiForm((rv, sv), (1, 1), coeffs, (0, 0), (hi_r, hi_s)))
+    closing = _closing_part(ctx, i, j, rv, sv)
+    if closing is not None:
+        parts.append(closing)
     if parts:
         route_b = parts[0]
         for p in parts[1:]:
@@ -387,22 +391,8 @@ def ope_normalization_check(ctx: FormContext, j: int, s_hi: int = 8) -> Report:
     expected = MultiForm(
         (rv, sv), (1, 1), {(2, 0): 4, (0, 2): 4}, (0, 0), (INF, INF)
     )
-    top = ctx.max_vkl_top()
-    if top >= 0:
-        vt = ctx.vtable(top)
-        a_cap = top if ctx.r.exact else top // 2
-        b_cap = top if ctx.r.exact else top - top // 2
-        coeffs: dict[tuple, Rat] = {}
-        for kk in range(0, a_cap + 1):
-            for ll in range(0, min(b_cap, top - kk) + 1):
-                val = vt.mat(kk, ll)[j - 1][j - 1]
-                if val:
-                    coeffs[(2 * kk, 2 * ll)] = Rat(4) * val / (
-                        double_factorial(2 * kk - 1) * double_factorial(2 * ll - 1)
-                    )
-        hi_r = INF if ctx.r.exact else 2 * a_cap + 1
-        hi_s = INF if ctx.r.exact else 2 * b_cap + 1
-        vpart = MultiForm((rv, sv), (1, 1), coeffs, (0, 0), (hi_r, hi_s))
+    vpart = _closing_part(ctx, j, j, rv, sv)
+    if vpart is not None:
         expected = expected + vpart * poly
 
     name = f"ope-normalization-branch-{j}"

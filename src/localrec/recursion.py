@@ -14,14 +14,11 @@ truncation order and the combination pattern, never on coefficient values),
 which gives a faithful fail-fast check and a minimal sufficient order to
 report.  Exact R data have unbounded windows and skip the plan.
 
-The table is a logical map with idempotent insertion; branch residues inside
-one step are independent and may be evaluated concurrently, with results
-identical to sequential evaluation.
+The table is a logical map with idempotent insertion.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -66,7 +63,6 @@ class OmegaTable:
 
     ctx: FormContext
     bound: int = 4
-    parallel: bool = False
     check_plan: bool = True
     min_budget: int = 0  # extra window request beyond the pole-bound budget
     _store: dict = field(default_factory=dict, repr=False)
@@ -117,8 +113,6 @@ class OmegaTable:
             raise ConsistencyError(
                 f"complexity {2 * g - 2 + n} beyond the table bound {self.bound}"
             )
-        if n > 10:
-            raise ConsistencyError("slot naming supports at most 10 points")
         if vars is None:
             vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
         order = sorted(range(n), key=lambda i: branches[i])
@@ -206,23 +200,12 @@ class OmegaTable:
         x0 = Var("x0", j0)
         xs = tuple(Var(f"x{i + 1}", b) for i, b in enumerate(rest))
 
-        jobs = list(range(1, self.ctx.data.n + 1))
-        if self.parallel and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                terms = list(
-                    pool.map(lambda j: self._residue_at(g, rest, xs, x0, j0, j), jobs)
-                )
-        else:
-            terms = [self._residue_at(g, rest, xs, x0, j0, j) for j in jobs]
-
-        total: MultiForm | None = None
-        for t in terms:
-            if t is None:
-                continue
-            total = t if total is None else total + t
-        if total is None:
-            total = zero_form((x0,) + xs, (1,) * n)
-
+        terms = [
+            t
+            for j in range(1, self.ctx.data.n + 1)
+            if (t := self._residue_at(g, rest, xs, x0, j0, j)) is not None
+        ]
+        total = sum(terms[1:], terms[0]) if terms else zero_form((x0,) + xs, (1,) * n)
         return self._finalize(g, n, total)
 
     def _finalize(self, g: int, n: int, form: MultiForm) -> MultiForm:
@@ -275,7 +258,6 @@ class OmegaTable:
         shadow = OmegaTable(
             FormContext(self.ctx.data, shadow_r),
             bound=self.bound,
-            parallel=False,
             check_plan=False,
             min_budget=self.min_budget,
         )
@@ -284,18 +266,6 @@ class OmegaTable:
         except SeriesError:
             return False
         return True
-
-
-def _branch_multisets(n_branches: int, slots: int):
-    def rec(start, left):
-        if left == 0:
-            yield ()
-            return
-        for b in range(start, n_branches + 1):
-            for tail in rec(b, left - 1):
-                yield (b,) + tail
-
-    return list(rec(1, slots))
 
 
 def symmetry_check(table: OmegaTable, g: int, branches) -> Report:

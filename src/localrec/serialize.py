@@ -30,10 +30,6 @@ def rat_from_str(s) -> Fraction:
     return Fraction(s)
 
 
-def vector_to_json(v) -> list:
-    return [rat_to_str(x) for x in v]
-
-
 def vector_from_json(v) -> list[Fraction]:
     return [rat_from_str(x) for x in v]
 
@@ -77,17 +73,6 @@ def form_from_json(d: dict) -> MultiForm:
     )
 
 
-def datum_to_json(d: CanonicalData) -> dict:
-    return {
-        "N": d.n,
-        "u": vector_to_json(d.u),
-        "eta": matrix_to_json(d.eta),
-        "psi": matrix_to_json(d.psi),
-        "unit": vector_to_json(d.unit),
-        "theta": vector_to_json(d.theta) if d.theta is not None else None,
-    }
-
-
 def datum_from_json(cfg: dict) -> CanonicalData:
     d = CanonicalData.make(
         u=vector_from_json(cfg["u"]),
@@ -99,14 +84,6 @@ def datum_from_json(cfg: dict) -> CanonicalData:
     if "N" in cfg and cfg["N"] != d.n:
         raise ValueError(f"declared N={cfg['N']} but u has length {d.n}")
     return d
-
-
-def rmatrix_to_json(r: RMatrix) -> dict:
-    return {
-        "R": [matrix_to_json(m) for m in r.mats],
-        "L": r.order,
-        "R_exact": r.exact,
-    }
 
 
 def rmatrix_from_json(mats, exact: bool = False) -> RMatrix:

@@ -58,13 +58,19 @@ class MonodromyError(SeriesError):
 
 
 class Var:
-    """A local expansion variable tagged with the branch point it lives at."""
+    """A local expansion variable tagged with the branch point it lives at.
 
-    __slots__ = ("name", "branch")
+    Variables order by ``key``: the name with any trailing integer compared
+    as a number, so slots ``x2`` < ``x10`` keep their index order.
+    """
+
+    __slots__ = ("name", "branch", "key")
 
     def __init__(self, name: str, branch: int = 1):
         self.name = name
         self.branch = branch
+        stem = name.rstrip("0123456789")
+        self.key = (stem, int(name[len(stem):]) if stem != name else -1, name)
 
     def __repr__(self) -> str:
         return f"Var({self.name!r}, {self.branch})"
@@ -80,7 +86,7 @@ class Var:
         return hash((self.name, self.branch))
 
     def __lt__(self, other: "Var") -> bool:
-        return self.name < other.name
+        return self.key < other.key
 
 
 def _wadd(a: int, b: int) -> int:
@@ -94,7 +100,7 @@ class MultiForm:
     """Sparse Laurent form: exponent tuples -> rationals, plus degrees and windows.
 
     Instances are immutable; arithmetic returns fresh objects.  Variables are
-    kept sorted by name and exponent tuples follow that order, which makes
+    kept sorted by ``Var.key`` and exponent tuples follow that order, which makes
     iteration (and serialized output) deterministic.
     """
 
@@ -117,7 +123,7 @@ class MultiForm:
         names = [v.name for v in vs]
         if len(set(names)) != len(names):
             raise DegreeError(f"duplicate variable names: {names}")
-        order = sorted(range(len(vs)), key=lambda i: vs[i].name)
+        order = sorted(range(len(vs)), key=lambda i: vs[i].key)
         self.vars = tuple(vs[i] for i in order)
         self.degs = tuple(dg[i] for i in order)
         self.lo = tuple(lo_t[i] for i in order)
@@ -156,19 +162,6 @@ class MultiForm:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def support_min(self, v: Var) -> int | None:
-        """Smallest stored exponent of ``v``, or None for no stored terms."""
-        i = self.index_of(v)
-        if not self.coeffs:
-            return None
-        return min(e[i] for e in self.coeffs)
-
-    def support_max(self, v: Var) -> int | None:
-        i = self.index_of(v)
-        if not self.coeffs:
-            return None
-        return max(e[i] for e in self.coeffs)
 
     def items(self):
         """Deterministic (exponents, coefficient) iteration."""
@@ -311,7 +304,7 @@ class MultiForm:
     def rename(self, mapping: Mapping[str, Var]) -> "MultiForm":
         """Rename (and possibly re-brand) variables; exponents follow along."""
         new_vars = tuple(mapping.get(v.name, v) for v in self.vars)
-        perm = sorted(range(len(new_vars)), key=lambda i: new_vars[i].name)
+        perm = sorted(range(len(new_vars)), key=lambda i: new_vars[i].key)
         return MultiForm(
             tuple(new_vars[i] for i in perm),
             tuple(self.degs[i] for i in perm),
@@ -413,10 +406,6 @@ def monomial(v: Var, exp: int, coeff: Rat | int = 1, deg: int = 0) -> MultiForm:
 def d_unit(v: Var) -> MultiForm:
     """The bare differential factor attached to ``v`` (exponent 0, degree 1)."""
     return MultiForm((v,), (1,), {(0,): Rat(1)}, (0,), (INF,))
-
-
-def constant(c: Rat | int) -> MultiForm:
-    return MultiForm((), (), {(): Rat(c)}, (), ())
 
 
 def zero_form(vars: Iterable[Var], degs: Iterable[int]) -> MultiForm:

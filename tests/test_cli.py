@@ -211,6 +211,16 @@ def test_window_key_requests_extra_headroom(tmp_path):
     assert data["entries"][0]["form"]["coeffs"] == [[[-2, -2, -2], "-8/1"]]
 
 
+def test_window_key_applies_to_every_table_command(tmp_path, capsys):
+    cfg = pair_config(seed=3, order=4)
+    cfg["g_max_complexity"] = 1
+    cfg["window"] = 30
+    path = write_config(tmp_path, cfg)
+    for argv in (["omega", "--g", "0", "--n", "3"], ["correlators"], ["check"]):
+        assert main([*argv, "--config", path]) == 2, argv
+        assert "needs truncation order 30, have 4" in capsys.readouterr().err
+
+
 def test_omega_beyond_bound_is_validation_error(tmp_path):
     path = write_config(tmp_path, airy_config())
     assert main(["omega", "--config", path, "--g", "5", "--n", "1"]) == 1

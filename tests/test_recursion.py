@@ -109,14 +109,6 @@ def test_order_independence():
     assert first == second
 
 
-def test_parallel_matches_sequential():
-    ctx_seq = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 3))
-    ctx_par = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 3))
-    seq = OmegaTable(ctx_seq, bound=1).omega(1, (1,))
-    par = OmegaTable(ctx_par, bound=1, parallel=True).omega(1, (1,))
-    assert seq == par
-
-
 def test_determinism_recomputation():
     a = airy_table().omega(2, (1,))
     b = airy_table().omega(2, (1,))

@@ -210,6 +210,21 @@ def test_rename_permutes():
     assert g.coefficient((3, -2)) == 7
 
 
+def test_slot_order_beyond_ten_slots():
+    xs = [Var(f"x{i}", 1) for i in range(12)]
+    exps = tuple(range(12))
+    f = MultiForm(xs[::-1], (0,) * 12, {exps[::-1]: 1}, (0,) * 12, (INF,) * 12)
+    assert f.vars == tuple(xs)
+    assert f.coefficient(exps) == 1
+    g = f.rename({"x3": Var("x12", 1)})
+    assert [v.name for v in g.vars] == [f"x{i}" for i in range(13) if i != 3]
+    assert g.coefficient(exps[:3] + exps[4:] + (3,)) == 1
+    a = MultiForm(xs[6:], (0,) * 6, {exps[6:]: 2}, (0,) * 6, (INF,) * 6)
+    b = MultiForm(xs[:6], (0,) * 6, {exps[:6]: 3}, (0,) * 6, (INF,) * 6)
+    assert (a * b).vars == tuple(xs)
+    assert (a * b).coefficient(exps) == 6
+
+
 def test_mul_unsound_window_sharing_rejected():
     a = F(S, {0: 1}, hi=4)
     b = F(S, {0: 1}, hi=4)
