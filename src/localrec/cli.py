@@ -67,7 +67,8 @@ class RunConfig:
         self.raw = raw
         self.datum = datum_from_json(raw)
         self.bound = int(raw.get("g_max_complexity", 4))
-        self.window = raw.get("window")
+        window = raw.get("window")
+        self.window = 0 if window is None else int(window)  # extra headroom
         self.seed = seed_override if seed_override is not None else raw.get("seed", 0)
         self.coeff_bound = int(raw.get("coeff_bound", 3))
         self.order = int(raw.get("L", 0))
@@ -96,8 +97,7 @@ class RunConfig:
         return self._ctx
 
     def table(self) -> OmegaTable:
-        extra = int(self.window) if self.window is not None else 0
-        return OmegaTable(self.context(), bound=self.bound, min_budget=extra)
+        return OmegaTable(self.context(), bound=self.bound, min_budget=self.window)
 
 
 def _load_config(path: str, seed_override=None) -> RunConfig:
@@ -247,7 +247,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config, args.seed)
-    except (DatumError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (
+        DatumError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError
+    ) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_VALIDATION
 

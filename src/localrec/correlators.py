@@ -2,13 +2,23 @@
 residue-identity checkers that tie the table to the quadratic constraints.
 
 Extraction inverts the expansion of an n-point form in terms of insertion
-weights.  The weight of the insertion (psi power k, flat index a) at branch j
-is a Laurent series with leading term -2 (2k+1)!! psi[a][j] s^(-2k-2); each
-R-correction climbs by two in the exponent, so the linear system is
-triangular in total pole depth and the tensor of leading weights factorizes
-slotwise through psi, which a single matrix inverse undoes.  The solve is
-deliberately overdetermined: after all keys are recovered, the full predicted
-expansion must reproduce every certified coefficient of every branch tuple.
+weights.  The weight W_j(k, a) of the insertion (psi power k, flat index a)
+at branch j is one period series, with leading term -2 (2k+1)!! psi[a][j]
+s^(-2k-2); each R-correction climbs by two in the exponent.  The expansion
+factors slot by slot,
+
+    omega[jv](e) = sum over (k, a) of corr(k, a) * prod_m W_{jv[m]}(k_m, a_m; e_m),
+
+so every step of the extraction is a slotwise contraction (one linear map per
+slot, mode products) of one sparse tensor: the ordered tensor of solved
+values, indexed by insertion tuples in every slot order.  The solve walks
+the psi-degree vectors by decreasing total degree, where the system is
+triangular: it contracts the tensor against the weight coefficients at the
+leading exponents to predict what the deeper keys explain, and maps the
+remainder back to flat indices slot by slot through the inverse of psi.  The
+solve is deliberately overdetermined: afterwards the tensor is contracted
+against the full weight series, and the result must reproduce every
+certified coefficient of every branch tuple.
 
 The quadratic-constraint checker reassembles its residue weight directly from
 period pairings (sharing no code with the engine's kernel object) and
@@ -17,9 +27,12 @@ compares against the correlator-level left side.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from functools import cache
+from itertools import combinations_with_replacement, product
+from math import lcm, prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
@@ -27,6 +40,7 @@ from .localforms import FormContext, propagator_p0
 from .recursion import ConsistencyError, OmegaTable, TruncationOrderError, stable_entries
 from .report import Report
 from .series import (
+    INF,
     MultiForm,
     Rat,
     Var,
@@ -113,8 +127,46 @@ def _weight_coeff(ctx, cache, j: int, k: int, a: int, e: int) -> Rat:
     return d.get(e, Rat(0))
 
 
-def _arrangements(pairs: tuple[Insertion, ...]):
-    return sorted(set(permutations(pairs)))
+def _mode_products(tensor: dict, maps) -> dict:
+    """Apply one linear map per slot to a sparse tensor.
+
+    ``tensor`` maps index tuples to values; ``maps[m]`` sends an index of
+    slot m to its image, a dict {new index: coefficient}.  The slots are
+    mapped one at a time (the mode-m products of Kolda & Bader, SIAM Review
+    51, 2009) and after each slot the partial sums that share every index are
+    merged, so a slot costs one pass over the merged partial tensor.  Sums
+    that cancel are dropped.  The last slot goes first: the solve lists psi
+    degrees in ascending order, so that slot empties the most rows.
+    """
+    for m in reversed(range(len(maps))):
+        image = maps[m]
+        out: dict[tuple, Rat | int] = {}
+        for idx, c in tensor.items():
+            head, tail = idx[:m], idx[m + 1 :]
+            for new, w in image(idx[m]).items():
+                key = head + (new,) + tail
+                out[key] = out.get(key, 0) + c * w
+        tensor = {key: c for key, c in out.items() if c}
+    return tensor
+
+
+def _integral(values: dict) -> tuple[int, dict]:
+    """A common denominator of rational ``values`` and the numerators over it."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return den, {key: c.numerator * (den // c.denominator) for key, c in values.items()}
+
+
+def _ordered_indices(n: int, flat, budget: int) -> list[tuple[Insertion, ...]]:
+    """Every ordered n-tuple of insertions with total psi degree <= budget."""
+    out: list[tuple[tuple[Insertion, ...], int]] = [((), 0)]
+    for _ in range(n):
+        out = [
+            (idx + ((k, a),), deg + k)
+            for idx, deg in out
+            for k in range(budget - deg + 1)
+            for a in flat
+        ]
+    return [idx for idx, _ in out]
 
 
 def extract_correlators(
@@ -129,7 +181,7 @@ def extract_correlators(
     hard errors otherwise.
     """
     ctx = table.ctx
-    nb = ctx.data.n
+    flat = range(1, ctx.data.n + 1)
     out = into if into is not None else CorrelatorTable()
     kslot = 3 * g - 3 + n
     if kslot < 0:
@@ -137,54 +189,47 @@ def extract_correlators(
     source = f"omega({g},{n})"
 
     inv_psi_t = transpose(mat_inv(ctx.data.psi_m()))
-    jvecs = list(product(range(1, nb + 1), repeat=n))
+    psi_inverse = {
+        j: {a: c for a in flat if (c := inv_psi_t[a - 1][j - 1])} for j in flat
+    }
+    jvecs = list(product(flat, repeat=n))
     omegas = {jv: table.omega(g, jv) for jv in jvecs}
     wcache: dict = {}
 
-    solved: dict[tuple[Insertion, ...], Rat] = {}
+    @cache
+    def weights_at(ka: Insertion, e: int) -> dict[int, Rat]:
+        """Image of one insertion in the solve: its weight at e, per branch."""
+        return {j: c for j in flat if (c := _weight_coeff(ctx, wcache, j, *ka, e))}
 
-    def predicted_at(jv, exps) -> Rat:
-        total = Rat(0)
-        for pairs, val in solved.items():
-            if val == 0:
-                continue
-            for arr in _arrangements(pairs):
-                prod_c = val
-                for m in range(n):
-                    prod_c *= _weight_coeff(ctx, wcache, jv[m], arr[m][0], arr[m][1], exps[m])
-                    if prod_c == 0:
-                        break
-                total += prod_c
-        return total
+    # the ordered tensor: every solved nonzero value under each of its slot
+    # orders, filled in as keys are solved
+    tensor: dict[tuple[Insertion, ...], Rat] = {}
+    orders = defaultdict(list)
+    for idx in _ordered_indices(n, flat, kslot):
+        orders[tuple(sorted(k for k, _ in idx))].append(idx)
 
     kvecs = sorted(
         combinations_with_replacement(range(kslot + 1), n), key=lambda kv: (-sum(kv), kv)
     )
     for kvec in kvecs:
         exps = tuple(-2 * k - 2 for k in kvec)
+        beyond = sum(kvec) > kslot
         try:
+            predicted = _mode_products(
+                tensor, [lambda ka, e=e: weights_at(ka, e) for e in exps]
+            )
             resid = {
-                jv: omegas[jv].coefficient(exps) - predicted_at(jv, exps)
-                for jv in jvecs
+                jv: omegas[jv].coefficient(exps) - predicted.get(jv, 0) for jv in jvecs
             }
         except WindowError as exc:
             raise TruncationOrderError(
                 f"extraction at ({g},{n}) psi-degrees {kvec} not certified: {exc}"
             ) from exc
+        values = _mode_products(resid, [psi_inverse.__getitem__] * n)
+        scale = prod(-2 * double_factorial(2 * k + 1) for k in kvec)
         staged: dict[tuple[Insertion, ...], Rat] = {}
-        for avec in product(range(1, nb + 1), repeat=n):
-            val = Rat(0)
-            for jv, r in resid.items():
-                if r == 0:
-                    continue
-                c = r
-                for m in range(n):
-                    c *= inv_psi_t[avec[m] - 1][jv[m] - 1]
-                val += c
-            scale = 1
-            for k in kvec:
-                scale *= -2 * double_factorial(2 * k + 1)
-            val = val / scale
+        for avec in product(flat, repeat=n):
+            val = values.get(avec, Rat(0)) / scale
             pairs = tuple(sorted(zip(kvec, avec)))
             if pairs in staged:
                 if staged[pairs] != val:
@@ -194,50 +239,53 @@ def extract_correlators(
             else:
                 staged[pairs] = val
         for pairs, val in staged.items():
-            solved[pairs] = val
-            if sum(k for k, _ in pairs) > kslot:
+            if beyond:
                 if val != 0:
                     raise ConsistencyError(
                         f"nonzero correlator {pairs} beyond the tameness bound: {val}"
                     )
             else:
                 out.put(CorrelatorKey(g, pairs), val, source)
+        for idx in orders.get(kvec, ()):
+            if val := staged[tuple(sorted(idx))]:
+                tensor[idx] = val
 
-    # overdetermined residual: every certified coefficient must be explained.
-    # Assembled with plain-dict convolutions (one MultiForm per branch tuple);
-    # the window of the reassembly is the usual sum rule over all summands,
-    # computed first so the convolution can prune outside it as it goes.
-    from .series import INF
+    # overdetermined residual: every certified coefficient of every branch
+    # tuple must be explained.  The window of the reassembly is the usual sum
+    # rule over all summands, computed first so the contraction can prune
+    # outside it as it goes.  The contraction runs on integer numerators over
+    # common denominators, which are divided out once per coefficient.
+    support = {ka for idx in tensor for ka in idx}
+    windows = {
+        j: [_weight_data(ctx, wcache, j, *ka)[1:] for ka in support] for j in flat
+    }
+    los = {j: min([0] + [lo for lo, _ in windows[j]]) for j in flat}
+    his = {j: min([INF] + [hi for _, hi in windows[j]]) for j in flat}
+    den, numerators = _integral(tensor)
+    wden, pruned = _integral(
+        {
+            (j, ka, e): c
+            for j in flat
+            for ka in support
+            for e, c in _weight_data(ctx, wcache, j, *ka)[0].items()
+            if e <= his[j]
+        }
+    )
+    series: dict[tuple[int, Insertion], dict[int, int]] = defaultdict(dict)
+    for (j, ka, e), c in pruned.items():
+        series[j, ka][e] = c
+    scale = den * wden**n
 
-    live = [(pairs, val) for pairs, val in solved.items() if val != 0]
     for jv in jvecs:
         form = omegas[jv]
-        his = [INF] * n
-        los = [0] * n
-        for pairs, val in live:
-            for arr in _arrangements(pairs):
-                for m in range(n):
-                    _, wlo, whi = _weight_data(ctx, wcache, jv[m], arr[m][0], arr[m][1])
-                    his[m] = min(his[m], whi)
-                    los[m] = min(los[m], wlo)
-        acc: dict[tuple, Rat] = {}
-        for pairs, val in live:
-            for arr in _arrangements(pairs):
-                partial: dict[tuple, Rat] = {(): val}
-                for m in range(n):
-                    d, _, _ = _weight_data(ctx, wcache, jv[m], arr[m][0], arr[m][1])
-                    nxt: dict[tuple, Rat] = {}
-                    for e, c in partial.items():
-                        for ew, cw in d.items():
-                            if ew > his[m]:
-                                continue
-                            key = e + (ew,)
-                            nxt[key] = nxt.get(key, Rat(0)) + c * cw
-                    partial = nxt
-                for e, c in partial.items():
-                    acc[e] = acc.get(e, Rat(0)) + c
-        trimmed = {e: c for e, c in acc.items() if c != 0}
-        predicted = MultiForm(form.vars, form.degs, trimmed, tuple(los), tuple(his))
+        coeffs = _mode_products(numerators, [lambda ka, j=j: series[j, ka] for j in jv])
+        predicted = MultiForm(
+            form.vars,
+            form.degs,
+            {e: Rat(c, scale) for e, c in coeffs.items()},
+            [los[j] for j in jv],
+            [his[j] for j in jv],
+        )
         bad = agreement_mismatch(predicted, form)
         if bad is not None:
             raise ConsistencyError(

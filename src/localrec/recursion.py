@@ -68,6 +68,7 @@ class OmegaTable:
     _store: dict = field(default_factory=dict, repr=False)
     _bseeds: dict = field(default_factory=dict, repr=False)
     _p0: dict = field(default_factory=dict, repr=False)
+    _kernels: dict = field(default_factory=dict, repr=False)
     _plan: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -183,7 +184,10 @@ class OmegaTable:
         depth = -bracket.lo[iy] if bracket.lo[iy] < 0 else 0
         p = pole_bound(g, len(rest) + 1)
         kmax = max(depth // 2, (p - 2) // 2, 0)
-        kern = recursion_kernel(self.ctx, j0, j, x0, y, kmax)
+        key = (j0, j, kmax)  # x0 and y are fixed by their branches
+        if key not in self._kernels:
+            self._kernels[key] = recursion_kernel(self.ctx, j0, j, x0, y, kmax)
+        kern = self._kernels[key]
         return (kern * bracket).residue_half_loop(y)
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:

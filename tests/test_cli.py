@@ -221,6 +221,17 @@ def test_window_key_applies_to_every_table_command(tmp_path, capsys):
         assert "needs truncation order 30, have 4" in capsys.readouterr().err
 
 
+def test_non_integer_window_is_config_error(tmp_path, capsys):
+    for window in ("wide", [9]):
+        cfg = airy_config()
+        cfg["window"] = window
+        path = write_config(tmp_path, cfg)
+        assert main(["correlators", "--config", path]) == 1, window
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_omega_beyond_bound_is_validation_error(tmp_path):
     path = write_config(tmp_path, airy_config())
     assert main(["omega", "--config", path, "--g", "5", "--n", "1"]) == 1

@@ -1,6 +1,7 @@
 """Extraction against the independent oracle, reconstruction, constraints."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,10 +15,17 @@ from localrec.correlators import (
     virasoro_check,
 )
 from localrec.dvv import dvv_intersection
-from localrec.frobenius import RMatrix, airy_datum, decoupled_datum, random_symplectic_r
+from localrec.frobenius import (
+    CanonicalData,
+    RMatrix,
+    airy_datum,
+    decoupled_datum,
+    random_symplectic_r,
+    validate_canonical,
+)
 from localrec.localforms import FormContext
 from localrec.recursion import ConsistencyError, OmegaTable
-from localrec.series import Var
+from localrec.series import MultiForm, Var
 
 Q = Fraction
 
@@ -191,6 +199,28 @@ def test_three_point_values_unchanged_by_dressing(seed):
                 assert corr.get(0, [(0, a), (0, b), (0, c)]) == expect
 
 
+def test_three_point_values_dense_psi():
+    # a psi with no zero entry: every branch tuple feeds every flat index, so
+    # the slotwise psi inverse is exercised in full.  The unit psi (1, 1, 1)
+    # pairs to 1 with every branch, so the values are bare sums over branches.
+    psi = [
+        [Q(1, 3), Q(2, 3), Q(2, 3)],
+        [Q(2, 3), Q(1, 3), Q(-2, 3)],
+        [Q(2, 3), Q(-2, 3), Q(1, 3)],
+    ]
+    unit = [sum(row) for row in psi]
+    eta = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    datum = CanonicalData.make(u=[0, 1, 3], eta=eta, psi=psi, unit=unit)
+    assert validate_canonical(datum).ok
+    ctx = FormContext(datum, random_symplectic_r(3, 4, 1))
+    corr = extract_all(OmegaTable(ctx, bound=1), bound=1)
+    for a, b, c in product(range(3), repeat=3):
+        expect = sum(psi[a][j] * psi[b][j] * psi[c][j] for j in range(3))
+        assert corr.get(0, [(0, a + 1), (0, b + 1), (0, c + 1)]) == expect, (a, b, c)
+    assert corr.get(0, [(0, 1)] * 3) == Q(17, 27)
+    assert corr.get(0, [(0, 1), (0, 1), (0, 2)]) == Q(-2, 27)
+
+
 def test_unstable_pairing_sign_locked():
     # the negative-frequency pairing that stands in for the unstable
     # two-point factor: for the one-point datum and a plain insertion it is
@@ -204,3 +234,34 @@ def test_unstable_pairing_sign_locked():
     assert f.coefficient((0,)) == -2
     f1 = _assembled_factor(ctx, CorrelatorTable(), 0, ((1, 1),), 1, y, {})
     assert f1.coefficient((2,)) == -2  # -(I^(-1), v_1) dlambda = -2s * s ds
+
+
+def _perturbed(form, exps, delta=1):
+    """``form`` with one certified coefficient moved by ``delta``."""
+    assert all(x <= h for x, h in zip(exps, form.hi))
+    coeffs = dict(form.coeffs)
+    coeffs[exps] = coeffs.get(exps, 0) + delta
+    return MultiForm(form.vars, form.degs, coeffs, form.lo, form.hi)
+
+
+def test_extraction_residual_catches_unread_coefficient():
+    # the solve reads only all-pole exponent tuples; a coefficient with an
+    # entry >= 0 is seen by the overdetermined residual alone
+    ctx = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 11))
+    table = OmegaTable(ctx, bound=2)
+    key = (0, (1, 1, 2, 2))
+    table.omega(*key)
+    table._store[key] = _perturbed(table._store[key], (-2, -2, -2, 0))
+    with pytest.raises(ConsistencyError, match="extraction residual"):
+        extract_correlators(table, 0, 4)
+
+
+def test_extraction_checks_keys_beyond_tameness():
+    # psi degrees (0, 0, 1, 1) exceed the (0,4) budget of 1: the coefficient
+    # there must be explained by deeper keys, of which there are none
+    table = airy_table(bound=2)
+    key = (0, (1, 1, 1, 1))
+    table.omega(*key)
+    table._store[key] = _perturbed(table._store[key], (-2, -2, -4, -4))
+    with pytest.raises(ConsistencyError, match="beyond the tameness bound"):
+        extract_correlators(table, 0, 4)
