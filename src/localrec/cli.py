@@ -67,6 +67,8 @@ class RunConfig:
         self.raw = raw
         self.datum = datum_from_json(raw)
         self.bound = int(raw.get("g_max_complexity", 4))
+        if self.bound < 1:
+            raise ValueError(f"g_max_complexity must be at least 1, got {self.bound}")
         window = raw.get("window")
         self.window = 0 if window is None else int(window)  # extra headroom
         self.seed = seed_override if seed_override is not None else raw.get("seed", 0)
@@ -97,6 +99,11 @@ class RunConfig:
         return self._ctx
 
     def table(self) -> OmegaTable:
+        """The form table of this run; the datum and R must pass validation."""
+        for rep in (validate_canonical(self.datum), check_symplectic(self.r)):
+            if not rep.ok:
+                bad = rep.failures()[0]
+                raise DatumError(f"{bad.name} failed: {bad.detail}")
         return OmegaTable(self.context(), bound=self.bound, min_budget=self.window)
 
 

@@ -111,17 +111,14 @@ def insertion_weight(ctx: FormContext, j: int, k: int, a: int, v: Var) -> MultiF
     return (ctx.period_dual(j, k + 1, a, v) * dlam).scale((-1) ** k)
 
 
-def _weight_data(ctx, cache, j: int, k: int, a: int):
+def _weight_data(ctx: FormContext, j: int, k: int, a: int):
     """Weight series as a plain dict with its window, for fast convolution."""
-    key = (j, k, a)
-    if key not in cache:
-        w = insertion_weight(ctx, j, k, a, Var("w", j))
-        cache[key] = ({e: c for (e,), c in w.coeffs.items()}, w.lo[0], w.hi[0])
-    return cache[key]
+    w = insertion_weight(ctx, j, k, a, Var("w", j))
+    return {e: c for (e,), c in w.coeffs.items()}, w.lo[0], w.hi[0]
 
 
-def _weight_coeff(ctx, cache, j: int, k: int, a: int, e: int) -> Rat:
-    d, lo, hi = _weight_data(ctx, cache, j, k, a)
+def _weight_coeff(ctx: FormContext, j: int, k: int, a: int, e: int) -> Rat:
+    d, lo, hi = ctx.memo(_weight_data, j, k, a)
     if e > hi:
         raise WindowError(f"weight ({k},{a}) at branch {j} not certified at {e}")
     return d.get(e, Rat(0))
@@ -194,12 +191,11 @@ def extract_correlators(
     }
     jvecs = list(product(flat, repeat=n))
     omegas = {jv: table.omega(g, jv) for jv in jvecs}
-    wcache: dict = {}
 
     @cache
     def weights_at(ka: Insertion, e: int) -> dict[int, Rat]:
         """Image of one insertion in the solve: its weight at e, per branch."""
-        return {j: c for j in flat if (c := _weight_coeff(ctx, wcache, j, *ka, e))}
+        return {j: c for j in flat if (c := _weight_coeff(ctx, j, *ka, e))}
 
     # the ordered tensor: every solved nonzero value under each of its slot
     # orders, filled in as keys are solved
@@ -257,7 +253,7 @@ def extract_correlators(
     # common denominators, which are divided out once per coefficient.
     support = {ka for idx in tensor for ka in idx}
     windows = {
-        j: [_weight_data(ctx, wcache, j, *ka)[1:] for ka in support] for j in flat
+        j: [ctx.memo(_weight_data, j, *ka)[1:] for ka in support] for j in flat
     }
     los = {j: min([0] + [lo for lo, _ in windows[j]]) for j in flat}
     his = {j: min([INF] + [hi for _, hi in windows[j]]) for j in flat}
@@ -267,7 +263,7 @@ def extract_correlators(
             (j, ka, e): c
             for j in flat
             for ka in support
-            for e, c in _weight_data(ctx, wcache, j, *ka)[0].items()
+            for e, c in ctx.memo(_weight_data, j, *ka)[0].items()
             if e <= his[j]
         }
     )
@@ -303,19 +299,15 @@ def extract_all(table: OmegaTable, bound: int | None = None) -> CorrelatorTable:
     return out
 
 
-def insertion_reconstruct_check(
-    ctx: FormContext, k: int, a: int, m_hi: int | None = None
-) -> Report:
+def insertion_reconstruct_check(ctx: FormContext, k: int, a: int) -> Report:
     """Half-loop residues against the negative-frequency pairing rebuild an
     insertion: the residue sum over branches of the pairing of v_a z^k with
     the descending series, times the full local expansion series, must return
     exactly v_a psi^k.  Exactness is required component by component."""
     rep = Report()
     n = ctx.data.n
-    if m_hi is None:
-        m_hi = k + 2
     name = f"insertion-reconstruction-(k={k},a={a})"
-    for m in range(-2, m_hi + 1):
+    for m in range(-2, k + 3):
         for b in range(1, n + 1):
             expected = Rat(1) if (m == k and b == a) else Rat(0)
             total = Rat(0)
@@ -375,15 +367,12 @@ def _assembled_factor(
     sub: tuple[Insertion, ...],
     j: int,
     y: Var,
-    wcache: dict,
-) -> MultiForm | None:
+) -> MultiForm:
     """One splitting factor of the constraint bracket, as a y-series."""
     n1 = len(sub) + 1
-    if 2 * g1 - 2 + n1 <= 0:
-        if (g1, n1) == (0, 2):
-            k, a = sub[0]
-            return (ctx.period_basis(j, -k, a, y) * monomial(y, 1, 1, deg=1)).scale(-1)
-        return None
+    if (g1, n1) == (0, 2):  # unstable: the negative-frequency pairing
+        ((k, a),) = sub
+        return (ctx.period_basis(j, -k, a, y) * monomial(y, 1, 1, deg=1)).scale(-1)
     budget = 3 * g1 - 3 + n1 - sum(k for k, _ in sub)
     acc = zero_form((y,), (1,))
     if budget < 0:
@@ -393,15 +382,8 @@ def _assembled_factor(
             val = corr.get(g1, ((k, b),) + sub)
             if val == 0:
                 continue
-            acc = acc + _cached_weight(ctx, wcache, j, k, b, y).scale(val)
+            acc = acc + ctx.memo(insertion_weight, j, k, b, y).scale(val)
     return acc
-
-
-def _cached_weight(ctx, wcache, j, k, b, y: Var) -> MultiForm:
-    key = (j, k, b, y.name, y.branch)
-    if key not in wcache:
-        wcache[key] = insertion_weight(ctx, j, k, b, y)
-    return wcache[key]
 
 
 def virasoro_check(
@@ -427,7 +409,6 @@ def virasoro_check(
     if 2 * g - 2 + (n + 1) <= 0:
         raise ConsistencyError("constraint check needs a stable left side")
     rv = Var("r", i_ext)
-    wcache: dict = {}
 
     lhs = zero_form((rv,), (1,))
     lhs_budget = 3 * g - 3 + (n + 1) - sum(k for k, _ in ins)
@@ -436,28 +417,28 @@ def virasoro_check(
             val = corr.get(g, ((k, a),) + ins)
             if val == 0:
                 continue
-            lhs = lhs + _cached_weight(ctx, wcache, i_ext, k, a, rv).scale(val)
+            lhs = lhs + ctx.memo(insertion_weight, i_ext, k, a, rv).scale(val)
 
-    rhs: MultiForm | None = None
+    terms = []
     for j in range(1, ctx.data.n + 1):
         y = Var("y", j)
         pieces: list[MultiForm] = []
         if g >= 1:
             if g == 1 and n == 0:
-                pieces.append(propagator_p0(ctx, j, y))
+                pieces.append(ctx.memo(propagator_p0, j, y))
             else:
                 loop_budget = 3 * (g - 1) - 3 + (n + 2) - sum(k for k, _ in ins)
                 acc = zero_form((y,), (2,))
                 for k1 in range(max(loop_budget, -1) + 1):
                     for b1 in range(1, ctx.data.n + 1):
-                        w1 = _cached_weight(ctx, wcache, j, k1, b1, y)
+                        w1 = ctx.memo(insertion_weight, j, k1, b1, y)
                         for k2 in range(max(loop_budget - k1, -1) + 1):
                             for b2 in range(1, ctx.data.n + 1):
                                 val = corr.get(g - 1, ((k1, b1), (k2, b2)) + ins)
                                 if val == 0:
                                     continue
                                 acc = acc + (
-                                    w1 * _cached_weight(ctx, wcache, j, k2, b2, y)
+                                    w1 * ctx.memo(insertion_weight, j, k2, b2, y)
                                 ).scale(val)
                 pieces.append(acc)
         for g1 in range(0, g + 1):
@@ -468,23 +449,17 @@ def virasoro_check(
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                f1 = _assembled_factor(ctx, corr, g1, left, j, y, wcache)
-                f2 = _assembled_factor(ctx, corr, g - g1, right, j, y, wcache)
+                f1 = _assembled_factor(ctx, corr, g1, left, j, y)
+                f2 = _assembled_factor(ctx, corr, g - g1, right, j, y)
                 pieces.append(f1 * f2)
-        if not pieces:
-            continue
-        bracket = pieces[0]
-        for p in pieces[1:]:
-            bracket = bracket + p
+        bracket = sum(pieces[1:], pieces[0])
         iy = bracket.index_of(y)
         depth = -bracket.lo[iy] if bracket.lo[iy] < 0 else 0
         kmax = max(depth // 2, (2 * (3 * g - 2 + n + 1) - 2) // 2, 0)
-        weight = _constraint_weight(ctx, i_ext, j, rv, y, kmax)
-        term = (weight * bracket).residue_half_loop(y)
-        rhs = term if rhs is None else rhs + term
+        weight = ctx.memo(_constraint_weight, i_ext, j, rv, y, kmax)
+        terms.append((weight * bracket).residue_half_loop(y))
+    rhs = sum(terms[1:], terms[0])
 
-    if rhs is None:
-        rhs = zero_form((rv,), (1,))
     deepest = min((e for (e,) in lhs.coeffs), default=0)
     hi_common = min(lhs.hi[0], rhs.hi[0])
     if hi_common < -2 or rhs.lo[0] > deepest:

@@ -65,90 +65,99 @@ def _a1_data(k: int) -> tuple[int, Rat]:
 
 @dataclass
 class FormContext:
-    """Shared datum + R-matrix together with the caches every builder uses."""
+    """One datum and R-matrix, with the memo of every local object derived
+    from them.
+
+    :meth:`memo` holds each derived object once per context: the columns of
+    psi R_l e_j and their pairings, the closing-matrix tables, the period
+    expansions, the one-point forms, the two-point and P_0 seeds and the
+    recursion kernels of every table on the context, the insertion and
+    constraint weights, and the window planner's shadow tables and planned
+    orders.
+    """
 
     data: CanonicalData
     r: RMatrix
-    _columns: dict = field(default_factory=dict, repr=False)
-    _vtables: dict = field(default_factory=dict, repr=False)
-    _one_point: dict = field(default_factory=dict, repr=False)
-    _periods: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.data.n != self.r.n:
             raise DegenerateDatum("datum and R-matrix have different sizes")
 
+    def memo(self, fn, *args):
+        """``fn(self, *args)``, computed once per context.
+
+        The key is the function object itself with the arguments, so two
+        functions never share an entry.  Callers pass ``fn`` by its
+        module-level name, which is what a profiling hook replaces.
+        """
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(self, *args)
+        return self._memo[key]
+
     # -- pairing ingredients ------------------------------------------------
-
-    def column(self, l: int, j: int) -> tuple[Rat, ...]:
-        """Flat components of psi R_l e_j."""
-        key = (l, j)
-        if key not in self._columns:
-            rl = self.r.mat(l)
-            e = [rl[i][j - 1] for i in range(self.data.n)]
-            self._columns[key] = tuple(mat_vec(self.data.psi_m(), e))
-        return self._columns[key]
-
-    def eta_column(self, l: int, j: int) -> tuple[Rat, ...]:
-        key = ("eta", l, j)
-        if key not in self._columns:
-            self._columns[key] = tuple(
-                mat_vec(self.data.eta_m(), list(self.column(l, j)))
-            )
-        return self._columns[key]
 
     def unit_pairing(self, l: int, j: int) -> Rat:
         """(psi R_l e_j, 1) evaluated through eta."""
-        ec = self.eta_column(l, j)
+        ec = self.memo(_eta_column, l, j)
         return sum((x * y for x, y in zip(ec, self.data.unit)), Rat(0))
-
-    def vtable(self, top: int) -> VTable:
-        if top not in self._vtables:
-            self._vtables[top] = compute_vkl(self.r, top)
-        return self._vtables[top]
 
     def max_vkl_top(self) -> int:
         return 2 * self.r.order - 1 if self.r.exact else self.r.order - 1
 
     # -- period expansions ----------------------------------------------------
 
-    def _period_series(self, kind, j: int, k: int, extra, v: Var, weights) -> MultiForm:
-        key = (kind, j, k, extra, v.name, v.branch)
-        cached = self._periods.get(key)
-        if cached is not None:
-            return cached
-        coeffs: dict[tuple, Rat] = {}
-        for l in range(self.r.order + 1):
-            w = weights(l)
-            if w == 0:
-                continue
-            exp, c = _a1_data(k - l)
-            val = (-1) ** l * w * c
-            if val:
-                coeffs[(exp,)] = coeffs.get((exp,), Rat(0)) + val
-        lo = -2 * k - 1
-        hi = INF if self.r.exact else 2 * self.r.order - 2 * k
-        out = MultiForm((v,), (0,), coeffs, (lo,), (hi,))
-        self._periods[key] = out
-        return out
-
     def period_dual(self, j: int, k: int, a: int, v: Var) -> MultiForm:
         """Flat component a of the period I^(k) at branch j, i.e. (I^(k), v^a)."""
-        return self._period_series(
-            "dual", j, k, a, v, lambda l: self.column(l, j)[a - 1]
-        )
+        return self.memo(_period_series, _column, j, k, a, v)
 
     def period_basis(self, j: int, k: int, a: int, v: Var) -> MultiForm:
         """(I^(k), v_a): the eta-lowered component."""
-        return self._period_series(
-            "basis", j, k, a, v, lambda l: self.eta_column(l, j)[a - 1]
-        )
+        return self.memo(_period_series, _eta_column, j, k, a, v)
 
     def period_unit(self, j: int, k: int, v: Var) -> MultiForm:
         """(I^(k), 1)."""
-        return self._period_series(
-            "unit", j, k, 0, v, lambda l: self.unit_pairing(l, j)
-        )
+        return self.memo(_period_series, FormContext.unit_pairing, j, k, None, v)
+
+
+def _column(ctx: FormContext, l: int, j: int) -> tuple[Rat, ...]:
+    """Flat components of psi R_l e_j."""
+    rl = ctx.r.mat(l)
+    return tuple(mat_vec(ctx.data.psi_m(), [rl[i][j - 1] for i in range(ctx.data.n)]))
+
+
+def _eta_column(ctx: FormContext, l: int, j: int) -> tuple[Rat, ...]:
+    """The eta-lowered components of psi R_l e_j."""
+    return tuple(mat_vec(ctx.data.eta_m(), list(ctx.memo(_column, l, j))))
+
+
+def _vtable(ctx: FormContext, top: int) -> VTable:
+    """The closing matrices V_(k,l) with k + l <= top."""
+    return compute_vkl(ctx.r, top)
+
+
+def _period_series(
+    ctx: FormContext, weight, j: int, k: int, a: int | None, v: Var
+) -> MultiForm:
+    """sum over l of (-1)^l w_l times the one-dimensional period I^(k-l).
+
+    w_l is ``weight(ctx, l, j)``, or its component a unless a is None.
+    """
+    coeffs: dict[tuple, Rat] = {}
+    for l in range(ctx.r.order + 1):
+        w = ctx.memo(weight, l, j)
+        if a is not None:
+            w = w[a - 1]
+        if w == 0:
+            continue
+        exp, c = _a1_data(k - l)
+        val = (-1) ** l * w * c
+        if val:
+            coeffs[(exp,)] = coeffs.get((exp,), Rat(0)) + val
+    lo = -2 * k - 1
+    hi = INF if ctx.r.exact else 2 * ctx.r.order - 2 * k
+    return MultiForm((v,), (0,), coeffs, (lo,), (hi,))
 
 
 def period_vector(ctx: FormContext, j: int, k: int, v: Var) -> tuple[MultiForm, ...]:
@@ -165,9 +174,6 @@ def one_point_form(ctx: FormContext, j: int, v: Var) -> MultiForm:
     closing Taylor expansion whose half powers of 2 cancel exactly against
     the pullback.
     """
-    key = (j, v.name, v.branch)
-    if key in ctx._one_point:
-        return ctx._one_point[key]
     dlam = monomial(v, 1, 1, deg=1)
     route1 = (ctx.period_unit(j, -1, v) * dlam).scale(4)
 
@@ -186,7 +192,6 @@ def one_point_form(ctx: FormContext, j: int, v: Var) -> MultiForm:
     bad = agreement_mismatch(route1, route2)
     if bad is not None:
         raise RouteDisagreement(f"one-point form routes differ at {bad}")
-    ctx._one_point[key] = route1
     return route1
 
 
@@ -210,7 +215,7 @@ def _closing_part(ctx: FormContext, i: int, j: int, rv: Var, sv: Var) -> MultiFo
     top = ctx.max_vkl_top()
     if top < 0:
         return None
-    vt = ctx.vtable(top)
+    vt = ctx.memo(_vtable, top)
     a_cap = top if ctx.r.exact else top // 2
     b_cap = top if ctx.r.exact else top - top // 2
     coeffs: dict[tuple, Rat] = {}
@@ -319,7 +324,7 @@ def propagator_p0(ctx: FormContext, j: int, v: Var) -> MultiForm:
 
     top = ctx.max_vkl_top()
     if top >= 0:
-        vt = ctx.vtable(top)
+        vt = ctx.memo(_vtable, top)
         for d in range(0, top + 1):
             c = Rat(0)
             for kk in range(0, d + 1):
@@ -352,7 +357,7 @@ def recursion_kernel(
         acc = acc + (term * drv).scale(2 * (-1) ** (k + 1))
     num = acc.cap_hi(sv, 2 * kmax + 2)
 
-    pj = one_point_form(ctx, j, sv)
+    pj = ctx.memo(one_point_form, j, sv)
     if pj.coefficient((2,)) == 0:
         raise DegenerateDatum(
             f"one-point form at branch {j} has vanishing lead; kernel undefined"
@@ -365,7 +370,7 @@ def recursion_kernel(
     return (num * inv_pj).scale(Fraction(-1, 2))
 
 
-def ope_normalization_check(ctx: FormContext, j: int, s_hi: int = 8) -> Report:
+def ope_normalization_check(ctx: FormContext, j: int) -> Report:
     """Resum the diagonal double pole out of the computed two-point form.
 
     Multiplying the annulus expansion B(r, s) by (r^2 - s^2)^2, i.e. by
@@ -378,6 +383,7 @@ def ope_normalization_check(ctx: FormContext, j: int, s_hi: int = 8) -> Report:
     """
     rep = Report()
     rv, sv = Var("r", j), Var("s", j)
+    s_hi = 8
     if not ctx.r.exact:
         # keep some positive r window: the r window of the mode sum closes as
         # the pole depth grows, and the telescoped polynomial lives at r >= 0
@@ -417,9 +423,7 @@ def ope_normalization_check(ctx: FormContext, j: int, s_hi: int = 8) -> Report:
     return rep
 
 
-def hrp_check(
-    ctx: FormContext, k_bound: int = 5, a_range=None, b_range=None
-) -> Report:
+def hrp_check(ctx: FormContext, k_bound: int = 5) -> Report:
     """Residue-pairing orthogonality of the periods.
 
     For every pair (k1, k2) with |k1|, |k2| <= k_bound and every flat pair
@@ -430,13 +434,11 @@ def hrp_check(
     """
     rep = Report()
     n = ctx.data.n
-    a_range = a_range or range(1, n + 1)
-    b_range = b_range or range(1, n + 1)
     skipped = 0
     for k1 in range(-k_bound, k_bound + 1):
         for k2 in range(-k_bound, k_bound + 1):
-            for a in a_range:
-                for b in b_range:
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
                     expected = Rat(0)
                     if a == b and k1 + k2 == 0:
                         expected = Rat(2 * (-1) ** k1)

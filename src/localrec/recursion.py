@@ -12,7 +12,9 @@ Window budgeting: before a truncated-R computation starts, the same code is
 dry-run against a zero-dressed R of equal order (windows depend only on the
 truncation order and the combination pattern, never on coefficient values),
 which gives a faithful fail-fast check and a minimal sufficient order to
-report.  Exact R data have unbounded windows and skip the plan.
+report.  The dry runs share one shadow table per truncation order through the
+context memo, so every entry planned later reuses the lower entries already
+certified.  Exact R data have unbounded windows and skip the plan.
 
 The table is a logical map with idempotent insertion.
 """
@@ -26,7 +28,7 @@ from .frobenius import RMatrix
 from .linalg import identity, zeros
 from .localforms import FormContext, propagator_p0, recursion_kernel, two_point_form
 from .report import Report
-from .series import MultiForm, SeriesError, Var, agreement_mismatch, zero_form
+from .series import MultiForm, SeriesError, Var, agreement_mismatch
 
 
 class TruncationOrderError(SeriesError):
@@ -66,10 +68,6 @@ class OmegaTable:
     check_plan: bool = True
     min_budget: int = 0  # extra window request beyond the pole-bound budget
     _store: dict = field(default_factory=dict, repr=False)
-    _bseeds: dict = field(default_factory=dict, repr=False)
-    _p0: dict = field(default_factory=dict, repr=False)
-    _kernels: dict = field(default_factory=dict, repr=False)
-    _plan: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.budget = max(
@@ -80,22 +78,6 @@ class OmegaTable:
     def hi_target(self, g: int, n: int) -> int:
         # entries feeding later loop terms need headroom above the pole part
         return self.budget - pole_bound(g, n)
-
-    # -- seeds ------------------------------------------------------------
-
-    def two_point_seed(self, i: int, j: int) -> MultiForm:
-        """B(a, b) da db with a singular at branch i, b regular at branch j."""
-        key = (i, j)
-        if key not in self._bseeds:
-            self._bseeds[key] = two_point_form(
-                self.ctx, i, j, Var("a", i), Var("b", j), self.budget
-            )
-        return self._bseeds[key]
-
-    def p0_seed(self, j: int) -> MultiForm:
-        if j not in self._p0:
-            self._p0[j] = propagator_p0(self.ctx, j, Var("b", j))
-        return self._p0[j]
 
     # -- retrieval ----------------------------------------------------------
 
@@ -128,25 +110,23 @@ class OmegaTable:
 
     def _factor(self, g1: int, positions, branches, xs, j: int, y: Var):
         """One splitting factor with first leg at the residue variable."""
-        n1 = len(positions) + 1
-        if 2 * g1 - 2 + n1 <= 0:
-            if (g1, n1) == (0, 2):
-                m = positions[0]
-                return self.two_point_seed(branches[m], j).rename(
-                    {"a": xs[m], "b": y}
-                )
-            return None  # dropped one-point leg
+        if g1 == 0 and len(positions) == 1:  # unstable (0, 2): the two-point seed
+            (m,) = positions
+            i = branches[m]
+            a, b = Var("a", i), Var("b", j)
+            seed = self.ctx.memo(two_point_form, i, j, a, b, self.budget)
+            return seed.rename({"a": xs[m], "b": y})
         sub_branches = (j,) + tuple(branches[m] for m in positions)
         sub_vars = (y,) + tuple(xs[m] for m in positions)
         return self.omega(g1, sub_branches, sub_vars)
 
-    def _bracket(self, g: int, branches, xs, j: int, y: Var) -> MultiForm | None:
+    def _bracket(self, g: int, branches, xs, j: int, y: Var) -> MultiForm:
         """Loop term plus ordered splittings, a degree-2 object in y."""
         n_rest = len(branches)
         pieces: list[MultiForm] = []
         if g >= 1:
             if g == 1 and n_rest == 0:
-                pieces.append(self.p0_seed(j).rename({"b": y}))
+                pieces.append(self.ctx.memo(propagator_p0, j, y))
             else:
                 ya, yb = Var("ya", j), Var("yb", j)
                 child = self.omega(
@@ -168,26 +148,16 @@ class OmegaTable:
                 f1 = self._factor(g1, left, branches, xs, j, y)
                 f2 = self._factor(g - g1, right, branches, xs, j, y)
                 pieces.append(f1 * f2)
-        if not pieces:
-            return None
-        total = pieces[0]
-        for p in pieces[1:]:
-            total = total + p
-        return total
+        return sum(pieces[1:], pieces[0])
 
-    def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm | None:
+    def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:
         y = Var("y", j)
         bracket = self._bracket(g, rest, xs, j, y)
-        if bracket is None:
-            return None
         iy = bracket.index_of(y)
         depth = -bracket.lo[iy] if bracket.lo[iy] < 0 else 0
         p = pole_bound(g, len(rest) + 1)
         kmax = max(depth // 2, (p - 2) // 2, 0)
-        key = (j0, j, kmax)  # x0 and y are fixed by their branches
-        if key not in self._kernels:
-            self._kernels[key] = recursion_kernel(self.ctx, j0, j, x0, y, kmax)
-        kern = self._kernels[key]
+        kern = self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax)
         return (kern * bracket).residue_half_loop(y)
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
@@ -205,11 +175,10 @@ class OmegaTable:
         xs = tuple(Var(f"x{i + 1}", b) for i, b in enumerate(rest))
 
         terms = [
-            t
+            self._residue_at(g, rest, xs, x0, j0, j)
             for j in range(1, self.ctx.data.n + 1)
-            if (t := self._residue_at(g, rest, xs, x0, j0, j)) is not None
         ]
-        total = sum(terms[1:], terms[0]) if terms else zero_form((x0,) + xs, (1,) * n)
+        total = sum(terms[1:], terms[0])
         return self._finalize(g, n, total)
 
     def _finalize(self, g: int, n: int, form: MultiForm) -> MultiForm:
@@ -244,32 +213,37 @@ class OmegaTable:
         increasing order: the windows depend only on the truncation order and
         the assembly pattern, so the dry run is faithful by construction.
         """
-        key = (g, n)
-        if key in self._plan:
-            return self._plan[key]
-        for order in range(0, 2 * self.budget + 8):
-            if self._plan_ok(g, n, order):
-                self._plan[key] = order
-                return order
-        raise TruncationOrderError(
-            f"no truncation order up to {2 * self.budget + 8} certifies ({g},{n})"
-        )
+        return self.ctx.memo(_required_order, g, n, self.bound, self.min_budget)
 
-    def _plan_ok(self, g: int, n: int, order: int) -> bool:
-        shadow_r = RMatrix.make(
-            [identity(self.ctx.data.n)] + [zeros(self.ctx.data.n)] * order
-        )
-        shadow = OmegaTable(
-            FormContext(self.ctx.data, shadow_r),
-            bound=self.bound,
-            check_plan=False,
-            min_budget=self.min_budget,
-        )
+
+def _shadow_table(
+    ctx: FormContext, order: int, bound: int, min_budget: int
+) -> OmegaTable:
+    """The zero-dressed table of one truncation order that the plan dry-runs.
+
+    It never plans itself: its windows are what the plan measures.
+    """
+    shadow_r = RMatrix.make([identity(ctx.data.n)] + [zeros(ctx.data.n)] * order)
+    return OmegaTable(
+        FormContext(ctx.data, shadow_r),
+        bound=bound,
+        check_plan=False,
+        min_budget=min_budget,
+    )
+
+
+def _required_order(
+    ctx: FormContext, g: int, n: int, bound: int, min_budget: int
+) -> int:
+    # every shadow table has the budget of the table being planned
+    limit = 2 * ctx.memo(_shadow_table, 0, bound, min_budget).budget + 8
+    for order in range(limit):
         try:
-            shadow.omega(g, (1,) * n)
+            ctx.memo(_shadow_table, order, bound, min_budget).omega(g, (1,) * n)
         except SeriesError:
-            return False
-        return True
+            continue
+        return order
+    raise TruncationOrderError(f"no truncation order up to {limit} certifies ({g},{n})")
 
 
 def symmetry_check(table: OmegaTable, g: int, branches) -> Report:

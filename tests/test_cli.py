@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from localrec.cli import main
 from localrec.serialize import (
     dumps_canonical,
@@ -235,3 +237,51 @@ def test_non_integer_window_is_config_error(tmp_path, capsys):
 def test_omega_beyond_bound_is_validation_error(tmp_path):
     path = write_config(tmp_path, airy_config())
     assert main(["omega", "--config", path, "--g", "5", "--n", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "base, change, argv, message",
+    [
+        (airy_config, {"g_max_complexity": 0}, ["correlators"], "config error:"),
+        (airy_config, {"g_max_complexity": 0}, ["check"], "config error:"),
+        (
+            pair_config,
+            {"psi": [["1/1", "1/1"], ["1/1", "1/1"]]},  # singular
+            ["correlators"],
+            "invalid datum: psi-isometry",
+        ),
+        (
+            airy_config,
+            {"psi": [["2/1"]]},  # not an isometry
+            ["omega", "--g", "0", "--n", "3"],
+            "invalid datum: psi-isometry",
+        ),
+        (airy_config, {"psi": [["2/1"]]}, ["correlators"], "invalid datum: psi-isometry"),
+    ],
+)
+def test_bad_input_is_one_line_validation_error(
+    tmp_path, capsys, base, change, argv, message
+):
+    path = write_config(tmp_path, {**base(), **change})
+    assert main([*argv, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_complete_r_source(tmp_path, capsys):
+    cfg = airy_config()
+    cfg.update({"R": None, "L": 6, "g_max_complexity": 2})
+    plain, completed = tmp_path / "plain.out", tmp_path / "completed.out"
+    path = write_config(tmp_path, cfg, "plain.json")
+    assert main(["correlators", "--config", path, "--out", str(plain)]) == 0
+    cfg["R"] = {"complete": {}}
+    path = write_config(tmp_path, cfg, "complete.json")
+    assert main(["correlators", "--config", path, "--out", str(completed)]) == 0
+    assert completed.read_bytes() == plain.read_bytes()
+
+    cfg["R"] = {"complete": {"diag_seeds": [["1/3"]]}}
+    path = write_config(tmp_path, cfg, "seeded.json")
+    assert main(["correlators", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: datum not integrable") and err.count("\n") == 1, err

@@ -229,10 +229,10 @@ def test_unstable_pairing_sign_locked():
 
     ctx = FormContext(airy_datum(), RMatrix.identity_r(1))
     y = Var("y", 1)
-    f = _assembled_factor(ctx, CorrelatorTable(), 0, ((0, 1),), 1, y, {})
+    f = _assembled_factor(ctx, CorrelatorTable(), 0, ((0, 1),), 1, y)
     assert f.degs == (1,)
     assert f.coefficient((0,)) == -2
-    f1 = _assembled_factor(ctx, CorrelatorTable(), 0, ((1, 1),), 1, y, {})
+    f1 = _assembled_factor(ctx, CorrelatorTable(), 0, ((1, 1),), 1, y)
     assert f1.coefficient((2,)) == -2  # -(I^(-1), v_1) dlambda = -2s * s ds
 
 

@@ -133,6 +133,26 @@ def test_window_plan_fail_fast():
     assert e.value.min_order == need
 
 
+def test_window_plan_builds_one_shadow_table_per_order(monkeypatch):
+    import localrec.recursion as recursion
+
+    built = []
+
+    class CountingContext(FormContext):
+        def __post_init__(self):
+            built.append(self.r.order)
+            super().__post_init__()
+
+    t = OmegaTable(
+        FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 1, 5)), bound=2
+    )
+    monkeypatch.setattr(recursion, "FormContext", CountingContext)
+    needs = {(g, n): t.required_order(g, n) for g, n in stable_entries(2)}
+    assert needs == {(0, 3): 6, (1, 1): 3, (0, 4): 6, (1, 2): 6}
+    # every (g, n) shares the shadow table of each order it dry-runs
+    assert sorted(built) == list(range(max(needs.values()) + 1))
+
+
 def test_window_plan_sufficient_order_succeeds():
     probe = OmegaTable(
         FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 0, 5)), bound=2
