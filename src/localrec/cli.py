@@ -22,6 +22,7 @@ from .correlators import (
 from .frobenius import (
     DatumError,
     RMatrix,
+    check_compatible,
     check_symplectic,
     complete_r,
     random_symplectic_r,
@@ -75,6 +76,7 @@ class RunConfig:
         self.coeff_bound = int(raw.get("coeff_bound", 3))
         self.order = int(raw.get("L", 0))
         self.r = self._resolve_r(raw)
+        check_compatible(self.datum, self.r)
         self._ctx: FormContext | None = None
 
     def _resolve_r(self, raw) -> RMatrix:

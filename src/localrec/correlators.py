@@ -36,7 +36,7 @@ from math import lcm, prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
-from .localforms import FormContext, propagator_p0
+from .localforms import FormContext, parity_checked, propagator_p0
 from .recursion import ConsistencyError, OmegaTable, TruncationOrderError, stable_entries
 from .report import Report
 from .series import (
@@ -46,8 +46,10 @@ from .series import (
     Var,
     WindowError,
     agreement_mismatch,
+    capped_product,
     invert,
     monomial,
+    sum_forms,
     zero_form,
 )
 
@@ -341,15 +343,17 @@ def _constraint_weight(
     assembled from scratch rather than through the engine's kernel.
     """
     drv = monomial(rv, 1, 1, deg=1)
-    acc = zero_form((rv, y), (1, 0))
+    terms = [zero_form((rv, y), (1, 0))]
     for k in range(kmax + 1):
-        pair = zero_form((rv, y), (0, 0))
-        for c in range(1, ctx.data.n + 1):
-            pair = pair + ctx.period_dual(i_ext, k + 1, c, rv) * ctx.period_basis(
-                j, -k - 1, c, y
-            )
-        acc = acc + (pair * drv).scale((-1) ** (k + 1))
-    acc = acc.cap_hi(y, 2 * kmax + 2)
+        pair = sum_forms(
+            [zero_form((rv, y), (0, 0))]
+            + [
+                ctx.period_dual(i_ext, k + 1, c, rv) * ctx.period_basis(j, -k - 1, c, y)
+                for c in range(1, ctx.data.n + 1)
+            ]
+        )
+        terms.append((pair * drv).scale((-1) ** (k + 1)))
+    acc = sum_forms(terms).cap_hi(y, 2 * kmax + 2)
     denom = ctx.period_unit(j, -1, y) * monomial(y, 1, 1, deg=1)
     if denom.is_zero() or denom.coefficient((2,)) == 0:
         raise ConsistencyError(f"degenerate normalizing pairing at branch {j}")
@@ -374,16 +378,14 @@ def _assembled_factor(
         ((k, a),) = sub
         return (ctx.period_basis(j, -k, a, y) * monomial(y, 1, 1, deg=1)).scale(-1)
     budget = 3 * g1 - 3 + n1 - sum(k for k, _ in sub)
-    acc = zero_form((y,), (1,))
-    if budget < 0:
-        return acc
+    terms = [zero_form((y,), (1,))]
     for k in range(budget + 1):
         for b in range(1, ctx.data.n + 1):
             val = corr.get(g1, ((k, b),) + sub)
-            if val == 0:
-                continue
-            acc = acc + ctx.memo(insertion_weight, j, k, b, y).scale(val)
-    return acc
+            if val != 0:
+                w = ctx.memo(parity_checked, insertion_weight, j, k, b, y)
+                terms.append(w.scale(val))
+    return sum_forms(terms)
 
 
 def virasoro_check(
@@ -410,37 +412,39 @@ def virasoro_check(
         raise ConsistencyError("constraint check needs a stable left side")
     rv = Var("r", i_ext)
 
-    lhs = zero_form((rv,), (1,))
+    lhs_terms = [zero_form((rv,), (1,))]
     lhs_budget = 3 * g - 3 + (n + 1) - sum(k for k, _ in ins)
-    for k in range(max(lhs_budget, -1) + 1):
+    for k in range(lhs_budget + 1):
         for a in range(1, ctx.data.n + 1):
             val = corr.get(g, ((k, a),) + ins)
-            if val == 0:
-                continue
-            lhs = lhs + ctx.memo(insertion_weight, i_ext, k, a, rv).scale(val)
+            if val != 0:
+                w = ctx.memo(parity_checked, insertion_weight, i_ext, k, a, rv)
+                lhs_terms.append(w.scale(val))
+    lhs = sum_forms(lhs_terms)
 
     terms = []
     for j in range(1, ctx.data.n + 1):
         y = Var("y", j)
-        pieces: list[MultiForm] = []
-        if g >= 1:
-            if g == 1 and n == 0:
-                pieces.append(ctx.memo(propagator_p0, j, y))
-            else:
-                loop_budget = 3 * (g - 1) - 3 + (n + 2) - sum(k for k, _ in ins)
-                acc = zero_form((y,), (2,))
-                for k1 in range(max(loop_budget, -1) + 1):
-                    for b1 in range(1, ctx.data.n + 1):
-                        w1 = ctx.memo(insertion_weight, j, k1, b1, y)
-                        for k2 in range(max(loop_budget - k1, -1) + 1):
-                            for b2 in range(1, ctx.data.n + 1):
-                                val = corr.get(g - 1, ((k1, b1), (k2, b2)) + ins)
-                                if val == 0:
-                                    continue
-                                acc = acc + (
-                                    w1 * ctx.memo(insertion_weight, j, k2, b2, y)
-                                ).scale(val)
-                pieces.append(acc)
+        # the bracket's terms, not yet multiplied: P_0, or the loop legs with
+        # their correlator, and the splitting factor pairs
+        p0 = None
+        loop: list[tuple[MultiForm, MultiForm, Rat]] = []
+        if g == 1 and n == 0:
+            p0 = ctx.memo(parity_checked, propagator_p0, j, y)
+        elif g >= 1:
+            loop_budget = 3 * (g - 1) - 3 + (n + 2) - sum(k for k, _ in ins)
+            for k1 in range(loop_budget + 1):
+                for b1 in range(1, ctx.data.n + 1):
+                    w1 = ctx.memo(parity_checked, insertion_weight, j, k1, b1, y)
+                    for k2 in range(loop_budget - k1 + 1):
+                        for b2 in range(1, ctx.data.n + 1):
+                            val = corr.get(g - 1, ((k1, b1), (k2, b2)) + ins)
+                            if val != 0:
+                                w2 = ctx.memo(
+                                    parity_checked, insertion_weight, j, k2, b2, y
+                                )
+                                loop.append((w1, w2, val))
+        pairs = []
         for g1 in range(0, g + 1):
             for mask in range(1 << n):
                 left = tuple(ins[m] for m in range(n) if mask >> m & 1)
@@ -449,16 +453,36 @@ def virasoro_check(
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                f1 = _assembled_factor(ctx, corr, g1, left, j, y)
-                f2 = _assembled_factor(ctx, corr, g - g1, right, j, y)
-                pieces.append(f1 * f2)
-        bracket = sum(pieces[1:], pieces[0])
-        iy = bracket.index_of(y)
-        depth = -bracket.lo[iy] if bracket.lo[iy] < 0 else 0
+                pairs.append((
+                    _assembled_factor(ctx, corr, g1, left, j, y),
+                    _assembled_factor(ctx, corr, g - g1, right, j, y),
+                ))
+
+        # the cap rule of the recursion: only bracket terms at y <= ycap
+        # meet the weight at y^-1
+        lows = [f1.lo[0] + f2.lo[0] for f1, f2 in pairs]
+        if p0 is not None:
+            lows.append(p0.lo[0])
+        elif g >= 1:  # the loop term sums from the zero form
+            lows.append(min([0] + [w1.lo[0] + w2.lo[0] for w1, w2, _ in loop]))
+        depth = max(-min(lows), 0)
         kmax = max(depth // 2, (2 * (3 * g - 2 + n + 1) - 2) // 2, 0)
-        weight = ctx.memo(_constraint_weight, i_ext, j, rv, y, kmax)
-        terms.append((weight * bracket).residue_half_loop(y))
-    rhs = sum(terms[1:], terms[0])
+        weight = ctx.memo(parity_checked, _constraint_weight, i_ext, j, rv, y, kmax)
+        ycap = -1 - weight.lo[weight.index_of(y)]
+
+        pieces = []
+        if p0 is not None:
+            pieces.append(p0.cap_hi(y, ycap))
+        elif g >= 1:
+            pieces.append(
+                sum_forms(
+                    [zero_form((y,), (2,))]
+                    + [capped_product(w1, w2, y, ycap).scale(v) for w1, w2, v in loop]
+                )
+            )
+        pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
+        terms.append((weight * sum_forms(pieces)).residue_half_loop(y))
+    rhs = sum_forms(terms)
 
     deepest = min((e for (e,) in lhs.coeffs), default=0)
     hi_common = min(lhs.hi[0], rhs.hi[0])

@@ -34,6 +34,7 @@ from .series import (
     geometric_expand,
     invert,
     monomial,
+    sum_forms,
     zero_form,
 )
 
@@ -121,6 +122,20 @@ class FormContext:
         return self.memo(_period_series, FormContext.unit_pairing, j, k, None, v)
 
 
+def parity_checked(ctx: FormContext, fn, *args) -> MultiForm:
+    """``ctx.memo(fn, *args)``, with a definite reflection parity in every
+    variable.
+
+    A branch residue checks single-valuedness only on the terms it reads.
+    Fetched as ``ctx.memo(parity_checked, fn, *args)``, an object is checked
+    on its full window once, when it is first fetched.
+    """
+    form = ctx.memo(fn, *args)
+    for v in form.vars:
+        form.reflection_sign(v)
+    return form
+
+
 def _column(ctx: FormContext, l: int, j: int) -> tuple[Rat, ...]:
     """Flat components of psi R_l e_j."""
     rl = ctx.r.mat(l)
@@ -199,11 +214,13 @@ def _pairing_sum(
     ctx: FormContext, i: int, j: int, k_r: int, k_s: int, rv: Var, sv: Var
 ) -> MultiForm:
     """sum_c (I^(k_r) at branch i in rv, v^c) (I^(k_s) at branch j in sv, v_c)."""
-    acc = zero_form((rv, sv), (0, 0))
-    for c in range(1, ctx.data.n + 1):
-        term = ctx.period_dual(i, k_r, c, rv) * ctx.period_basis(j, k_s, c, sv)
-        acc = acc + term
-    return acc
+    return sum_forms(
+        [zero_form((rv, sv), (0, 0))]
+        + [
+            ctx.period_dual(i, k_r, c, rv) * ctx.period_basis(j, k_s, c, sv)
+            for c in range(1, ctx.data.n + 1)
+        ]
+    )
 
 
 def _closing_part(ctx: FormContext, i: int, j: int, rv: Var, sv: Var) -> MultiForm | None:
@@ -245,10 +262,11 @@ def two_point_form(
     kmax = max(s_hi // 2, 0)
     drv = monomial(rv, 1, 1, deg=1)
     dsv = monomial(sv, 1, 1, deg=1)
-    acc = zero_form((rv, sv), (1, 1))
+    terms = [zero_form((rv, sv), (1, 1))]
     for k in range(kmax + 1):
         term = _pairing_sum(ctx, i, j, k + 1, -k, rv, sv)
-        acc = acc + (term * drv * dsv).scale((-1) ** (k + 1))
+        terms.append((term * drv * dsv).scale((-1) ** (k + 1)))
+    acc = sum_forms(terms)
     route_a = acc.cap_hi(sv, 2 * kmax + 1)
 
     parts = []
@@ -259,12 +277,7 @@ def two_point_form(
     closing = _closing_part(ctx, i, j, rv, sv)
     if closing is not None:
         parts.append(closing)
-    if parts:
-        route_b = parts[0]
-        for p in parts[1:]:
-            route_b = route_b + p
-    else:
-        route_b = zero_form((rv, sv), (1, 1))
+    route_b = sum_forms(parts) if parts else zero_form((rv, sv), (1, 1))
 
     bad = agreement_mismatch(route_a, route_b)
     if bad is not None:
@@ -351,11 +364,11 @@ def recursion_kernel(
     which must reach the pole depth of whatever K multiplies.
     """
     drv = monomial(rv, 1, 1, deg=1)
-    acc = zero_form((rv, sv), (1, 0))
+    terms = [zero_form((rv, sv), (1, 0))]
     for k in range(kmax + 1):
         term = _pairing_sum(ctx, i, j, k + 1, -k - 1, rv, sv)
-        acc = acc + (term * drv).scale(2 * (-1) ** (k + 1))
-    num = acc.cap_hi(sv, 2 * kmax + 2)
+        terms.append((term * drv).scale(2 * (-1) ** (k + 1)))
+    num = sum_forms(terms).cap_hi(sv, 2 * kmax + 2)
 
     pj = ctx.memo(one_point_form, j, sv)
     if pj.coefficient((2,)) == 0:

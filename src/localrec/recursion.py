@@ -8,6 +8,22 @@ of one loop term and all ordered splittings, with the two coinciding-argument
 conventions hard-coded: a dropped one-point term and the stored diagonal
 propagator for the residue-variable pair.
 
+The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
+kernel term sits at or above the kernel's support bound lo_K in y, so no
+bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The kernel's
+pole depth follows from the support bounds of the bracket's legs, so it is
+fetched before any product, and the bracket is then built only up to ycap:
+each splitting factor is capped before its product, f1 at ``ycap - lo(f2)``
+and f2 at ``ycap - lo(f1)``, the loop child likewise in ya and yb before its
+diagonal merge, and P_0 at ycap.  A product term at y <= ycap only combines
+leg terms inside those caps, so every coefficient the residue reads is
+unchanged.  Capping only narrows a certified window: the residue still
+refuses when y^-1 is not certified, and the windows of the other slots stay
+those of the full bracket.  The residue's reflection check then sees only the
+terms at y <= -1; the rest is covered by checking every seed (two-point form,
+P_0, kernel) for a definite reflection parity on its full window when it is
+first fetched, and every entry in ``_finalize``.
+
 Window budgeting: before a truncated-R computation starts, the same code is
 dry-run against a zero-dressed R of equal order (windows depend only on the
 truncation order and the combination pattern, never on coefficient values),
@@ -26,9 +42,22 @@ from itertools import permutations
 
 from .frobenius import RMatrix
 from .linalg import identity, zeros
-from .localforms import FormContext, propagator_p0, recursion_kernel, two_point_form
+from .localforms import (
+    FormContext,
+    parity_checked,
+    propagator_p0,
+    recursion_kernel,
+    two_point_form,
+)
 from .report import Report
-from .series import MultiForm, SeriesError, Var, agreement_mismatch
+from .series import (
+    MultiForm,
+    SeriesError,
+    Var,
+    agreement_mismatch,
+    capped_product,
+    sum_forms,
+)
 
 
 class TruncationOrderError(SeriesError):
@@ -46,6 +75,11 @@ class ConsistencyError(SeriesError):
 def pole_bound(g: int, n: int) -> int:
     """Maximal pole order per variable of a stable n-point form."""
     return 2 * (3 * g - 2 + n)
+
+
+def _lo(form: MultiForm, v: Var) -> int:
+    """The support bound of ``form`` in ``v``."""
+    return form.lo[form.index_of(v)]
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
@@ -114,25 +148,28 @@ class OmegaTable:
             (m,) = positions
             i = branches[m]
             a, b = Var("a", i), Var("b", j)
-            seed = self.ctx.memo(two_point_form, i, j, a, b, self.budget)
+            seed = self.ctx.memo(parity_checked, two_point_form, i, j, a, b, self.budget)
             return seed.rename({"a": xs[m], "b": y})
         sub_branches = (j,) + tuple(branches[m] for m in positions)
         sub_vars = (y,) + tuple(xs[m] for m in positions)
         return self.omega(g1, sub_branches, sub_vars)
 
-    def _bracket(self, g: int, branches, xs, j: int, y: Var) -> MultiForm:
-        """Loop term plus ordered splittings, a degree-2 object in y."""
+    def _bracket(self, g: int, branches, xs, j: int, y: Var):
+        """The bracket's loop term and splitting factors, not yet combined.
+
+        Returns ``(loop, pairs)``.  ``loop`` is None in genus 0, P_0 in y for
+        the (1, 1) entry, and otherwise the loop child in ``ya``, ``yb``,
+        which the caller merges onto y.  ``pairs`` lists the factor pairs of
+        the ordered splittings, each factor with a leg at y.
+        """
         n_rest = len(branches)
-        pieces: list[MultiForm] = []
-        if g >= 1:
-            if g == 1 and n_rest == 0:
-                pieces.append(self.ctx.memo(propagator_p0, j, y))
-            else:
-                ya, yb = Var("ya", j), Var("yb", j)
-                child = self.omega(
-                    g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs)
-                )
-                pieces.append(child.merge_diagonal(ya, yb, y))
+        loop = None
+        if g == 1 and n_rest == 0:
+            loop = self.ctx.memo(parity_checked, propagator_p0, j, y)
+        elif g >= 1:
+            ya, yb = Var("ya", j), Var("yb", j)
+            loop = self.omega(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
+        pairs = []
         positions = tuple(range(n_rest))
         for g1 in range(0, g + 1):
             for mask in range(1 << n_rest):
@@ -145,20 +182,37 @@ class OmegaTable:
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                f1 = self._factor(g1, left, branches, xs, j, y)
-                f2 = self._factor(g - g1, right, branches, xs, j, y)
-                pieces.append(f1 * f2)
-        return sum(pieces[1:], pieces[0])
+                pairs.append((
+                    self._factor(g1, left, branches, xs, j, y),
+                    self._factor(g - g1, right, branches, xs, j, y),
+                ))
+        return loop, pairs
 
     def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:
-        y = Var("y", j)
-        bracket = self._bracket(g, rest, xs, j, y)
-        iy = bracket.index_of(y)
-        depth = -bracket.lo[iy] if bracket.lo[iy] < 0 else 0
+        y, ya, yb = Var("y", j), Var("ya", j), Var("yb", j)
+        loop, pairs = self._bracket(g, rest, xs, j, y)
+        merge = loop is not None and y not in loop.vars
+        # the support bound in y of each bracket term is the sum of its legs'
+        lows = [_lo(f1, y) + _lo(f2, y) for f1, f2 in pairs]
+        if merge:
+            lows.append(_lo(loop, ya) + _lo(loop, yb))
+        elif loop is not None:
+            lows.append(_lo(loop, y))
+        depth = max(-min(lows), 0)
         p = pole_bound(g, len(rest) + 1)
         kmax = max(depth // 2, (p - 2) // 2, 0)
-        kern = self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax)
-        return (kern * bracket).residue_half_loop(y)
+        kern = self.ctx.memo(parity_checked, recursion_kernel, j0, j, x0, y, kmax)
+
+        # build only the bracket terms at y <= ycap (the cap rule above)
+        ycap = -1 - _lo(kern, y)
+        pieces = []
+        if merge:
+            loop = loop.cap_hi(ya, ycap - _lo(loop, yb)).cap_hi(yb, ycap - _lo(loop, ya))
+            pieces.append(loop.merge_diagonal(ya, yb, y))
+        elif loop is not None:
+            pieces.append(loop.cap_hi(y, ycap))
+        pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
+        return (kern * sum_forms(pieces)).residue_half_loop(y)
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
         n = len(branches)
@@ -173,12 +227,10 @@ class OmegaTable:
         j0, rest = branches[0], branches[1:]
         x0 = Var("x0", j0)
         xs = tuple(Var(f"x{i + 1}", b) for i, b in enumerate(rest))
-
-        terms = [
+        total = sum_forms(
             self._residue_at(g, rest, xs, x0, j0, j)
             for j in range(1, self.ctx.data.n + 1)
-        ]
-        total = sum(terms[1:], terms[0])
+        )
         return self._finalize(g, n, total)
 
     def _finalize(self, g: int, n: int, form: MultiForm) -> MultiForm:

@@ -19,7 +19,8 @@ Window semantics (the propagation rule used throughout):
   input series (the R-matrix) make the high-order tail untrustworthy, and the
   window is what stops a silent truncation error from looking like a result.
 
-Addition takes ``lo = min``, ``hi = min``.  Multiplication takes
+Addition takes ``lo = min``, ``hi = min``; :func:`sum_forms` applies that rule
+to many summands in one pass.  Multiplication takes
 ``lo = a.lo + b.lo`` and ``hi = min(a.hi + b.lo, b.hi + a.lo)`` per variable:
 an unknown coefficient of one factor can first contaminate the product at its
 own exponent plus the other factor's support bound.  This rule is sound as
@@ -133,7 +134,8 @@ class MultiForm:
                 raise DegreeError(f"form degree {d} outside [-1, 2]")
         clean: dict[tuple, Rat] = {}
         for exps, c in coeffs.items():
-            c = Rat(c)
+            if type(c) is not Fraction:
+                c = Rat(c)
             if c == 0:
                 continue
             e = tuple(exps[i] for i in order)
@@ -243,6 +245,26 @@ class MultiForm:
             out[e] = -c if (e[i] + d) % 2 else c
         return MultiForm(self.vars, self.degs, out, self.lo, self.hi)
 
+    def reflection_sign(self, v: Var) -> int:
+        """The sign s with ``reflect(v) == s * self`` (+1 for the zero form).
+
+        Raises MonodromyError when the stored terms disagree, i.e. when the
+        form has no definite parity under the deck transformation of ``v``.
+        """
+        i = self.index_of(v)
+        d = self.degs[i]
+        first = None
+        for e, c in self.coeffs.items():
+            odd = (e[i] + d) % 2
+            if first is None:
+                first = (e, odd)
+            elif odd != first[1]:
+                raise MonodromyError(
+                    f"no definite reflection parity in {v.name}: "
+                    f"terms {first[0]} and {e} -> {c} differ"
+                )
+        return -1 if first is not None and first[1] else 1
+
     def residue_half_loop(self, v: Var) -> "MultiForm":
         """Residue in lambda at the branch point of ``v``.
 
@@ -338,6 +360,47 @@ class MultiForm:
             key = tuple(e[j] for j in keep) + (m,)
             out[key] = out.get(key, Rat(0)) + c
         return MultiForm(new_vars, new_degs, out, lo, hi)
+
+
+def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
+    """The sum of one or more forms, in a single pass.
+
+    Equal to the left fold of ``+``: ``lo = min`` and ``hi = min`` over all
+    summands, and a term counts only where every summand is certified.
+    """
+    forms = list(forms)
+    if not forms:
+        raise DegreeError("sum_forms needs at least one form")
+    first = forms[0]
+    for f in forms[1:]:
+        if f.vars != first.vars or f.degs != first.degs:
+            raise DegreeError("sum requires identical variables and degrees")
+    lo = tuple(map(min, zip(*(f.lo for f in forms))))
+    hi = tuple(map(min, zip(*(f.hi for f in forms))))
+    out: dict[tuple, Rat] = {}
+    get = out.get
+    for f in forms:
+        if f.hi == hi:  # every stored term lies inside the common window
+            for e, c in f.coeffs.items():
+                out[e] = get(e, 0) + c
+        else:
+            for e, c in f.coeffs.items():
+                if all(x <= h for x, h in zip(e, hi)):
+                    out[e] = get(e, 0) + c
+    return MultiForm(first.vars, first.degs, out, lo, hi)
+
+
+def capped_product(a: MultiForm, b: MultiForm, v: Var, top: int) -> MultiForm:
+    """``a * b`` built only up to exponent ``top`` in ``v``.
+
+    Each factor is capped first, at ``top`` minus the other factor's support
+    bound in ``v``: a product term at ``v <= top`` combines only terms inside
+    those caps, so its coefficient is that of the full product.  The window
+    in ``v`` is the full product's, capped at ``top``; the other windows are
+    unchanged.
+    """
+    lo_a, lo_b = a.lo[a.index_of(v)], b.lo[b.index_of(v)]
+    return a.cap_hi(v, top - lo_b) * b.cap_hi(v, top - lo_a)
 
 
 def _mul(a: MultiForm, b: MultiForm) -> MultiForm:

@@ -269,6 +269,25 @@ def test_bad_input_is_one_line_validation_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"R": [[["1/1"]]], "R_exact": True}, "R-matrix of size 1 for a datum with N=2"),
+        ({"unit": ["1/1", "0/1"]}, "unit pairing at branch 2 vanishes"),
+    ],
+)
+def test_incompatible_datum_is_config_error_for_every_command(
+    tmp_path, capsys, change, message
+):
+    path = write_config(tmp_path, {**pair_config(), **change})
+    commands = (["validate"], ["omega", "--g", "0", "--n", "3"], ["correlators"], ["check"])
+    for argv in commands:
+        assert main([*argv, "--config", path]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_complete_r_source(tmp_path, capsys):
     cfg = airy_config()
     cfg.update({"R": None, "L": 6, "g_max_complexity": 2})

@@ -183,3 +183,22 @@ def test_symmetry_check_flags_corrupted_entry():
     rep = symmetry_check(t, 0, (1, 1, 1))
     bad = [c for c in rep.checks if not c.ok]
     assert bad and "asymmetric at" in bad[0].detail
+
+
+def test_odd_seed_term_above_the_cap_is_caught(monkeypatch):
+    """The residue reads only the bracket terms up to the cap, so a seed's
+    reflection parity is checked on its full window when it is first fetched."""
+    import localrec.recursion as recursion
+    from localrec.series import MonodromyError, MultiForm
+
+    real = recursion.two_point_form
+
+    def planted(ctx, i, j, rv, sv, s_hi):
+        seed = real(ctx, i, j, rv, sv, s_hi)
+        top = seed.hi[seed.index_of(sv)]  # an odd exponent, above the factor's cap
+        coeffs = {**seed.coeffs, (0, top): 1}
+        return MultiForm(seed.vars, seed.degs, coeffs, seed.lo, seed.hi)
+
+    monkeypatch.setattr(recursion, "two_point_form", planted)
+    with pytest.raises(MonodromyError, match="reflection parity in b"):
+        airy_table(bound=2).omega(0, (1, 1, 1))

@@ -1,6 +1,7 @@
 """Exact Laurent-form algebra: frozen examples and algebraic properties."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from localrec.series import (
     Var,
     WindowError,
     agreement_mismatch,
+    capped_product,
     geometric_expand,
     invert,
     laurent,
+    sum_forms,
     zero_form,
 )
 
@@ -297,3 +300,69 @@ def test_geometric_simple_pole_times_difference():
     prod = g * diff
     assert prod.coefficient((0, 0)) == 1
     assert all(c == 0 for e, c in prod.items() if e != (0, 0))
+
+
+@st.composite
+def summands(draw):
+    """One to five forms in (r, s) with shared degrees, random windows
+    (finite or INF) and coefficients that often cancel across summands."""
+    degs = (draw(st.integers(-1, 2)), draw(st.integers(-1, 2)))
+    forms = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = (draw(st.integers(-4, 0)), draw(st.integers(-4, 0)))
+        hi = tuple(draw(st.sampled_from([INF, *range(0, 5)])) for _ in range(2))
+        coeffs = {}
+        for _ in range(draw(st.integers(0, 6))):
+            e = tuple(draw(st.integers(lo[i], min(hi[i], 4))) for i in range(2))
+            coeffs[e] = draw(st.sampled_from([-2, -1, 1, 2, Fraction(1, 3), -Fraction(1, 3)]))
+        forms.append(MultiForm((R, S), degs, coeffs, lo, hi))
+    if draw(st.booleans()):
+        forms.append(-forms[0])
+    return forms
+
+
+@given(summands())
+@settings(max_examples=150, deadline=None)
+def test_sum_forms_is_the_left_fold(forms):
+    folded = reduce(lambda a, b: a + b, forms)
+    summed = sum_forms(forms)
+    assert summed == folded  # coefficients, lo and hi
+    assert 0 not in summed.coeffs.values()
+
+
+def test_sum_forms_rejects_mismatched_summands():
+    with pytest.raises(DegreeError):
+        sum_forms([F(S, {0: 1}), F(R, {0: 1})])
+    with pytest.raises(DegreeError):
+        sum_forms([F(S, {0: 1}), F(S, {0: 1}, deg=1)])
+    with pytest.raises(DegreeError):
+        sum_forms([])
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1)])
+def test_init_drops_zeros_and_checks_windows(one):
+    f = MultiForm((S,), (0,), {(0,): one, (1,): one - one, (2,): -one}, (0,), (2,))
+    assert f.coeffs == {(0,): 1, (2,): -1}
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+    for e in (-1, 3):
+        with pytest.raises(WindowError):
+            MultiForm((S,), (0,), {(e,): one}, (0,), (2,))
+
+
+@given(sparse_forms(), sparse_forms(), st.integers(1, 6), st.integers(-14, 14))
+@settings(max_examples=80, deadline=None)
+def test_capped_product_agrees_below_the_cap(a, b, shift, top):
+    b = b * laurent(S, {shift: 1})  # the factors' support bounds differ
+    full = a * b
+    capped = capped_product(a, b, S, top)
+    assert capped.hi == (min(full.hi[0], top),) and capped.lo == full.lo
+    assert capped.coeffs == {e: c for e, c in full.coeffs.items() if e[0] <= top}
+
+
+def test_reflection_sign():
+    odd = MultiForm((R, S), (1, 0), {(0, 1): 2, (2, 3): 1}, (0, 0), (INF, INF))
+    assert odd.reflection_sign(R) == -1 and odd.reflection_sign(S) == -1
+    assert zero_form([S], [1]).reflection_sign(S) == 1
+    mixed = F(S, {-1: 1, 2: 3}, deg=1, hi=4)
+    with pytest.raises(MonodromyError):
+        mixed.reflection_sign(S)
