@@ -22,13 +22,13 @@ from .correlators import (
 from .frobenius import (
     DatumError,
     RMatrix,
-    check_compatible,
     check_symplectic,
     complete_r,
     random_symplectic_r,
     validate_canonical,
 )
 from .localforms import (
+    DegenerateDatum,
     FormContext,
     RouteDisagreement,
     hrp_check,
@@ -76,7 +76,6 @@ class RunConfig:
         self.coeff_bound = int(raw.get("coeff_bound", 3))
         self.order = int(raw.get("L", 0))
         self.r = self._resolve_r(raw)
-        check_compatible(self.datum, self.r)
         self._ctx: FormContext | None = None
 
     def _resolve_r(self, raw) -> RMatrix:
@@ -95,9 +94,20 @@ class RunConfig:
         return rmatrix_from_json(source, exact=exact)
 
     def context(self) -> FormContext:
-        """The one form context of this run, shared by every table and check."""
+        """The one form context of this run, shared by every table and check.
+
+        Raises DatumError when R does not fit the datum or a unit pairing
+        (the leading coefficient the recursion kernel divides by) vanishes.
+        """
         if self._ctx is None:
-            self._ctx = FormContext(self.datum, self.r)
+            try:
+                ctx = FormContext(self.datum, self.r)
+            except DegenerateDatum as exc:
+                raise DatumError(str(exc)) from None
+            for j in range(1, self.datum.n + 1):
+                if ctx.unit_pairing(0, j) == 0:
+                    raise DatumError(f"unit pairing at branch {j} vanishes")
+            self._ctx = ctx
         return self._ctx
 
     def table(self) -> OmegaTable:
@@ -125,6 +135,8 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_validate(cfg: RunConfig, out: str | None) -> int:
     rep = validate_canonical(cfg.datum)
     srep = check_symplectic(cfg.r)
+    if rep.ok:
+        cfg.context()  # R fits the datum and no unit pairing vanishes
     payload = {"datum": rep.as_dict(), "symplectic": srep.as_dict()}
     _emit(payload, out)
     return EXIT_OK if rep.ok and srep.ok else EXIT_VALIDATION
@@ -164,7 +176,6 @@ def cmd_correlators(cfg: RunConfig, out: str | None) -> int:
 
 
 def _check_battery(cfg: RunConfig) -> Report:
-    ctx = cfg.context()
     n = cfg.datum.n
     rep = Report()
 
@@ -173,6 +184,7 @@ def _check_battery(cfg: RunConfig) -> Report:
     rep.checks.extend(check_symplectic(cfg.r).checks)
     if not rep.ok:
         return rep
+    ctx = cfg.context()
 
     rep.checks.extend(hrp_check(ctx, k_bound=3).checks)
 

@@ -37,7 +37,14 @@ from math import lcm, prod
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
 from .localforms import FormContext, parity_checked, propagator_p0
-from .recursion import ConsistencyError, OmegaTable, TruncationOrderError, stable_entries
+from .recursion import (
+    ConsistencyError,
+    OmegaTable,
+    TruncationOrderError,
+    capped_residue,
+    pole_bound,
+    stable_entries,
+)
 from .report import Report
 from .series import (
     INF,
@@ -458,30 +465,30 @@ def virasoro_check(
                     _assembled_factor(ctx, corr, g - g1, right, j, y),
                 ))
 
-        # the cap rule of the recursion: only bracket terms at y <= ycap
-        # meet the weight at y^-1
-        lows = [f1.lo[0] + f2.lo[0] for f1, f2 in pairs]
+        extra = None
         if p0 is not None:
-            lows.append(p0.lo[0])
+            extra = (p0.lo_of(y), lambda ycap: p0.cap_hi(y, ycap))
         elif g >= 1:  # the loop term sums from the zero form
-            lows.append(min([0] + [w1.lo[0] + w2.lo[0] for w1, w2, _ in loop]))
-        depth = max(-min(lows), 0)
-        kmax = max(depth // 2, (2 * (3 * g - 2 + n + 1) - 2) // 2, 0)
-        weight = ctx.memo(parity_checked, _constraint_weight, i_ext, j, rv, y, kmax)
-        ycap = -1 - weight.lo[weight.index_of(y)]
 
-        pieces = []
-        if p0 is not None:
-            pieces.append(p0.cap_hi(y, ycap))
-        elif g >= 1:
-            pieces.append(
-                sum_forms(
+            def loop_piece(ycap):
+                return sum_forms(
                     [zero_form((y,), (2,))]
                     + [capped_product(w1, w2, y, ycap).scale(v) for w1, w2, v in loop]
                 )
+
+            lo = min([0] + [w1.lo_of(y) + w2.lo_of(y) for w1, w2, _ in loop])
+            extra = (lo, loop_piece)
+        terms.append(
+            capped_residue(
+                y,
+                pole_bound(g, n + 1),
+                pairs,
+                extra,
+                lambda kmax: ctx.memo(
+                    parity_checked, _constraint_weight, i_ext, j, rv, y, kmax
+                ),
             )
-        pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
-        terms.append((weight * sum_forms(pieces)).residue_half_loop(y))
+        )
     rhs = sum_forms(terms)
 
     deepest = min((e for (e,) in lhs.coeffs), default=0)

@@ -123,8 +123,10 @@ class RMatrix:
         raise DatumError(f"R_{k} beyond truncation order {self.order}")
 
 
-def _shapes_ok(d: CanonicalData) -> bool:
-    return (
+def validate_canonical(d: CanonicalData) -> Report:
+    """Check every structural invariant; reports the offending entry on failure."""
+    rep = Report()
+    sizes_ok = (
         len(d.u) == d.n
         and len(d.unit) == d.n
         and len(d.eta) == d.n
@@ -133,34 +135,6 @@ def _shapes_ok(d: CanonicalData) -> bool:
         and all(len(r) == d.n for r in d.psi)
         and (d.theta is None or len(d.theta) == d.n)
     )
-
-
-def check_compatible(d: CanonicalData, r: RMatrix) -> None:
-    """Raise DatumError unless R has the datum's size and every unit pairing
-    is nonzero.
-
-    The unit pairing p_j = sum_a (eta psi)[a][j] unit[a] is the leading
-    coefficient of the one-point form at branch j, which the recursion kernel
-    divides by.  A datum of inconsistent shapes is left to
-    :func:`validate_canonical`.
-    """
-    if r.n != d.n:
-        raise DatumError(f"R-matrix of size {r.n} for a datum with N={d.n}")
-    if not _shapes_ok(d):
-        return
-    eta_psi = mat_mul(d.eta_m(), d.psi_m())
-    for j in range(d.n):
-        if sum(eta_psi[a][j] * d.unit[a] for a in range(d.n)) == 0:
-            raise DatumError(
-                f"unit pairing at branch {j + 1} vanishes: "
-                "the one-point form there has no leading term"
-            )
-
-
-def validate_canonical(d: CanonicalData) -> Report:
-    """Check every structural invariant; reports the offending entry on failure."""
-    rep = Report()
-    sizes_ok = _shapes_ok(d)
     rep.add("shapes", sizes_ok, "" if sizes_ok else f"inconsistent sizes for N={d.n}")
     if not sizes_ok:
         return rep

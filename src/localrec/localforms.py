@@ -132,7 +132,7 @@ def parity_checked(ctx: FormContext, fn, *args) -> MultiForm:
     """
     form = ctx.memo(fn, *args)
     for v in form.vars:
-        form.reflection_sign(v)
+        form.check_definite_parity(v)
     return form
 
 

@@ -19,10 +19,12 @@ diagonal merge, and P_0 at ycap.  A product term at y <= ycap only combines
 leg terms inside those caps, so every coefficient the residue reads is
 unchanged.  Capping only narrows a certified window: the residue still
 refuses when y^-1 is not certified, and the windows of the other slots stay
-those of the full bracket.  The residue's reflection check then sees only the
-terms at y <= -1; the rest is covered by checking every seed (two-point form,
-P_0, kernel) for a definite reflection parity on its full window when it is
-first fetched, and every entry in ``_finalize``.
+those of the full bracket.  :func:`capped_residue` applies the rule; the
+constraint checker in ``correlators`` shares it with its own weight.  The
+residue's reflection check then sees only the terms at y <= -1; the rest is
+covered by checking every seed (two-point form, P_0, kernel) for a definite
+reflection parity on its full window when it is first fetched, and every
+entry in ``_finalize``.
 
 Window budgeting: before a truncated-R computation starts, the same code is
 dry-run against a zero-dressed R of equal order (windows depend only on the
@@ -77,9 +79,26 @@ def pole_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 2 + n)
 
 
-def _lo(form: MultiForm, v: Var) -> int:
-    """The support bound of ``form`` in ``v``."""
-    return form.lo[form.index_of(v)]
+def capped_residue(y: Var, p: int, pairs, extra, weight) -> MultiForm:
+    """``Res_y weight * bracket``, with the bracket built only up to the cap.
+
+    The bracket is the sum of ``f1 * f2`` over the factor ``pairs`` and, when
+    ``extra`` is ``(lo, build)``, one more piece with support bound ``lo`` in
+    y, which ``build(ycap)`` returns capped at ``y <= ycap``.  The kernel
+    depth kmax follows from the bracket's support bound and the pole bound
+    ``p`` of the entry; ``weight(kmax)`` fetches the residue weight.  Every
+    coefficient the residue reads is that of the full bracket (the cap rule
+    in the module docstring).
+    """
+    lows = [f1.lo_of(y) + f2.lo_of(y) for f1, f2 in pairs]
+    if extra is not None:
+        lows.append(extra[0])
+    depth = max(-min(lows), 0)
+    w = weight(max(depth // 2, (p - 2) // 2, 0))
+    ycap = -1 - w.lo_of(y)
+    pieces = [] if extra is None else [extra[1](ycap)]
+    pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
+    return (w * sum_forms(pieces)).residue_half_loop(y)
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
@@ -191,28 +210,26 @@ class OmegaTable:
     def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:
         y, ya, yb = Var("y", j), Var("ya", j), Var("yb", j)
         loop, pairs = self._bracket(g, rest, xs, j, y)
-        merge = loop is not None and y not in loop.vars
-        # the support bound in y of each bracket term is the sum of its legs'
-        lows = [_lo(f1, y) + _lo(f2, y) for f1, f2 in pairs]
-        if merge:
-            lows.append(_lo(loop, ya) + _lo(loop, yb))
-        elif loop is not None:
-            lows.append(_lo(loop, y))
-        depth = max(-min(lows), 0)
-        p = pole_bound(g, len(rest) + 1)
-        kmax = max(depth // 2, (p - 2) // 2, 0)
-        kern = self.ctx.memo(parity_checked, recursion_kernel, j0, j, x0, y, kmax)
+        extra = None
+        if loop is not None and y in loop.vars:  # P_0
+            extra = (loop.lo_of(y), lambda ycap: loop.cap_hi(y, ycap))
+        elif loop is not None:  # the loop child, capped like a pair, then merged
+            la, lb = loop.lo_of(ya), loop.lo_of(yb)
 
-        # build only the bracket terms at y <= ycap (the cap rule above)
-        ycap = -1 - _lo(kern, y)
-        pieces = []
-        if merge:
-            loop = loop.cap_hi(ya, ycap - _lo(loop, yb)).cap_hi(yb, ycap - _lo(loop, ya))
-            pieces.append(loop.merge_diagonal(ya, yb, y))
-        elif loop is not None:
-            pieces.append(loop.cap_hi(y, ycap))
-        pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
-        return (kern * sum_forms(pieces)).residue_half_loop(y)
+            def extra_piece(ycap):
+                capped = loop.cap_hi(ya, ycap - lb).cap_hi(yb, ycap - la)
+                return capped.merge_diagonal(ya, yb, y)
+
+            extra = (la + lb, extra_piece)
+        return capped_residue(
+            y,
+            pole_bound(g, len(rest) + 1),
+            pairs,
+            extra,
+            lambda kmax: self.ctx.memo(
+                parity_checked, recursion_kernel, j0, j, x0, y, kmax
+            ),
+        )
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
         n = len(branches)

@@ -153,6 +153,10 @@ class MultiForm:
         except ValueError:
             raise DegreeError(f"{v!r} not a variable of this form") from None
 
+    def lo_of(self, v: Var) -> int:
+        """The support bound in ``v``."""
+        return self.lo[self.index_of(v)]
+
     def coefficient(self, exps: tuple) -> Rat:
         """Certified coefficient at an exponent tuple (0 if absent)."""
         if len(exps) != len(self.vars):
@@ -196,18 +200,7 @@ class MultiForm:
     def __add__(self, other: "MultiForm") -> "MultiForm":
         if not isinstance(other, MultiForm):
             return NotImplemented
-        if self.vars != other.vars or self.degs != other.degs:
-            raise DegreeError("sum requires identical variables and degrees")
-        lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        out: dict[tuple, Rat] = {}
-        for e, c in self.coeffs.items():
-            if all(x <= h for x, h in zip(e, hi)):
-                out[e] = c
-        for e, c in other.coeffs.items():
-            if all(x <= h for x, h in zip(e, hi)):
-                out[e] = out.get(e, Rat(0)) + c
-        return MultiForm(self.vars, self.degs, out, lo, hi)
+        return sum_forms((self, other))
 
     def __sub__(self, other: "MultiForm") -> "MultiForm":
         return self + (-other)
@@ -245,25 +238,22 @@ class MultiForm:
             out[e] = -c if (e[i] + d) % 2 else c
         return MultiForm(self.vars, self.degs, out, self.lo, self.hi)
 
-    def reflection_sign(self, v: Var) -> int:
-        """The sign s with ``reflect(v) == s * self`` (+1 for the zero form).
+    def check_definite_parity(self, v: Var) -> None:
+        """Raise MonodromyError unless ``reflect(v)`` is plus or minus ``self``.
 
-        Raises MonodromyError when the stored terms disagree, i.e. when the
-        form has no definite parity under the deck transformation of ``v``.
+        The stored terms must agree in the parity of their exponent in ``v``
+        (the degree adds the same sign to every term).
         """
         i = self.index_of(v)
-        d = self.degs[i]
         first = None
-        for e, c in self.coeffs.items():
-            odd = (e[i] + d) % 2
+        for e in self.coeffs:
             if first is None:
-                first = (e, odd)
-            elif odd != first[1]:
+                first = e
+            elif (e[i] - first[i]) % 2:
                 raise MonodromyError(
                     f"no definite reflection parity in {v.name}: "
-                    f"terms {first[0]} and {e} -> {c} differ"
+                    f"terms at {first} and {e} differ"
                 )
-        return -1 if first is not None and first[1] else 1
 
     def residue_half_loop(self, v: Var) -> "MultiForm":
         """Residue in lambda at the branch point of ``v``.
@@ -399,8 +389,7 @@ def capped_product(a: MultiForm, b: MultiForm, v: Var, top: int) -> MultiForm:
     in ``v`` is the full product's, capped at ``top``; the other windows are
     unchanged.
     """
-    lo_a, lo_b = a.lo[a.index_of(v)], b.lo[b.index_of(v)]
-    return a.cap_hi(v, top - lo_b) * b.cap_hi(v, top - lo_a)
+    return a.cap_hi(v, top - b.lo_of(v)) * b.cap_hi(v, top - a.lo_of(v))
 
 
 def _mul(a: MultiForm, b: MultiForm) -> MultiForm:

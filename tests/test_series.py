@@ -359,10 +359,11 @@ def test_capped_product_agrees_below_the_cap(a, b, shift, top):
     assert capped.coeffs == {e: c for e, c in full.coeffs.items() if e[0] <= top}
 
 
-def test_reflection_sign():
+def test_check_definite_parity():
     odd = MultiForm((R, S), (1, 0), {(0, 1): 2, (2, 3): 1}, (0, 0), (INF, INF))
-    assert odd.reflection_sign(R) == -1 and odd.reflection_sign(S) == -1
-    assert zero_form([S], [1]).reflection_sign(S) == 1
+    odd.check_definite_parity(R)
+    odd.check_definite_parity(S)
+    zero_form([S], [1]).check_definite_parity(S)
     mixed = F(S, {-1: 1, 2: 3}, deg=1, hi=4)
     with pytest.raises(MonodromyError):
-        mixed.reflection_sign(S)
+        mixed.check_definite_parity(S)
