@@ -88,6 +88,8 @@ class RunConfig:
                 self.datum.n, self.order, int(self.seed), self.coeff_bound
             )
         if isinstance(source, dict) and "complete" in source:
+            if not isinstance(source["complete"], dict):
+                raise ValueError(f"R.complete must be an object, got {source['complete']!r}")
             seeds = source["complete"].get("diag_seeds")
             seeds = [vector_from_json(v) for v in seeds] if seeds else None
             return complete_r(self.datum, self.order, diag_seeds=seeds)
@@ -139,7 +141,11 @@ def cmd_validate(cfg: RunConfig, out: str | None) -> int:
         cfg.context()  # R fits the datum and no unit pairing vanishes
     payload = {"datum": rep.as_dict(), "symplectic": srep.as_dict()}
     _emit(payload, out)
-    return EXIT_OK if rep.ok and srep.ok else EXIT_VALIDATION
+    bad = rep.failures() + srep.failures()
+    if bad:
+        sys.stderr.write(f"invalid datum: {bad[0].name} failed: {bad[0].detail}\n")
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def cmd_omega(cfg: RunConfig, g: int, n: int, out: str | None) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import lcm, prod
+from math import prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
@@ -54,6 +54,7 @@ from .series import (
     WindowError,
     agreement_mismatch,
     capped_product,
+    common_denominator,
     invert,
     monomial,
     sum_forms,
@@ -154,12 +155,6 @@ def _mode_products(tensor: dict, maps) -> dict:
                 out[key] = out.get(key, 0) + c * w
         tensor = {key: c for key, c in out.items() if c}
     return tensor
-
-
-def _integral(values: dict) -> tuple[int, dict]:
-    """A common denominator of rational ``values`` and the numerators over it."""
-    den = lcm(*(c.denominator for c in values.values()))
-    return den, {key: c.numerator * (den // c.denominator) for key, c in values.items()}
 
 
 def _ordered_indices(n: int, flat, budget: int) -> list[tuple[Insertion, ...]]:
@@ -266,8 +261,8 @@ def extract_correlators(
     }
     los = {j: min([0] + [lo for lo, _ in windows[j]]) for j in flat}
     his = {j: min([INF] + [hi for _, hi in windows[j]]) for j in flat}
-    den, numerators = _integral(tensor)
-    wden, pruned = _integral(
+    den, numerators = common_denominator(tensor)
+    wden, pruned = common_denominator(
         {
             (j, ka, e): c
             for j in flat

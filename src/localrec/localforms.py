@@ -34,6 +34,7 @@ from .series import (
     geometric_expand,
     invert,
     monomial,
+    residue_of_product,
     sum_forms,
     zero_form,
 )
@@ -459,12 +460,10 @@ def hrp_check(ctx: FormContext, k_bound: int = 5) -> Report:
                     try:
                         for j in range(1, n + 1):
                             sv = Var("s", j)
-                            f = (
-                                ctx.period_basis(j, k1, a, sv)
-                                * ctx.period_dual(j, k2, b, sv)
-                                * monomial(sv, 1, 1, deg=1)
-                            )
-                            total += f.residue_half_loop(sv).coefficient(())
+                            p = ctx.period_basis(j, k1, a, sv)
+                            q = ctx.period_dual(j, k2, b, sv)
+                            dlam = monomial(sv, 1, 1, deg=1)
+                            total += residue_of_product(p * q, dlam, sv).coefficient(())
                     except WindowError:
                         skipped += 1
                         continue

@@ -21,10 +21,13 @@ unchanged.  Capping only narrows a certified window: the residue still
 refuses when y^-1 is not certified, and the windows of the other slots stay
 those of the full bracket.  :func:`capped_residue` applies the rule; the
 constraint checker in ``correlators`` shares it with its own weight.  The
-residue's reflection check then sees only the terms at y <= -1; the rest is
-covered by checking every seed (two-point form, P_0, kernel) for a definite
-reflection parity on its full window when it is first fetched, and every
-entry in ``_finalize``.
+residue is ``series.residue_of_product``, which forms only the y^-1 slice
+of ``kernel * bracket`` and checks single valuedness on the two factors: the
+kernel and the capped bracket must each have a definite reflection parity in
+y, of odd sum, so every bracket term up to the cap is checked whether the
+slice reads it or not.  The terms above the cap are covered by checking every
+seed (two-point form, P_0, kernel) for a definite reflection parity on its
+full window when it is first fetched, and every entry in ``_finalize``.
 
 Window budgeting: before a truncated-R computation starts, the same code is
 dry-run against a zero-dressed R of equal order (windows depend only on the
@@ -58,6 +61,7 @@ from .series import (
     Var,
     agreement_mismatch,
     capped_product,
+    residue_of_product,
     sum_forms,
 )
 
@@ -88,7 +92,8 @@ def capped_residue(y: Var, p: int, pairs, extra, weight) -> MultiForm:
     depth kmax follows from the bracket's support bound and the pole bound
     ``p`` of the entry; ``weight(kmax)`` fetches the residue weight.  Every
     coefficient the residue reads is that of the full bracket (the cap rule
-    in the module docstring).
+    in the module docstring), and only the y^-1 slice of the product is
+    formed.
     """
     lows = [f1.lo_of(y) + f2.lo_of(y) for f1, f2 in pairs]
     if extra is not None:
@@ -98,7 +103,7 @@ def capped_residue(y: Var, p: int, pairs, extra, weight) -> MultiForm:
     ycap = -1 - w.lo_of(y)
     pieces = [] if extra is None else [extra[1](ycap)]
     pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
-    return (w * sum_forms(pieces)).residue_half_loop(y)
+    return residue_of_product(w, sum_forms(pieces), y)
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:

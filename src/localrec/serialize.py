@@ -27,7 +27,10 @@ def rat_from_str(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"rational must be a 'p/q' string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def vector_from_json(v) -> list[Fraction]:
@@ -42,8 +45,9 @@ def matrix_from_json(m) -> list[list[Fraction]]:
     return [[rat_from_str(x) for x in row] for row in m]
 
 
-def _bound_to_json(x: int):
-    return None if abs(x) >= INF else x
+def _bound_to_json(x: int, sign: int):
+    """null for the unbounded side's sentinel; the other sentinel stays a number."""
+    return None if x == sign * INF else x
 
 
 def _bound_from_json(x, sign: int) -> int:
@@ -55,8 +59,8 @@ def form_to_json(f: MultiForm) -> dict:
         "vars": [[v.name, v.branch] for v in f.vars],
         "degs": list(f.degs),
         "window": {
-            "lo": [_bound_to_json(x) for x in f.lo],
-            "hi": [_bound_to_json(x) for x in f.hi],
+            "lo": [_bound_to_json(x, -1) for x in f.lo],
+            "hi": [_bound_to_json(x, +1) for x in f.hi],
         },
         "coeffs": [[list(e), rat_to_str(c)] for e, c in f.items()],
     }
@@ -87,7 +91,13 @@ def datum_from_json(cfg: dict) -> CanonicalData:
 
 
 def rmatrix_from_json(mats, exact: bool = False) -> RMatrix:
-    return RMatrix.make([matrix_from_json(m) for m in mats], exact=exact)
+    if not isinstance(mats, list) or not mats:
+        raise ValueError(f"R must be a nonempty list of matrices, got {mats!r}")
+    out = [matrix_from_json(m) for m in mats]
+    n = len(out[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in out):
+        raise ValueError(f"every R_l must be a square matrix of size {n}")
+    return RMatrix.make(out, exact=exact)
 
 
 def dumps_canonical(obj) -> str:

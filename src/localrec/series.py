@@ -26,6 +26,22 @@ an unknown coefficient of one factor can first contaminate the product at its
 own exponent plus the other factor's support bound.  This rule is sound as
 long as at most one variable is finitely windowed in both factors at once
 (checked at runtime); every product formed by this package satisfies it.
+The sentinel ``INF`` marks an unbounded side (``hi = INF``: exact in that
+direction; ``lo = -INF``: no support bound).  Bound sums saturate at +-INF,
+an exact factor spreads no unknown coefficient (its term of the hi rule is
+INF), and ``INF + -INF`` is refused.
+
+Products and sums run on integers: the coefficients of each factor (or of
+all summands) are put over one common denominator
+(:func:`common_denominator`), the numerators are multiplied and summed as
+integers, and each output term builds one Fraction.  A branch residue reads
+only the ``v**-1`` slice of an integrand, so :func:`residue_of_product`
+gives ``(a * b).residue_half_loop(v)`` without forming ``a * b``: under the
+product's windows and degrees it pairs each term of ``a`` only with the terms
+of ``b`` that land on ``v**-1``.  It checks single valuedness on the factors
+(each of definite reflection parity in ``v``, the parities summing to odd),
+which implies the residue's check on every product term;
+:meth:`MultiForm.residue_half_loop` is the case of a constant second factor.
 
 All values are immutable after construction and all operations are pure, so
 forms may be shared freely across threads.
@@ -34,6 +50,8 @@ forms may be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, le
 from typing import Iterable, Mapping
 
 Rat = Fraction
@@ -91,10 +109,25 @@ class Var:
 
 
 def _wadd(a: int, b: int) -> int:
-    """Add window bounds, saturating at the +infinity sentinel."""
+    """Add window bounds; the sentinels +-INF absorb every finite bound."""
     if a >= INF or b >= INF:
+        if a <= -INF or b <= -INF:
+            raise SeriesError("window bounds INF and -INF do not add")
         return INF
+    if a <= -INF or b <= -INF:
+        return -INF
     return a + b
+
+
+def _product_window(la: int, ha: int, lb: int, hb: int) -> tuple[int, int]:
+    """``(lo, hi)`` of a product in one variable (rule in the module docstring).
+
+    An exact factor (``hi = INF``) has no unknown coefficient to spread, so
+    its term of the hi rule is INF whatever the other factor's support bound.
+    """
+    return _wadd(la, lb), min(
+        INF if ha >= INF else _wadd(ha, lb), INF if hb >= INF else _wadd(hb, la)
+    )
 
 
 class MultiForm:
@@ -125,10 +158,14 @@ class MultiForm:
         if len(set(names)) != len(names):
             raise DegreeError(f"duplicate variable names: {names}")
         order = sorted(range(len(vs)), key=lambda i: vs[i].key)
-        self.vars = tuple(vs[i] for i in order)
-        self.degs = tuple(dg[i] for i in order)
-        self.lo = tuple(lo_t[i] for i in order)
-        self.hi = tuple(hi_t[i] for i in order)
+        if order == list(range(len(vs))):  # already sorted: no re-permutation
+            order = None
+            self.vars, self.degs, self.lo, self.hi = vs, dg, lo_t, hi_t
+        else:
+            self.vars = tuple(vs[i] for i in order)
+            self.degs = tuple(dg[i] for i in order)
+            self.lo = tuple(lo_t[i] for i in order)
+            self.hi = tuple(hi_t[i] for i in order)
         for d in self.degs:
             if d < -1 or d > 2:
                 raise DegreeError(f"form degree {d} outside [-1, 2]")
@@ -138,10 +175,9 @@ class MultiForm:
                 c = Rat(c)
             if c == 0:
                 continue
-            e = tuple(exps[i] for i in order)
-            for x, l, h in zip(e, self.lo, self.hi):
-                if x < l or x > h:
-                    raise WindowError(f"exponent {e} outside window")
+            e = tuple(exps) if order is None else tuple(exps[i] for i in order)
+            if not (all(map(le, self.lo, e)) and all(map(le, e, self.hi))):
+                raise WindowError(f"exponent {e} outside window")
             clean[e] = c
         self.coeffs = clean
 
@@ -238,11 +274,12 @@ class MultiForm:
             out[e] = -c if (e[i] + d) % 2 else c
         return MultiForm(self.vars, self.degs, out, self.lo, self.hi)
 
-    def check_definite_parity(self, v: Var) -> None:
-        """Raise MonodromyError unless ``reflect(v)`` is plus or minus ``self``.
+    def check_definite_parity(self, v: Var) -> int | None:
+        """The parity of the exponent in ``v`` that every stored term shares.
 
-        The stored terms must agree in the parity of their exponent in ``v``
-        (the degree adds the same sign to every term).
+        Raises MonodromyError unless ``reflect(v)`` is plus or minus ``self``:
+        the stored terms must agree in the parity of their exponent in ``v``
+        (the degree adds the same sign to every term).  None for no terms.
         """
         i = self.index_of(v)
         first = None
@@ -254,6 +291,7 @@ class MultiForm:
                     f"no definite reflection parity in {v.name}: "
                     f"terms at {first} and {e} differ"
                 )
+        return None if first is None else first[i] % 2
 
     def residue_half_loop(self, v: Var) -> "MultiForm":
         """Residue in lambda at the branch point of ``v``.
@@ -262,32 +300,11 @@ class MultiForm:
         double cover, hence the factor 1/2 on the s**-1 coefficient.  The
         integrand must carry exactly one ds factor, must be certified at
         exponent -1, and must be invariant under :meth:`reflect` (otherwise it
-        is not single valued in lambda and the residue is meaningless).
+        is not single valued in lambda and the residue is meaningless).  The
+        rules are those of :func:`residue_of_product`, with the constant 1 as
+        the second factor.
         """
-        i = self.index_of(v)
-        if self.degs[i] != 1:
-            raise DegreeError(f"residue needs degree 1 in {v.name}, got {self.degs[i]}")
-        if self.hi[i] < -1:
-            raise WindowError(
-                f"window of {v.name} tops out at {self.hi[i]}, cannot certify the pole slice"
-            )
-        for e, c in self.coeffs.items():
-            if (e[i] + 1) % 2:
-                raise MonodromyError(
-                    f"integrand not reflection invariant in {v.name}: term {e} -> {c}"
-                )
-        keep = [j for j in range(len(self.vars)) if j != i]
-        out: dict[tuple, Rat] = {}
-        for e, c in self.coeffs.items():
-            if e[i] == -1:
-                out[tuple(e[j] for j in keep)] = c / 2
-        return MultiForm(
-            tuple(self.vars[j] for j in keep),
-            tuple(self.degs[j] for j in keep),
-            out,
-            tuple(self.lo[j] for j in keep),
-            tuple(self.hi[j] for j in keep),
-        )
+        return residue_of_product(self, MultiForm((), (), {(): 1}, (), ()), v)
 
     def cap_hi(self, v: Var, new_hi: int) -> "MultiForm":
         """Shrink the certified window of ``v`` (used after truncating a sum)."""
@@ -337,10 +354,9 @@ class MultiForm:
         keep = [j for j in range(len(self.vars)) if j not in (i1, i2)]
         new_vars = tuple(self.vars[j] for j in keep) + (target,)
         new_degs = tuple(self.degs[j] for j in keep) + (self.degs[i1] + self.degs[i2],)
-        lo = tuple(self.lo[j] for j in keep) + (_wadd(self.lo[i1], self.lo[i2]),)
-        hi = tuple(self.hi[j] for j in keep) + (
-            min(_wadd(self.hi[i1], self.lo[i2]), _wadd(self.hi[i2], self.lo[i1])),
-        )
+        lo_m, hi_m = _product_window(self.lo[i1], self.hi[i1], self.lo[i2], self.hi[i2])
+        lo = tuple(self.lo[j] for j in keep) + (lo_m,)
+        hi = tuple(self.hi[j] for j in keep) + (hi_m,)
         out: dict[tuple, Rat] = {}
         top = hi[-1]
         for e, c in self.coeffs.items():
@@ -367,17 +383,16 @@ def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
             raise DegreeError("sum requires identical variables and degrees")
     lo = tuple(map(min, zip(*(f.lo for f in forms))))
     hi = tuple(map(min, zip(*(f.hi for f in forms))))
-    out: dict[tuple, Rat] = {}
+    den = lcm(*(c.denominator for f in forms for c in f.coeffs.values()))
+    out: dict[tuple, int] = {}
     get = out.get
     for f in forms:
-        if f.hi == hi:  # every stored term lies inside the common window
-            for e, c in f.coeffs.items():
-                out[e] = get(e, 0) + c
-        else:
-            for e, c in f.coeffs.items():
-                if all(x <= h for x, h in zip(e, hi)):
-                    out[e] = get(e, 0) + c
-    return MultiForm(first.vars, first.degs, out, lo, hi)
+        inside = f.hi == hi  # every stored term lies inside the common window
+        for e, c in f.coeffs.items():
+            if inside or all(map(le, e, hi)):
+                out[e] = get(e, 0) + c.numerator * (den // c.denominator)
+    coeffs = {e: Fraction(c, den) for e, c in out.items() if c}
+    return MultiForm(first.vars, first.degs, coeffs, lo, hi)
 
 
 def capped_product(a: MultiForm, b: MultiForm, v: Var, top: int) -> MultiForm:
@@ -392,8 +407,19 @@ def capped_product(a: MultiForm, b: MultiForm, v: Var, top: int) -> MultiForm:
     return a.cap_hi(v, top - b.lo_of(v)) * b.cap_hi(v, top - a.lo_of(v))
 
 
-def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
-    """Cauchy product with window propagation (rule in the module docstring)."""
+def common_denominator(values: Mapping) -> tuple[int, dict]:
+    """A common denominator of rational ``values`` and the numerators over it."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return den, {key: c.numerator * (den // c.denominator) for key, c in values.items()}
+
+
+def _product_frame(a: MultiForm, b: MultiForm):
+    """Variables, slot positions, degrees and windows of ``a * b``.
+
+    ``pa[i]`` is the position of the i-th product variable in ``a``, or None:
+    then ``a`` is exactly constant in that direction (exponent 0, degree 0,
+    window [0, INF]); likewise ``pb``.
+    """
     union: dict[str, Var] = {}
     for v in a.vars + b.vars:
         seen = union.get(v.name)
@@ -401,50 +427,119 @@ def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
             raise DegreeError(f"variable {v.name} used at two branches")
         union[v.name] = v
     vs = tuple(sorted(union.values()))
+    pa = [a.vars.index(v) if v in a.vars else None for v in vs]
+    pb = [b.vars.index(v) if v in b.vars else None for v in vs]
 
-    def lift(f: MultiForm):
-        # Position of each union variable inside f, or None (then exponent 0,
-        # degree 0, window [0, INF]: f is exactly constant in that direction).
-        pos = []
-        for v in vs:
-            pos.append(f.vars.index(v) if v in f.vars else None)
-        degs = [f.degs[p] if p is not None else 0 for p in pos]
-        lo = [f.lo[p] if p is not None else 0 for p in pos]
-        hi = [f.hi[p] if p is not None else INF for p in pos]
-        return pos, degs, lo, hi
+    def lift(f: MultiForm, pos):
+        return (
+            [f.degs[p] if p is not None else 0 for p in pos],
+            [f.lo[p] if p is not None else 0 for p in pos],
+            [f.hi[p] if p is not None else INF for p in pos],
+        )
 
-    pa, da, la, ha = lift(a)
-    pb, db, lb, hb = lift(b)
-
-    shared_finite = sum(1 for i in range(len(vs)) if ha[i] < INF and hb[i] < INF)
-    if shared_finite > 1:
+    da, la, ha = lift(a, pa)
+    db, lb, hb = lift(b, pb)
+    if sum(1 for x, y in zip(ha, hb) if x < INF and y < INF) > 1:
         raise SeriesError(
             "product of two truncated expansions sharing several variables; "
             "window propagation would be unsound"
         )
-
     degs = tuple(x + y for x, y in zip(da, db))
     for d in degs:
         if d < -1 or d > 2:
             raise DegreeError(f"resulting form degree {d} outside [-1, 2]")
-    lo = tuple(_wadd(x, y) for x, y in zip(la, lb))
-    hi = tuple(
-        min(_wadd(ha[i], lb[i]), _wadd(hb[i], la[i])) for i in range(len(vs))
-    )
+    windows = [_product_window(*w) for w in zip(la, ha, lb, hb)]
+    return vs, pa, pb, degs, tuple(w[0] for w in windows), tuple(w[1] for w in windows)
 
-    out: dict[tuple, Rat] = {}
-    bs = [
-        (tuple(e[p] if p is not None else 0 for p in pb), c)
-        for e, c in b.coeffs.items()
+
+def _lifted_terms(f: MultiForm, pos) -> tuple[int, list[tuple[tuple, int]]]:
+    """``f``'s common denominator, and its terms as (exponents at the slots
+    ``pos``, integer numerator); a slot of None holds exponent 0."""
+    den, numerators = common_denominator(f.coeffs)
+    if pos == list(range(len(f.vars))):
+        return den, list(numerators.items())
+    return den, [
+        (tuple(e[p] if p is not None else 0 for p in pos), c)
+        for e, c in numerators.items()
     ]
-    for ea, ca in a.coeffs.items():
-        ea_l = tuple(ea[p] if p is not None else 0 for p in pa)
-        for eb_l, cb in bs:
-            e = tuple(x + y for x, y in zip(ea_l, eb_l))
-            if any(x > h for x, h in zip(e, hi)):
-                continue
-            out[e] = out.get(e, Rat(0)) + ca * cb
-    return MultiForm(vs, degs, out, lo, hi)
+
+
+def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
+    """Cauchy product with window propagation (rule in the module docstring).
+
+    Numerators are multiplied and summed as integers over the factors'
+    common denominators; each output term builds one Fraction.
+    """
+    vs, pa, pb, degs, lo, hi = _product_frame(a, b)
+    da, as_ = _lifted_terms(a, pa)
+    db, bs = _lifted_terms(b, pb)
+    out: dict[tuple, int] = {}
+    get = out.get
+    for ea, ca in as_:
+        for eb, cb in bs:
+            e = tuple(map(add, ea, eb))
+            if all(map(le, e, hi)):
+                out[e] = get(e, 0) + ca * cb
+    den = da * db
+    return MultiForm(vs, degs, {e: Fraction(c, den) for e, c in out.items() if c}, lo, hi)
+
+
+def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
+    """``(a * b).residue_half_loop(v)``, forming only the product's slice at v^-1.
+
+    The variables, degrees and windows are those of ``a * b`` (the same
+    helper), and the residue's degree and window rules are checked on them.
+    ``b``'s terms are grouped by their exponent in ``v``, and each term of
+    ``a`` meets only the group at ``-1`` minus its own exponent; the products
+    are summed as integers over the factors' common denominators.  Single
+    valuedness is checked on the factors: each must have a definite
+    reflection parity in ``v`` (a factor without ``v`` is even), and the two
+    parities must sum to odd.  Then every product term is odd in ``v``, which
+    is what :meth:`MultiForm.residue_half_loop` requires of them.
+    """
+    vs, pa, pb, degs, lo, hi = _product_frame(a, b)
+    if v not in vs:
+        raise DegreeError(f"{v!r} not a variable of this form")
+    i = vs.index(v)
+    if degs[i] != 1:
+        raise DegreeError(f"residue needs degree 1 in {v.name}, got {degs[i]}")
+    if hi[i] < -1:
+        raise WindowError(
+            f"window of {v.name} tops out at {hi[i]}, cannot certify the pole slice"
+        )
+    parities = [
+        0 if p is None else f.check_definite_parity(v)
+        for f, p in ((a, pa[i]), (b, pb[i]))
+        if f.coeffs
+    ]
+    if len(parities) == 2 and sum(parities) % 2 == 0:
+        raise MonodromyError(
+            f"integrand not reflection invariant in {v.name}: "
+            f"both factors have exponents of parity {parities[0]}"
+        )
+    keep = [j for j in range(len(vs)) if j != i]
+    hi_k = tuple(hi[j] for j in keep)
+    da, as_ = _lifted_terms(a, [pa[i]] + [pa[j] for j in keep])
+    db, bs = _lifted_terms(b, [pb[i]] + [pb[j] for j in keep])
+    groups: dict[int, list] = {}
+    for e, c in bs:
+        groups.setdefault(e[0], []).append((e[1:], c))
+    out: dict[tuple, int] = {}
+    get = out.get
+    for ea, ca in as_:
+        rest = ea[1:]
+        for eb, cb in groups.get(-1 - ea[0], ()):
+            e = tuple(map(add, rest, eb))
+            if all(map(le, e, hi_k)):
+                out[e] = get(e, 0) + ca * cb
+    den = 2 * da * db
+    return MultiForm(
+        tuple(vs[j] for j in keep),
+        tuple(degs[j] for j in keep),
+        {e: Fraction(c, den) for e, c in out.items() if c},
+        tuple(lo[j] for j in keep),
+        hi_k,
+    )
 
 
 # -- constructors ----------------------------------------------------------

@@ -1,10 +1,17 @@
 """CLI: config ingestion, serialization round trips, determinism, exit codes."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localrec.cli import main
+from localrec.series import INF, MultiForm, Var, monomial, sum_forms
 from localrec.serialize import (
     dumps_canonical,
     form_from_json,
@@ -64,11 +71,13 @@ def test_validate_airy(tmp_path, capsys):
     assert out["datum"]["ok"] and out["symplectic"]["ok"]
 
 
-def test_validate_coincident_u_fails(tmp_path):
+def test_validate_coincident_u_fails(tmp_path, capsys):
     cfg = pair_config()
     cfg["u"] = ["0/1", "0/1"]
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid datum: ") and err.count("\n") == 1, err
 
 
 def test_validate_non_symplectic_r_fails(tmp_path, capsys):
@@ -104,6 +113,43 @@ def test_omega_round_trip_bytes(tmp_path):
     assert dumps_canonical(data) == raw
     form = form_from_json(data["entries"][0]["form"])
     assert form_to_json(form) == data["entries"][0]["form"]
+
+
+def test_unbounded_windows_round_trip_through_products_and_sums():
+    s, r, t = Var("s", 1), Var("r", 1), Var("t", 1)
+    f = form_from_json(
+        {
+            "vars": [["s", 1]],
+            "degs": [0],
+            "window": {"lo": [None], "hi": [None]},
+            "coeffs": [[[-3], "1/2"], [[2], "-1/1"]],
+        }
+    )
+    two = form_from_json(
+        {
+            "vars": [["r", 1], ["s", 1]],
+            "degs": [1, 0],
+            "window": {"lo": [None, 0], "hi": [None, None]},
+            "coeffs": [[[-5, 1], "2/3"]],
+        }
+    )
+    truncated = MultiForm((s,), (0,), {(0,): 1}, (0,), (4,))
+    forms = [
+        f * monomial(s, 3),
+        two.merge_diagonal(r, s, t),
+        sum_forms([f, f * monomial(s, 2), f * truncated]),
+        f * truncated,  # certified nowhere: hi = -INF
+    ]
+    windows = [
+        {"lo": [None], "hi": [None]},
+        {"lo": [None], "hi": [None]},
+        {"lo": [None], "hi": [-INF]},
+        {"lo": [None], "hi": [-INF]},
+    ]
+    for form, window in zip(forms, windows):
+        data = form_to_json(form)
+        assert data["window"] == window
+        assert form_from_json(json.loads(dumps_canonical(data))) == form
 
 
 def test_correlators_deterministic_bytes(tmp_path):
@@ -257,6 +303,8 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
             "invalid datum: psi-isometry",
         ),
         (airy_config, {"psi": [["2/1"]]}, ["correlators"], "invalid datum: psi-isometry"),
+        (airy_config, {"R": {"complete": 3}}, ["correlators"], "config error:"),
+        (airy_config, {"unit": ["1/0"]}, ["validate"], "config error:"),
     ],
 )
 def test_bad_input_is_one_line_validation_error(
@@ -303,3 +351,50 @@ def test_complete_r_source(tmp_path, capsys):
     assert main(["correlators", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: datum not integrable") and err.count("\n") == 1, err
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.sampled_from(["0/1", "1/1", "-1/2", "1/0", "x", "random"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["complete", "diag_seeds", "u"]), inner, max_size=2),
+    max_leaves=6,
+)
+_config_keys = [*airy_config(), "seed", "coeff_bound", "window"]
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A small valid config with some keys replaced or dropped, or any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json_values)
+    cfg = draw(st.sampled_from([airy_config, lambda: pair_config(order=2)]))()
+    cfg["g_max_complexity"] = 2
+    for key in draw(st.lists(st.sampled_from(_config_keys), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            cfg.pop(key, None)
+        else:
+            cfg[key] = draw(_json_values)
+    return cfg
+
+
+@given(
+    _fuzzed_configs(),
+    st.sampled_from([["validate"], ["omega", "--g", "0", "--n", "3"], ["correlators"]]),
+)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_config_exits_with_one_line(cfg, argv):
+    """Every config ends in a documented exit code; a failure prints one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--config", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        text = err.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n"), text
+        assert "Traceback" not in text

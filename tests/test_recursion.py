@@ -202,3 +202,16 @@ def test_odd_seed_term_above_the_cap_is_caught(monkeypatch):
     monkeypatch.setattr(recursion, "two_point_form", planted)
     with pytest.raises(MonodromyError, match="reflection parity in b"):
         airy_table(bound=2).omega(0, (1, 1, 1))
+
+
+def test_bracket_of_indefinite_parity_is_caught():
+    """The residue checks single valuedness on its two factors, so a bracket
+    whose y-exponents mix parities is refused, whatever the slice reads."""
+    from localrec.series import MonodromyError, MultiForm
+
+    t = airy_table(bound=2)
+    w = t.omega(0, (1, 1, 1))
+    coeffs = {**w.coeffs, (-1, -2, -2): 1}  # odd in the slot that becomes y
+    t._store[(0, (1, 1, 1))] = MultiForm(w.vars, w.degs, coeffs, w.lo, w.hi)
+    with pytest.raises(MonodromyError, match="no definite reflection parity in y"):
+        t.omega(0, (1, 1, 1, 1))

@@ -15,10 +15,13 @@ from localrec.series import (
     Var,
     WindowError,
     agreement_mismatch,
+    SeriesError,
     capped_product,
+    d_unit,
     geometric_expand,
     invert,
     laurent,
+    residue_of_product,
     sum_forms,
     zero_form,
 )
@@ -367,3 +370,136 @@ def test_check_definite_parity():
     mixed = F(S, {-1: 1, 2: 3}, deg=1, hi=4)
     with pytest.raises(MonodromyError):
         mixed.check_definite_parity(S)
+
+
+@st.composite
+def residue_factors(draw):
+    """Two factors whose product has one ds in s and odd exponents in s.
+
+    Each factor holds s, r or both; its exponents in s share one parity, and
+    the two parities sum to odd (a factor without s counts as even).  The r
+    window is finite in at most one factor, the s window in either.
+    Few exponents and coefficients of equal size make cancellations common.
+    """
+    va = draw(st.sampled_from([(R, S), (S,), (R,)]))
+    vb = draw(st.sampled_from([(R, S), (S,)] if va == (R,) else [(R, S), (S,), (R,)]))
+    if S not in vb:
+        va, vb = vb, va
+    pa = draw(st.integers(0, 1)) if S in va else 0
+    da = draw(st.integers(0, 1)) if S in va else 0
+    r_finite = draw(st.booleans())
+
+    def factor(vs, s_parity, s_deg, r_hi):
+        coeffs = {}
+        for _ in range(draw(st.integers(0, 5))):
+            e = tuple(
+                2 * draw(st.integers(-2, 1)) + s_parity if v == S else draw(st.integers(-1, 1))
+                for v in vs
+            )
+            coeffs[e] = draw(st.sampled_from([1, -1, Fraction(1, 3), Fraction(-1, 3)]))
+        lo = tuple(-5 if v == S else -2 for v in vs)
+        hi = tuple(
+            draw(st.sampled_from([INF, 3, 7])) if v == S else r_hi for v in vs
+        )
+        coeffs = {e: c for e, c in coeffs.items() if all(x <= h for x, h in zip(e, hi))}
+        degs = tuple(s_deg if v == S else draw(st.integers(0, 1)) for v in vs)
+        return MultiForm(vs, degs, coeffs, lo, hi)
+
+    a = factor(va, pa, da, 2 if r_finite else INF)
+    b = factor(vb, 1 - pa, 1 - da, INF)
+    return a, b
+
+
+@given(residue_factors())
+@settings(max_examples=200, deadline=None)
+def test_residue_of_product_is_the_halved_slice_of_the_product(factors):
+    a, b = factors
+    full = a * b
+    i = full.index_of(S)
+    if full.hi[i] < -1:
+        with pytest.raises(WindowError):
+            residue_of_product(a, b, S)
+        return
+    got = residue_of_product(a, b, S)
+    drop = lambda t: t[:i] + t[i + 1 :]  # noqa: E731
+    assert got.vars == drop(full.vars) and got.degs == drop(full.degs)
+    assert got.lo == drop(full.lo) and got.hi == drop(full.hi)
+    assert got.coeffs == {drop(e): c / 2 for e, c in full.coeffs.items() if e[i] == -1}
+    assert got == full.residue_half_loop(S) == residue_of_product(b, a, S)
+
+
+@pytest.mark.parametrize(
+    "a, b, error",
+    [
+        (laurent(S, {0: 1}), d_unit(S), MonodromyError),  # even integrand
+        (laurent(S, {0: 1, 1: 1}), d_unit(S), MonodromyError),  # mixed parities
+        (laurent(S, {-1: 1}), laurent(S, {0: 1}), DegreeError),  # no ds
+        (laurent(R, {-1: 1}), d_unit(R), DegreeError),  # no s at all
+        (laurent(S, {1: 1}).cap_hi(S, 1), F(S, {-2: 1}, deg=1, lo=-4), WindowError),
+    ],
+)
+def test_residue_of_product_refuses_like_the_residue(a, b, error):
+    with pytest.raises(error):
+        (a * b).residue_half_loop(S)
+    with pytest.raises(error):
+        residue_of_product(a, b, S)
+
+
+def _schoolbook_product(a, b):
+    """Reference Cauchy product on Fractions, by variable name."""
+    names = sorted({v.name for v in a.vars + b.vars})
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            exps = dict.fromkeys(names, 0)
+            for vs, e in ((a.vars, ea), (b.vars, eb)):
+                for v, x in zip(vs, e):
+                    exps[v.name] += x
+            key = tuple(exps[n] for n in names)
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return out
+
+
+wide_rats = st.builds(
+    Fraction,
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([1, 2, 3, 7, 2**61 - 1, 10**18 + 9, 97 * 89, 3**40]),
+)
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), wide_rats, max_size=5),
+    st.dictionaries(st.tuples(st.integers(-3, 3)), wide_rats, max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_the_schoolbook_product(ca, cb):
+    a = MultiForm((R, S), (0, 0), ca, (-3, -3), (INF, INF))
+    b = MultiForm((S,), (1,), cb, (-3,), (INF,))
+    want = {e: c for e, c in _schoolbook_product(a, b).items() if c}
+    assert (a * b).coeffs == want
+    assert (b * a).coeffs == want
+
+
+def test_init_is_independent_of_the_variable_order():
+    t = Var("t", 1)
+    coeffs = {(-2, 0, 1): Fraction(3, 4), (0, 2, -1): -1, (1, 1, 1): 0}
+    ref = MultiForm((R, S, t), (1, 0, -1), coeffs, (-2, 0, -1), (INF, 4, 3))
+    for perm in [(1, 0, 2), (2, 1, 0), (2, 0, 1)]:
+        vs = tuple((R, S, t)[p] for p in perm)
+        form = MultiForm(
+            vs,
+            tuple((1, 0, -1)[p] for p in perm),
+            {tuple(e[p] for p in perm): c for e, c in coeffs.items()},
+            tuple((-2, 0, -1)[p] for p in perm),
+            tuple((INF, 4, 3)[p] for p in perm),
+        )
+        assert form == ref and form.vars == (R, S, t)
+    assert ref.coeffs == {(-2, 0, 1): Fraction(3, 4), (0, 2, -1): -1}
+
+
+def test_window_sentinels_saturate_both_ways():
+    unbounded = MultiForm((S,), (0,), {(-3,): 1}, (-INF,), (INF,))
+    assert (unbounded * laurent(S, {3: 1})).lo == (-INF,)
+    assert (unbounded * F(S, {0: 1}, hi=4)).hi == (-INF,)  # certified nowhere
+    with pytest.raises(SeriesError):
+        MultiForm((S,), (0,), {}, (INF,), (INF,)) * unbounded
