@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure, 2 window exhaustion (message
 names the minimal sufficient truncation order), 3 internal consistency
-failure.  All runs are deterministic given the config file and seed; output
-bytes are canonical JSON.
+failure; a failing run writes one line to stderr.  All runs are deterministic
+given the config file and seed; output bytes are canonical JSON.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .recursion import (
     stable_entries,
     symmetry_check,
 )
-from .report import Report
+from .report import Check, Report
 from .serialize import (
     datum_from_json,
     dumps_canonical,
@@ -143,7 +143,7 @@ def cmd_validate(cfg: RunConfig, out: str | None) -> int:
     _emit(payload, out)
     bad = rep.failures() + srep.failures()
     if bad:
-        sys.stderr.write(f"invalid datum: {bad[0].name} failed: {bad[0].detail}\n")
+        _fail("invalid datum", bad[0])
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -181,15 +181,14 @@ def cmd_correlators(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+def _fail(prefix: str, bad: Check) -> None:
+    sys.stderr.write(f"{prefix}: {bad.name} failed: {bad.detail}\n")
+
+
 def _check_battery(cfg: RunConfig) -> Report:
+    """Every check after validation; the datum and R must pass validation."""
     n = cfg.datum.n
     rep = Report()
-
-    base = validate_canonical(cfg.datum)
-    rep.checks.extend(base.checks)
-    rep.checks.extend(check_symplectic(cfg.r).checks)
-    if not rep.ok:
-        return rep
     ctx = cfg.context()
 
     rep.checks.extend(hrp_check(ctx, k_bound=3).checks)
@@ -237,9 +236,19 @@ def _check_battery(cfg: RunConfig) -> Report:
 
 
 def cmd_check(cfg: RunConfig, out: str | None) -> int:
-    rep = _check_battery(cfg)
+    rep = validate_canonical(cfg.datum)
+    rep.checks.extend(check_symplectic(cfg.r).checks)
+    valid = rep.ok
+    if valid:
+        rep.checks.extend(_check_battery(cfg).checks)
     _emit(rep.as_dict(), out)
-    return EXIT_OK if rep.ok else EXIT_INCONSISTENT
+    if rep.ok:
+        return EXIT_OK
+    if not valid:
+        _fail("invalid datum", rep.failures()[0])
+        return EXIT_VALIDATION
+    _fail("internal consistency failure", rep.failures()[0])
+    return EXIT_INCONSISTENT
 
 
 def cmd_random_r(cfg: RunConfig, out: str | None) -> int:

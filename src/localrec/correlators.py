@@ -36,13 +36,15 @@ from math import prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
-from .localforms import FormContext, parity_checked, propagator_p0
+from .localforms import FormContext, propagator_p0
 from .recursion import (
     ConsistencyError,
     OmegaTable,
     TruncationOrderError,
     capped_residue,
+    form_piece,
     pole_bound,
+    product_piece,
     stable_entries,
 )
 from .report import Report
@@ -53,7 +55,6 @@ from .series import (
     Var,
     WindowError,
     agreement_mismatch,
-    capped_product,
     common_denominator,
     invert,
     monomial,
@@ -121,19 +122,6 @@ def insertion_weight(ctx: FormContext, j: int, k: int, a: int, v: Var) -> MultiF
     return (ctx.period_dual(j, k + 1, a, v) * dlam).scale((-1) ** k)
 
 
-def _weight_data(ctx: FormContext, j: int, k: int, a: int):
-    """Weight series as a plain dict with its window, for fast convolution."""
-    w = insertion_weight(ctx, j, k, a, Var("w", j))
-    return {e: c for (e,), c in w.coeffs.items()}, w.lo[0], w.hi[0]
-
-
-def _weight_coeff(ctx: FormContext, j: int, k: int, a: int, e: int) -> Rat:
-    d, lo, hi = ctx.memo(_weight_data, j, k, a)
-    if e > hi:
-        raise WindowError(f"weight ({k},{a}) at branch {j} not certified at {e}")
-    return d.get(e, Rat(0))
-
-
 def _mode_products(tensor: dict, maps) -> dict:
     """Apply one linear map per slot to a sparse tensor.
 
@@ -196,10 +184,13 @@ def extract_correlators(
     jvecs = list(product(flat, repeat=n))
     omegas = {jv: table.omega(g, jv) for jv in jvecs}
 
+    def weight(j: int, ka: Insertion) -> MultiForm:
+        return ctx.memo(insertion_weight, j, *ka, Var("w", j))
+
     @cache
     def weights_at(ka: Insertion, e: int) -> dict[int, Rat]:
         """Image of one insertion in the solve: its weight at e, per branch."""
-        return {j: c for j in flat if (c := _weight_coeff(ctx, j, *ka, e))}
+        return {j: c for j in flat if (c := weight(j, ka).coefficient((e,)))}
 
     # the ordered tensor: every solved nonzero value under each of its slot
     # orders, filled in as keys are solved
@@ -256,18 +247,15 @@ def extract_correlators(
     # outside it as it goes.  The contraction runs on integer numerators over
     # common denominators, which are divided out once per coefficient.
     support = {ka for idx in tensor for ka in idx}
-    windows = {
-        j: [ctx.memo(_weight_data, j, *ka)[1:] for ka in support] for j in flat
-    }
-    los = {j: min([0] + [lo for lo, _ in windows[j]]) for j in flat}
-    his = {j: min([INF] + [hi for _, hi in windows[j]]) for j in flat}
+    los = {j: min([0] + [weight(j, ka).lo[0] for ka in support]) for j in flat}
+    his = {j: min([INF] + [weight(j, ka).hi[0] for ka in support]) for j in flat}
     den, numerators = common_denominator(tensor)
     wden, pruned = common_denominator(
         {
             (j, ka, e): c
             for j in flat
             for ka in support
-            for e, c in ctx.memo(_weight_data, j, *ka)[0].items()
+            for (e,), c in weight(j, ka).coeffs.items()
             if e <= his[j]
         }
     )
@@ -385,7 +373,7 @@ def _assembled_factor(
         for b in range(1, ctx.data.n + 1):
             val = corr.get(g1, ((k, b),) + sub)
             if val != 0:
-                w = ctx.memo(parity_checked, insertion_weight, j, k, b, y)
+                w = ctx.memo(insertion_weight, j, k, b, y)
                 terms.append(w.scale(val))
     return sum_forms(terms)
 
@@ -413,40 +401,27 @@ def virasoro_check(
     if 2 * g - 2 + (n + 1) <= 0:
         raise ConsistencyError("constraint check needs a stable left side")
     rv = Var("r", i_ext)
-
-    lhs_terms = [zero_form((rv,), (1,))]
-    lhs_budget = 3 * g - 3 + (n + 1) - sum(k for k, _ in ins)
-    for k in range(lhs_budget + 1):
-        for a in range(1, ctx.data.n + 1):
-            val = corr.get(g, ((k, a),) + ins)
-            if val != 0:
-                w = ctx.memo(parity_checked, insertion_weight, i_ext, k, a, rv)
-                lhs_terms.append(w.scale(val))
-    lhs = sum_forms(lhs_terms)
+    lhs = _assembled_factor(ctx, corr, g, ins, i_ext, rv)
 
     terms = []
     for j in range(1, ctx.data.n + 1):
         y = Var("y", j)
-        # the bracket's terms, not yet multiplied: P_0, or the loop legs with
-        # their correlator, and the splitting factor pairs
-        p0 = None
-        loop: list[tuple[MultiForm, MultiForm, Rat]] = []
+        # the bracket's pieces: P_0 or the loop legs with their correlator,
+        # then the splitting factor pairs
+        pieces = []
         if g == 1 and n == 0:
-            p0 = ctx.memo(parity_checked, propagator_p0, j, y)
+            pieces.append(form_piece(ctx.memo(propagator_p0, j, y), y))
         elif g >= 1:
             loop_budget = 3 * (g - 1) - 3 + (n + 2) - sum(k for k, _ in ins)
             for k1 in range(loop_budget + 1):
                 for b1 in range(1, ctx.data.n + 1):
-                    w1 = ctx.memo(parity_checked, insertion_weight, j, k1, b1, y)
                     for k2 in range(loop_budget - k1 + 1):
                         for b2 in range(1, ctx.data.n + 1):
                             val = corr.get(g - 1, ((k1, b1), (k2, b2)) + ins)
                             if val != 0:
-                                w2 = ctx.memo(
-                                    parity_checked, insertion_weight, j, k2, b2, y
-                                )
-                                loop.append((w1, w2, val))
-        pairs = []
+                                w1 = ctx.memo(insertion_weight, j, k1, b1, y)
+                                w2 = ctx.memo(insertion_weight, j, k2, b2, y)
+                                pieces.append(product_piece(w1, w2.scale(val), y))
         for g1 in range(0, g + 1):
             for mask in range(1 << n):
                 left = tuple(ins[m] for m in range(n) if mask >> m & 1)
@@ -455,33 +430,17 @@ def virasoro_check(
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                pairs.append((
+                pieces.append(product_piece(
                     _assembled_factor(ctx, corr, g1, left, j, y),
                     _assembled_factor(ctx, corr, g - g1, right, j, y),
+                    y,
                 ))
-
-        extra = None
-        if p0 is not None:
-            extra = (p0.lo_of(y), lambda ycap: p0.cap_hi(y, ycap))
-        elif g >= 1:  # the loop term sums from the zero form
-
-            def loop_piece(ycap):
-                return sum_forms(
-                    [zero_form((y,), (2,))]
-                    + [capped_product(w1, w2, y, ycap).scale(v) for w1, w2, v in loop]
-                )
-
-            lo = min([0] + [w1.lo_of(y) + w2.lo_of(y) for w1, w2, _ in loop])
-            extra = (lo, loop_piece)
         terms.append(
             capped_residue(
                 y,
                 pole_bound(g, n + 1),
-                pairs,
-                extra,
-                lambda kmax: ctx.memo(
-                    parity_checked, _constraint_weight, i_ext, j, rv, y, kmax
-                ),
+                pieces,
+                lambda kmax: ctx.memo(_constraint_weight, i_ext, j, rv, y, kmax),
             )
         )
     rhs = sum_forms(terms)

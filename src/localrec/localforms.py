@@ -76,6 +76,13 @@ class FormContext:
     recursion kernels of every table on the context, the insertion and
     constraint weights, and the window planner's shadow tables and planned
     orders.
+
+    Parity policy: every form the memo stores has a definite reflection
+    parity in each of its variables, checked on its full window on the miss
+    that computes it.  A branch residue checks single valuedness only on the
+    terms it reads, so this is what covers the terms of a seed or weight
+    above the residue's cap.  A form that fails raises MonodromyError and is
+    not stored.
     """
 
     data: CanonicalData
@@ -91,11 +98,16 @@ class FormContext:
 
         The key is the function object itself with the arguments, so two
         functions never share an entry.  Callers pass ``fn`` by its
-        module-level name, which is what a profiling hook replaces.
+        module-level name, which is what a profiling hook replaces.  A
+        computed form is stored only after the parity policy's check.
         """
         key = (fn, args)
         if key not in self._memo:
-            self._memo[key] = fn(self, *args)
+            value = fn(self, *args)
+            if isinstance(value, MultiForm):
+                for v in value.vars:
+                    value.check_definite_parity(v)
+            self._memo[key] = value
         return self._memo[key]
 
     # -- pairing ingredients ------------------------------------------------
@@ -121,20 +133,6 @@ class FormContext:
     def period_unit(self, j: int, k: int, v: Var) -> MultiForm:
         """(I^(k), 1)."""
         return self.memo(_period_series, FormContext.unit_pairing, j, k, None, v)
-
-
-def parity_checked(ctx: FormContext, fn, *args) -> MultiForm:
-    """``ctx.memo(fn, *args)``, with a definite reflection parity in every
-    variable.
-
-    A branch residue checks single-valuedness only on the terms it reads.
-    Fetched as ``ctx.memo(parity_checked, fn, *args)``, an object is checked
-    on its full window once, when it is first fetched.
-    """
-    form = ctx.memo(fn, *args)
-    for v in form.vars:
-        form.check_definite_parity(v)
-    return form
 
 
 def _column(ctx: FormContext, l: int, j: int) -> tuple[Rat, ...]:

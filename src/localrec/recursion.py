@@ -10,24 +10,26 @@ propagator for the residue-variable pair.
 
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
-bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The kernel's
-pole depth follows from the support bounds of the bracket's legs, so it is
-fetched before any product, and the bracket is then built only up to ycap:
-each splitting factor is capped before its product, f1 at ``ycap - lo(f2)``
-and f2 at ``ycap - lo(f1)``, the loop child likewise in ya and yb before its
-diagonal merge, and P_0 at ycap.  A product term at y <= ycap only combines
-leg terms inside those caps, so every coefficient the residue reads is
-unchanged.  Capping only narrows a certified window: the residue still
-refuses when y^-1 is not certified, and the windows of the other slots stay
-those of the full bracket.  :func:`capped_residue` applies the rule; the
-constraint checker in ``correlators`` shares it with its own weight.  The
-residue is ``series.residue_of_product``, which forms only the y^-1 slice
-of ``kernel * bracket`` and checks single valuedness on the two factors: the
-kernel and the capped bracket must each have a definite reflection parity in
-y, of odd sum, so every bracket term up to the cap is checked whether the
-slice reads it or not.  The terms above the cap are covered by checking every
-seed (two-point form, P_0, kernel) for a definite reflection parity on its
-full window when it is first fetched, and every entry in ``_finalize``.
+bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The bracket is
+handed to :func:`capped_residue` as a list of pieces, each its support bound
+in y and a function that builds it capped at ``y <= ycap``.  The kernel's
+pole depth follows from the pieces' bounds, so it is fetched before any
+piece is built.  A product piece caps each factor first, f1 at
+``ycap - lo(f2)`` and f2 at ``ycap - lo(f1)``; the loop child is capped
+likewise in ya and yb before its diagonal merge, and P_0 at ycap.  A product
+term at y <= ycap only combines leg terms inside those caps, so every
+coefficient the residue reads is unchanged.  Capping only narrows a
+certified window: the residue still refuses when y^-1 is not certified, and
+the windows of the other slots stay those of the full bracket.  The
+constraint checker in ``correlators`` hands its own pieces and weight to the
+same helper.  The residue is ``series.residue_of_product``, which forms only
+the y^-1 slice of ``kernel * bracket`` and checks single valuedness on the
+two factors: the kernel and the capped bracket must each have a definite
+reflection parity in y, of odd sum, so every bracket term up to the cap is
+checked whether the slice reads it or not.  The terms above the cap are
+covered by the context memo, which checks every form it stores (the seeds,
+the kernel, the weights) for a definite reflection parity on its full
+window, and by ``_finalize``, which checks every entry.
 
 Window budgeting: before a truncated-R computation starts, the same code is
 dry-run against a zero-dressed R of equal order (windows depend only on the
@@ -49,7 +51,6 @@ from .frobenius import RMatrix
 from .linalg import identity, zeros
 from .localforms import (
     FormContext,
-    parity_checked,
     propagator_p0,
     recursion_kernel,
     two_point_form,
@@ -83,27 +84,31 @@ def pole_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 2 + n)
 
 
-def capped_residue(y: Var, p: int, pairs, extra, weight) -> MultiForm:
+def product_piece(f1: MultiForm, f2: MultiForm, y: Var):
+    """The bracket piece ``f1 * f2`` for :func:`capped_residue`."""
+    return f1.lo_of(y) + f2.lo_of(y), lambda ycap: capped_product(f1, f2, y, ycap)
+
+
+def form_piece(f: MultiForm, y: Var):
+    """The bracket piece ``f`` for :func:`capped_residue`."""
+    return f.lo_of(y), lambda ycap: f.cap_hi(y, ycap)
+
+
+def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     """``Res_y weight * bracket``, with the bracket built only up to the cap.
 
-    The bracket is the sum of ``f1 * f2`` over the factor ``pairs`` and, when
-    ``extra`` is ``(lo, build)``, one more piece with support bound ``lo`` in
-    y, which ``build(ycap)`` returns capped at ``y <= ycap``.  The kernel
-    depth kmax follows from the bracket's support bound and the pole bound
-    ``p`` of the entry; ``weight(kmax)`` fetches the residue weight.  Every
-    coefficient the residue reads is that of the full bracket (the cap rule
-    in the module docstring), and only the y^-1 slice of the product is
-    formed.
+    The bracket is the sum of the ``pieces``; each is ``(lo, build)``, its
+    support bound in y and a function that returns it capped at
+    ``y <= ycap``.  The kernel depth kmax follows from the bracket's support
+    bound and the pole bound ``p`` of the entry; ``weight(kmax)`` fetches the
+    residue weight.  Every coefficient the residue reads is that of the full
+    bracket (the cap rule in the module docstring), and only the y^-1 slice
+    of the product is formed.
     """
-    lows = [f1.lo_of(y) + f2.lo_of(y) for f1, f2 in pairs]
-    if extra is not None:
-        lows.append(extra[0])
-    depth = max(-min(lows), 0)
+    depth = max(-min(lo for lo, _ in pieces), 0)
     w = weight(max(depth // 2, (p - 2) // 2, 0))
     ycap = -1 - w.lo_of(y)
-    pieces = [] if extra is None else [extra[1](ycap)]
-    pieces += [capped_product(f1, f2, y, ycap) for f1, f2 in pairs]
-    return residue_of_product(w, sum_forms(pieces), y)
+    return residue_of_product(w, sum_forms(build(ycap) for _, build in pieces), y)
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
@@ -172,28 +177,34 @@ class OmegaTable:
             (m,) = positions
             i = branches[m]
             a, b = Var("a", i), Var("b", j)
-            seed = self.ctx.memo(parity_checked, two_point_form, i, j, a, b, self.budget)
+            seed = self.ctx.memo(two_point_form, i, j, a, b, self.budget)
             return seed.rename({"a": xs[m], "b": y})
         sub_branches = (j,) + tuple(branches[m] for m in positions)
         sub_vars = (y,) + tuple(xs[m] for m in positions)
         return self.omega(g1, sub_branches, sub_vars)
 
     def _bracket(self, g: int, branches, xs, j: int, y: Var):
-        """The bracket's loop term and splitting factors, not yet combined.
+        """The bracket as pieces for :func:`capped_residue`.
 
-        Returns ``(loop, pairs)``.  ``loop`` is None in genus 0, P_0 in y for
-        the (1, 1) entry, and otherwise the loop child in ``ya``, ``yb``,
-        which the caller merges onto y.  ``pairs`` lists the factor pairs of
-        the ordered splittings, each factor with a leg at y.
+        The loop piece comes first: none in genus 0, P_0 in y for the (1, 1)
+        entry, and otherwise the loop child in ``ya``, ``yb``, capped in each
+        like a product and then merged onto y.  Then one product piece per
+        ordered splitting, each factor with a leg at y.
         """
         n_rest = len(branches)
-        loop = None
+        pieces = []
         if g == 1 and n_rest == 0:
-            loop = self.ctx.memo(parity_checked, propagator_p0, j, y)
+            pieces.append(form_piece(self.ctx.memo(propagator_p0, j, y), y))
         elif g >= 1:
             ya, yb = Var("ya", j), Var("yb", j)
             loop = self.omega(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
-        pairs = []
+            la, lb = loop.lo_of(ya), loop.lo_of(yb)
+
+            def merged(ycap):
+                capped = loop.cap_hi(ya, ycap - lb).cap_hi(yb, ycap - la)
+                return capped.merge_diagonal(ya, yb, y)
+
+            pieces.append((la + lb, merged))
         positions = tuple(range(n_rest))
         for g1 in range(0, g + 1):
             for mask in range(1 << n_rest):
@@ -206,34 +217,20 @@ class OmegaTable:
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                pairs.append((
+                pieces.append(product_piece(
                     self._factor(g1, left, branches, xs, j, y),
                     self._factor(g - g1, right, branches, xs, j, y),
+                    y,
                 ))
-        return loop, pairs
+        return pieces
 
     def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:
-        y, ya, yb = Var("y", j), Var("ya", j), Var("yb", j)
-        loop, pairs = self._bracket(g, rest, xs, j, y)
-        extra = None
-        if loop is not None and y in loop.vars:  # P_0
-            extra = (loop.lo_of(y), lambda ycap: loop.cap_hi(y, ycap))
-        elif loop is not None:  # the loop child, capped like a pair, then merged
-            la, lb = loop.lo_of(ya), loop.lo_of(yb)
-
-            def extra_piece(ycap):
-                capped = loop.cap_hi(ya, ycap - lb).cap_hi(yb, ycap - la)
-                return capped.merge_diagonal(ya, yb, y)
-
-            extra = (la + lb, extra_piece)
+        y = Var("y", j)
         return capped_residue(
             y,
             pole_bound(g, len(rest) + 1),
-            pairs,
-            extra,
-            lambda kmax: self.ctx.memo(
-                parity_checked, recursion_kernel, j0, j, x0, y, kmax
-            ),
+            self._bracket(g, rest, xs, j, y),
+            lambda kmax: self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax),
         )
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
@@ -266,8 +263,8 @@ class OmegaTable:
                 raise ConsistencyError(
                     f"odd exponent tuple {e} -> {c} in a ({g},{n}) entry"
                 )
-        for v in form.vars:
-            form = form.raise_lo(v, -p)
+        lo = [max(x, -p) for x in form.lo]
+        form = MultiForm(form.vars, form.degs, form.coeffs, lo, form.hi)
         hi_need = self.hi_target(g, n)
         for v, h in zip(form.vars, form.hi):
             if h < hi_need:

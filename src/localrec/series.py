@@ -316,20 +316,6 @@ class MultiForm:
         out = {e: c for e, c in self.coeffs.items() if e[i] <= new_hi}
         return MultiForm(self.vars, self.degs, out, self.lo, tuple(hi))
 
-    def raise_lo(self, v: Var, new_lo: int) -> "MultiForm":
-        """Tighten the support bound of ``v``; stored terms below it must not exist."""
-        i = self.index_of(v)
-        if new_lo <= self.lo[i]:
-            return self
-        for e in self.coeffs:
-            if e[i] < new_lo:
-                raise SeriesError(
-                    f"cannot raise lo of {v.name} to {new_lo}: term at {e} present"
-                )
-        lo = list(self.lo)
-        lo[i] = new_lo
-        return MultiForm(self.vars, self.degs, self.coeffs, tuple(lo), self.hi)
-
     def rename(self, mapping: Mapping[str, Var]) -> "MultiForm":
         """Rename (and possibly re-brand) variables; exponents follow along."""
         new_vars = tuple(mapping.get(v.name, v) for v in self.vars)

@@ -217,7 +217,43 @@ def test_check_corrupted_datum_fails(tmp_path):
     cfg = airy_config()
     cfg["psi"] = [["2/1"]]
     path = write_config(tmp_path, cfg)
+    assert main(["check", "--config", path]) == 1
+
+
+def test_check_bad_datum_is_one_line_validation_error(tmp_path, capsys):
+    """``check`` reports a bad datum like ``validate``: its report on stdout,
+    exit 1 and one ``invalid datum:`` line naming the failed check."""
+    cfg = pair_config()
+    cfg["u"] = ["0/1", "0/1"]
+    path = write_config(tmp_path, cfg)
+    assert main(["check", "--config", path]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert not report["ok"]
+    assert err.startswith("invalid datum: distinct-critical-values failed: ")
+    assert err.count("\n") == 1, err
+
+
+def test_check_failure_after_validation_is_one_line(tmp_path, capsys, monkeypatch):
+    """A failed check on a valid datum exits 3 with one line naming it."""
+    import localrec.cli as cli
+    from localrec.report import Report
+
+    def failing_hrp(ctx, k_bound):
+        rep = Report()
+        rep.add("period-residue-orthogonality", False, "planted")
+        return rep
+
+    monkeypatch.setattr(cli, "hrp_check", failing_hrp)
+    cfg = airy_config()
+    cfg["g_max_complexity"] = 2
+    path = write_config(tmp_path, cfg)
     assert main(["check", "--config", path]) == 3
+    out, err = capsys.readouterr()
+    assert not json.loads(out)["ok"]
+    assert err == (
+        "internal consistency failure: period-residue-orthogonality failed: planted\n"
+    )
 
 
 def test_missing_config_is_validation_error(tmp_path):
@@ -382,7 +418,9 @@ def _fuzzed_configs(draw):
 
 @given(
     _fuzzed_configs(),
-    st.sampled_from([["validate"], ["omega", "--g", "0", "--n", "3"], ["correlators"]]),
+    st.sampled_from(
+        [["validate"], ["omega", "--g", "0", "--n", "3"], ["correlators"], ["check"]]
+    ),
 )
 @settings(max_examples=40, deadline=None)
 def test_fuzzed_config_exits_with_one_line(cfg, argv):

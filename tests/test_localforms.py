@@ -21,7 +21,7 @@ from localrec.localforms import (
     recursion_kernel,
     two_point_form,
 )
-from localrec.series import Var, WindowError
+from localrec.series import MonodromyError, Var, WindowError, laurent
 
 Q = Fraction
 S = Var("s", 1)
@@ -34,6 +34,22 @@ def airy_ctx():
 
 def random_ctx(n, order, seed):
     return FormContext(decoupled_datum(list(range(n))), random_symplectic_r(n, order, seed))
+
+
+def test_memo_refuses_a_form_of_indefinite_parity():
+    """The memo checks the parity of every form it stores and stores none
+    that fails, so a second fetch computes and refuses it again."""
+    ctx = airy_ctx()
+    calls = []
+
+    def mixed(ctx, v):
+        calls.append(v)
+        return laurent(v, {-2: 1, 3: 1}, deg=1)
+
+    for _ in range(2):
+        with pytest.raises(MonodromyError, match="reflection parity in s"):
+            ctx.memo(mixed, S)
+    assert calls == [S, S]
 
 
 def test_a1_period_values():
