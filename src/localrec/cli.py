@@ -1,15 +1,17 @@
 """Batch front end: datum ingestion, command dispatch, exact serialization.
 
-Exit codes: 0 success, 1 validation failure, 2 window exhaustion (message
-names the minimal sufficient truncation order), 3 internal consistency
-failure; a failing run writes one line to stderr.  All runs are deterministic
-given the config file and seed; output bytes are canonical JSON.
+Exit codes: 0 success, 1 validation failure or an unwritable ``--out``,
+2 window exhaustion (message names the minimal sufficient truncation
+order), 3 internal consistency failure; a failing run writes one line to
+stderr.  All runs are deterministic given the config file and seed; output
+bytes are canonical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -124,6 +126,22 @@ class RunConfig:
 def _load_config(path: str, seed_override=None) -> RunConfig:
     raw = json.loads(Path(path).read_text())
     return RunConfig(raw, seed_override)
+
+
+def _check_out(out: str | None) -> None:
+    """Raise OSError unless ``out`` (if given) names a file that can be written.
+
+    Run before any table is built.
+    """
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(f"{out} is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no directory {path.parent} for {out}")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise PermissionError(f"{out} is not writable")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -290,6 +308,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     try:
+        _check_out(args.out)
         if args.command == "validate":
             return cmd_validate(cfg, args.out)
         if args.command == "omega":
@@ -318,6 +337,9 @@ def main(argv=None) -> int:
     except SeriesError as exc:
         sys.stderr.write(f"series failure: {exc}\n")
         return EXIT_INCONSISTENT
+    except OSError as exc:  # from _check_out, or a write that failed after it
+        sys.stderr.write(f"output error: {exc}\n")
+        return EXIT_VALIDATION
     raise AssertionError("unreachable")
 
 

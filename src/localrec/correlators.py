@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import lcm, prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
@@ -250,27 +250,23 @@ def extract_correlators(
     los = {j: min([0] + [weight(j, ka).lo[0] for ka in support]) for j in flat}
     his = {j: min([INF] + [weight(j, ka).hi[0] for ka in support]) for j in flat}
     den, numerators = common_denominator(tensor)
-    wden, pruned = common_denominator(
-        {
-            (j, ka, e): c
-            for j in flat
-            for ka in support
-            for (e,), c in weight(j, ka).coeffs.items()
-            if e <= his[j]
-        }
-    )
-    series: dict[tuple[int, Insertion], dict[int, int]] = defaultdict(dict)
-    for (j, ka, e), c in pruned.items():
-        series[j, ka][e] = c
+    wden = lcm(*(weight(j, ka).den for j in flat for ka in support))
+    series = {}
+    for j in flat:
+        for ka in support:
+            w = weight(j, ka)
+            m = wden // w.den
+            series[j, ka] = {e: c * m for (e,), c in w.nums.items() if e <= his[j]}
     scale = den * wden**n
 
     for jv in jvecs:
         form = omegas[jv]
         coeffs = _mode_products(numerators, [lambda ka, j=j: series[j, ka] for j in jv])
-        predicted = MultiForm(
+        predicted = MultiForm.from_numerators(
             form.vars,
             form.degs,
-            {e: Rat(c, scale) for e, c in coeffs.items()},
+            coeffs,
+            scale,
             [los[j] for j in jv],
             [his[j] for j in jv],
         )
@@ -445,7 +441,7 @@ def virasoro_check(
         )
     rhs = sum_forms(terms)
 
-    deepest = min((e for (e,) in lhs.coeffs), default=0)
+    deepest = min((e for (e,) in lhs.nums), default=0)
     hi_common = min(lhs.hi[0], rhs.hi[0])
     if hi_common < -2 or rhs.lo[0] > deepest:
         rep.add(name, False, "window exhausted before the identity is visible")

@@ -79,6 +79,9 @@ class ConsistencyError(SeriesError):
     """A computed object violates a structural invariant (a math bug)."""
 
 
+_odd = (2).__rmod__  # x -> x % 2
+
+
 def pole_bound(g: int, n: int) -> int:
     """Maximal pole order per variable of a stable n-point form."""
     return 2 * (3 * g - 2 + n)
@@ -254,17 +257,20 @@ class OmegaTable:
 
     def _finalize(self, g: int, n: int, form: MultiForm) -> MultiForm:
         p = pole_bound(g, n)
-        for e, c in form.items():
-            if any(x < -p for x in e):
+        bad = [e for e in form.nums if min(e) < -p or any(map(_odd, e))]
+        if bad:
+            e = min(bad)
+            if min(e) < -p:
                 raise ConsistencyError(
                     f"pole bound {p} violated at {e} in a ({g},{n}) entry"
                 )
-            if any(x % 2 for x in e):
-                raise ConsistencyError(
-                    f"odd exponent tuple {e} -> {c} in a ({g},{n}) entry"
-                )
+            raise ConsistencyError(
+                f"odd exponent tuple {e} -> {form.coefficient(e)} in a ({g},{n}) entry"
+            )
         lo = [max(x, -p) for x in form.lo]
-        form = MultiForm(form.vars, form.degs, form.coeffs, lo, form.hi)
+        form = MultiForm.from_numerators(
+            form.vars, form.degs, form.nums, form.den, lo, form.hi
+        )
         hi_need = self.hi_target(g, n)
         for v, h in zip(form.vars, form.hi):
             if h < hi_need:
@@ -343,13 +349,13 @@ def symmetry_check(table: OmegaTable, g: int, branches) -> Report:
     rep.add(name, bad is None, "" if bad is None else f"asymmetric at {bad}")
 
     p = pole_bound(g, n)
-    parity_bad = [e for e, _ in form.items() if any(x % 2 for x in e)]
+    parity_bad = sorted(e for e in form.nums if any(map(_odd, e)))
     rep.add(
         f"parity-({g},{branches})",
         not parity_bad,
         "" if not parity_bad else f"odd exponents at {parity_bad[0]}",
     )
-    depth_bad = [e for e, _ in form.items() if any(x < -p for x in e)]
+    depth_bad = sorted(e for e in form.nums if min(e) < -p)
     rep.add(
         f"pole-bound-({g},{branches})",
         not depth_bad,

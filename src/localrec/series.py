@@ -31,17 +31,26 @@ direction; ``lo = -INF``: no support bound).  Bound sums saturate at +-INF,
 an exact factor spreads no unknown coefficient (its term of the hi rule is
 INF), and ``INF + -INF`` is refused.
 
-Products and sums run on integers: the coefficients of each factor (or of
-all summands) are put over one common denominator
-(:func:`common_denominator`), the numerators are multiplied and summed as
-integers, and each output term builds one Fraction.  A branch residue reads
-only the ``v**-1`` slice of an integrand, so :func:`residue_of_product`
-gives ``(a * b).residue_half_loop(v)`` without forming ``a * b``: under the
-product's windows and degrees it pairs each term of ``a`` only with the terms
-of ``b`` that land on ``v**-1``.  It checks single valuedness on the factors
-(each of definite reflection parity in ``v``, the parities summing to odd),
-which implies the residue's check on every product term;
-:meth:`MultiForm.residue_half_loop` is the case of a constant second factor.
+Stored representation: a form holds integer numerators ``nums`` (exponent
+tuple -> nonzero int) over one denominator ``den > 0``, kept canonical with
+``gcd(den, *nums) == 1``, so equal forms have equal ``(den, nums)``; this is
+the layout of FLINT's ``fmpq_poly``.  Every operation runs on the integers:
+a product multiplies numerators over ``da * db``, a sum scales each
+summand's numerators to the lcm of the denominators, and a comparison
+checks ``a * db == b * da``.  One builder (:meth:`MultiForm.from_numerators`,
+which the public constructor calls too) drops zero terms, checks every term
+against the window and divides out the gcd.  Rationals appear only at the
+edges: :attr:`MultiForm.coeffs`, :meth:`MultiForm.coefficient` and
+:meth:`MultiForm.items` give reduced Fractions, built on each access.
+
+A branch residue reads only the ``v**-1`` slice of an integrand, so
+:func:`residue_of_product` gives ``(a * b).residue_half_loop(v)`` without
+forming ``a * b``: under the product's windows and degrees it pairs each
+term of ``a`` only with the terms of ``b`` that land on ``v**-1``.  It checks
+single valuedness on the factors (each of definite reflection parity in
+``v``, the parities summing to odd), which implies the residue's check on
+every product term; :meth:`MultiForm.residue_half_loop` is the case of a
+constant second factor.
 
 All values are immutable after construction and all operations are pure, so
 forms may be shared freely across threads.
@@ -50,8 +59,9 @@ forms may be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, le
+from math import gcd, lcm
+from operator import add, itemgetter, le
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Rat = Fraction
@@ -130,15 +140,24 @@ def _product_window(la: int, ha: int, lb: int, hb: int) -> tuple[int, int]:
     )
 
 
-class MultiForm:
-    """Sparse Laurent form: exponent tuples -> rationals, plus degrees and windows.
+def _inside(e: tuple, lo: tuple, hi: tuple) -> bool:
+    return all(map(le, lo, e)) and all(map(le, e, hi))
 
-    Instances are immutable; arithmetic returns fresh objects.  Variables are
-    kept sorted by ``Var.key`` and exponent tuples follow that order, which makes
+
+class MultiForm:
+    """Sparse Laurent form: integer numerators over one denominator, plus
+    degrees and windows.
+
+    ``nums`` maps exponent tuples to nonzero integers and ``den`` is a
+    positive integer with ``gcd(den, *nums.values()) == 1``; the coefficient
+    at ``e`` is ``nums[e] / den``.  Equal forms therefore have equal
+    ``(den, nums)``, and ``==`` and ``hash`` compare integers.  Instances are
+    immutable; arithmetic returns fresh objects.  Variables are kept sorted
+    by ``Var.key`` and exponent tuples follow that order, which makes
     iteration (and serialized output) deterministic.
     """
 
-    __slots__ = ("vars", "degs", "lo", "hi", "coeffs")
+    __slots__ = ("vars", "degs", "lo", "hi", "nums", "den")
 
     def __init__(
         self,
@@ -148,38 +167,76 @@ class MultiForm:
         lo: Iterable[int],
         hi: Iterable[int],
     ):
-        vs = tuple(vars)
-        dg = tuple(degs)
-        lo_t = tuple(lo)
-        hi_t = tuple(hi)
-        if not (len(vs) == len(dg) == len(lo_t) == len(hi_t)):
+        rats = {
+            tuple(e): c if isinstance(c, (int, Fraction)) else Rat(c)
+            for e, c in coeffs.items()
+        }
+        den = lcm(*(c.denominator for c in rats.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in rats.items()}
+        self._assign(tuple(vars), tuple(degs), nums, den, tuple(lo), tuple(hi))
+
+    @classmethod
+    def from_numerators(
+        cls,
+        vars: Iterable[Var],
+        degs: Iterable[int],
+        nums: Mapping[tuple, int],
+        den: int,
+        lo: Iterable[int],
+        hi: Iterable[int],
+    ) -> "MultiForm":
+        """The form with coefficients ``nums[e] / den``.
+
+        It runs every check of the constructor: the variables are sorted,
+        zero numerators dropped, each term checked against the window, and
+        the result reduced to the canonical form.
+        """
+        f = object.__new__(cls)
+        f._assign(tuple(vars), tuple(degs), nums, den, tuple(lo), tuple(hi))
+        return f
+
+    def _assign(self, vs, dg, nums, den, lo, hi) -> None:
+        """The one set of checks behind every form, and its canonical form."""
+        if not (len(vs) == len(dg) == len(lo) == len(hi)):
             raise DegreeError("vars, degs and windows must have equal length")
-        names = [v.name for v in vs]
-        if len(set(names)) != len(names):
-            raise DegreeError(f"duplicate variable names: {names}")
         order = sorted(range(len(vs)), key=lambda i: vs[i].key)
         if order == list(range(len(vs))):  # already sorted: no re-permutation
             order = None
-            self.vars, self.degs, self.lo, self.hi = vs, dg, lo_t, hi_t
         else:
-            self.vars = tuple(vs[i] for i in order)
-            self.degs = tuple(dg[i] for i in order)
-            self.lo = tuple(lo_t[i] for i in order)
-            self.hi = tuple(hi_t[i] for i in order)
-        for d in self.degs:
+            vs = tuple(vs[i] for i in order)
+            dg = tuple(dg[i] for i in order)
+            lo = tuple(lo[i] for i in order)
+            hi = tuple(hi[i] for i in order)
+        for v, w in zip(vs, vs[1:]):
+            if v.name == w.name:
+                raise DegreeError(f"duplicate variable names: {[v.name for v in vs]}")
+        for d in dg:
             if d < -1 or d > 2:
                 raise DegreeError(f"form degree {d} outside [-1, 2]")
-        clean: dict[tuple, Rat] = {}
-        for exps, c in coeffs.items():
-            if type(c) is not Fraction:
-                c = Rat(c)
-            if c == 0:
-                continue
-            e = tuple(exps) if order is None else tuple(exps[i] for i in order)
-            if not (all(map(le, self.lo, e)) and all(map(le, e, self.hi))):
+        if den <= 0:
+            raise SeriesError(f"denominator {den} is not positive")
+        if order is None:
+            clean = {e: c for e, c in nums.items() if c}
+        else:
+            permute = itemgetter(*order)
+            clean = {permute(e): c for e, c in nums.items() if c}
+        # every term inside the window, checked one variable at a time
+        for col, l, h in zip(zip(*clean), lo, hi):
+            if min(col) < l or max(col) > h:
+                e = min(e for e in clean if not _inside(e, lo, hi))
                 raise WindowError(f"exponent {e} outside window")
-            clean[e] = c
-        self.coeffs = clean
+        g = gcd(den, *clean.values())
+        if g != 1:
+            den //= g
+            clean = {e: c // g for e, c in clean.items()}
+        self.vars, self.degs, self.lo, self.hi = vs, dg, lo, hi
+        self.nums, self.den = clean, den
+
+    def _over(self, nums: Mapping[tuple, int], den: int, hi=None) -> "MultiForm":
+        """``nums / den`` over this form's variables, degrees and windows."""
+        return MultiForm.from_numerators(
+            self.vars, self.degs, nums, den, self.lo, self.hi if hi is None else hi
+        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -193,6 +250,12 @@ class MultiForm:
         """The support bound in ``v``."""
         return self.lo[self.index_of(v)]
 
+    @property
+    def coeffs(self) -> Mapping[tuple, Rat]:
+        """Read-only map of the stored terms to reduced Fractions."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
+
     def coefficient(self, exps: tuple) -> Rat:
         """Certified coefficient at an exponent tuple (0 if absent)."""
         if len(exps) != len(self.vars):
@@ -200,18 +263,19 @@ class MultiForm:
         for x, h in zip(exps, self.hi):
             if x > h:
                 raise WindowError(f"coefficient at {exps} not certified")
-        return self.coeffs.get(tuple(exps), Rat(0))
+        return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def items(self):
         """Deterministic (exponents, coefficient) iteration."""
-        return sorted(self.coeffs.items())
+        den = self.den
+        return [(e, Fraction(c, den)) for e, c in sorted(self.nums.items())]
 
     def __repr__(self) -> str:
         names = ",".join(f"{v.name}@{v.branch}" for v in self.vars)
-        return f"MultiForm({names}; degs={self.degs}; {len(self.coeffs)} terms)"
+        return f"MultiForm({names}; degs={self.degs}; {len(self.nums)} terms)"
 
     def __eq__(self, other) -> bool:
         return (
@@ -220,18 +284,18 @@ class MultiForm:
             and self.degs == other.degs
             and self.lo == other.lo
             and self.hi == other.hi
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.vars, self.degs, self.lo, self.hi, tuple(self.items())))
+        terms = frozenset(self.nums.items())
+        return hash((self.vars, self.degs, self.lo, self.hi, self.den, terms))
 
     # -- ring operations --------------------------------------------------
 
     def __neg__(self) -> "MultiForm":
-        return MultiForm(
-            self.vars, self.degs, {e: -c for e, c in self.coeffs.items()}, self.lo, self.hi
-        )
+        return self._over({e: -c for e, c in self.nums.items()}, self.den)
 
     def __add__(self, other: "MultiForm") -> "MultiForm":
         if not isinstance(other, MultiForm):
@@ -243,9 +307,9 @@ class MultiForm:
 
     def scale(self, c: Rat | int) -> "MultiForm":
         c = Rat(c)
-        return MultiForm(
-            self.vars, self.degs, {e: c * v for e, v in self.coeffs.items()}, self.lo, self.hi
-        )
+        p = c.numerator
+        nums = {e: p * v for e, v in self.nums.items()}
+        return self._over(nums, self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -269,10 +333,9 @@ class MultiForm:
         """
         i = self.index_of(v)
         d = self.degs[i]
-        out = {}
-        for e, c in self.coeffs.items():
-            out[e] = -c if (e[i] + d) % 2 else c
-        return MultiForm(self.vars, self.degs, out, self.lo, self.hi)
+        return self._over(
+            {e: -c if (e[i] + d) % 2 else c for e, c in self.nums.items()}, self.den
+        )
 
     def check_definite_parity(self, v: Var) -> int | None:
         """The parity of the exponent in ``v`` that every stored term shares.
@@ -283,7 +346,7 @@ class MultiForm:
         """
         i = self.index_of(v)
         first = None
-        for e in self.coeffs:
+        for e in self.nums:
             if first is None:
                 first = e
             elif (e[i] - first[i]) % 2:
@@ -313,19 +376,18 @@ class MultiForm:
             return self
         hi = list(self.hi)
         hi[i] = new_hi
-        out = {e: c for e, c in self.coeffs.items() if e[i] <= new_hi}
-        return MultiForm(self.vars, self.degs, out, self.lo, tuple(hi))
+        nums = {e: c for e, c in self.nums.items() if e[i] <= new_hi}
+        return self._over(nums, self.den, hi)
 
     def rename(self, mapping: Mapping[str, Var]) -> "MultiForm":
         """Rename (and possibly re-brand) variables; exponents follow along."""
-        new_vars = tuple(mapping.get(v.name, v) for v in self.vars)
-        perm = sorted(range(len(new_vars)), key=lambda i: new_vars[i].key)
-        return MultiForm(
-            tuple(new_vars[i] for i in perm),
-            tuple(self.degs[i] for i in perm),
-            {tuple(e[i] for i in perm): c for e, c in self.coeffs.items()},
-            tuple(self.lo[i] for i in perm),
-            tuple(self.hi[i] for i in perm),
+        return MultiForm.from_numerators(
+            (mapping.get(v.name, v) for v in self.vars),
+            self.degs,
+            self.nums,
+            self.den,
+            self.lo,
+            self.hi,
         )
 
     def merge_diagonal(self, v1: Var, v2: Var, target: Var) -> "MultiForm":
@@ -343,22 +405,23 @@ class MultiForm:
         lo_m, hi_m = _product_window(self.lo[i1], self.hi[i1], self.lo[i2], self.hi[i2])
         lo = tuple(self.lo[j] for j in keep) + (lo_m,)
         hi = tuple(self.hi[j] for j in keep) + (hi_m,)
-        out: dict[tuple, Rat] = {}
-        top = hi[-1]
-        for e, c in self.coeffs.items():
+        out: dict[tuple, int] = {}
+        get = out.get
+        for e, c in self.nums.items():
             m = e[i1] + e[i2]
-            if m > top:
+            if m > hi_m:
                 continue
             key = tuple(e[j] for j in keep) + (m,)
-            out[key] = out.get(key, Rat(0)) + c
-        return MultiForm(new_vars, new_degs, out, lo, hi)
+            out[key] = get(key, 0) + c
+        return MultiForm.from_numerators(new_vars, new_degs, out, self.den, lo, hi)
 
 
 def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
     """The sum of one or more forms, in a single pass.
 
     Equal to the left fold of ``+``: ``lo = min`` and ``hi = min`` over all
-    summands, and a term counts only where every summand is certified.
+    summands, and a term counts only where every summand is certified.  The
+    numerators are summed over the lcm of the summands' denominators.
     """
     forms = list(forms)
     if not forms:
@@ -369,16 +432,16 @@ def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
             raise DegreeError("sum requires identical variables and degrees")
     lo = tuple(map(min, zip(*(f.lo for f in forms))))
     hi = tuple(map(min, zip(*(f.hi for f in forms))))
-    den = lcm(*(c.denominator for f in forms for c in f.coeffs.values()))
+    den = lcm(*(f.den for f in forms))
     out: dict[tuple, int] = {}
     get = out.get
     for f in forms:
+        m = den // f.den
         inside = f.hi == hi  # every stored term lies inside the common window
-        for e, c in f.coeffs.items():
+        for e, c in f.nums.items():
             if inside or all(map(le, e, hi)):
-                out[e] = get(e, 0) + c.numerator * (den // c.denominator)
-    coeffs = {e: Fraction(c, den) for e, c in out.items() if c}
-    return MultiForm(first.vars, first.degs, coeffs, lo, hi)
+                out[e] = get(e, 0) + c * m
+    return MultiForm.from_numerators(first.vars, first.degs, out, den, lo, hi)
 
 
 def capped_product(a: MultiForm, b: MultiForm, v: Var, top: int) -> MultiForm:
@@ -438,36 +501,31 @@ def _product_frame(a: MultiForm, b: MultiForm):
     return vs, pa, pb, degs, tuple(w[0] for w in windows), tuple(w[1] for w in windows)
 
 
-def _lifted_terms(f: MultiForm, pos) -> tuple[int, list[tuple[tuple, int]]]:
-    """``f``'s common denominator, and its terms as (exponents at the slots
-    ``pos``, integer numerator); a slot of None holds exponent 0."""
-    den, numerators = common_denominator(f.coeffs)
+def _lifted_terms(f: MultiForm, pos):
+    """``f``'s terms as (exponents at the slots ``pos``, numerator); a slot
+    of None holds exponent 0."""
     if pos == list(range(len(f.vars))):
-        return den, list(numerators.items())
-    return den, [
-        (tuple(e[p] if p is not None else 0 for p in pos), c)
-        for e, c in numerators.items()
+        return f.nums.items()
+    return [
+        (tuple(e[p] if p is not None else 0 for p in pos), c) for e, c in f.nums.items()
     ]
 
 
 def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
     """Cauchy product with window propagation (rule in the module docstring).
 
-    Numerators are multiplied and summed as integers over the factors'
-    common denominators; each output term builds one Fraction.
+    Numerators are multiplied and summed as integers over ``a.den * b.den``.
     """
     vs, pa, pb, degs, lo, hi = _product_frame(a, b)
-    da, as_ = _lifted_terms(a, pa)
-    db, bs = _lifted_terms(b, pb)
+    bs = _lifted_terms(b, pb)
     out: dict[tuple, int] = {}
     get = out.get
-    for ea, ca in as_:
+    for ea, ca in _lifted_terms(a, pa):
         for eb, cb in bs:
             e = tuple(map(add, ea, eb))
             if all(map(le, e, hi)):
                 out[e] = get(e, 0) + ca * cb
-    den = da * db
-    return MultiForm(vs, degs, {e: Fraction(c, den) for e, c in out.items() if c}, lo, hi)
+    return MultiForm.from_numerators(vs, degs, out, a.den * b.den, lo, hi)
 
 
 def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
@@ -476,12 +534,13 @@ def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
     The variables, degrees and windows are those of ``a * b`` (the same
     helper), and the residue's degree and window rules are checked on them.
     ``b``'s terms are grouped by their exponent in ``v``, and each term of
-    ``a`` meets only the group at ``-1`` minus its own exponent; the products
-    are summed as integers over the factors' common denominators.  Single
-    valuedness is checked on the factors: each must have a definite
-    reflection parity in ``v`` (a factor without ``v`` is even), and the two
-    parities must sum to odd.  Then every product term is odd in ``v``, which
-    is what :meth:`MultiForm.residue_half_loop` requires of them.
+    ``a`` meets only the group at ``-1`` minus its own exponent; the
+    numerators are multiplied and summed as integers over
+    ``2 * a.den * b.den``.  Single valuedness is checked on the factors: each
+    must have a definite reflection parity in ``v`` (a factor without ``v``
+    is even), and the two parities must sum to odd.  Then every product term
+    is odd in ``v``, which is what :meth:`MultiForm.residue_half_loop`
+    requires of them.
     """
     vs, pa, pb, degs, lo, hi = _product_frame(a, b)
     if v not in vs:
@@ -496,7 +555,7 @@ def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
     parities = [
         0 if p is None else f.check_definite_parity(v)
         for f, p in ((a, pa[i]), (b, pb[i]))
-        if f.coeffs
+        if f.nums
     ]
     if len(parities) == 2 and sum(parities) % 2 == 0:
         raise MonodromyError(
@@ -505,24 +564,22 @@ def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
         )
     keep = [j for j in range(len(vs)) if j != i]
     hi_k = tuple(hi[j] for j in keep)
-    da, as_ = _lifted_terms(a, [pa[i]] + [pa[j] for j in keep])
-    db, bs = _lifted_terms(b, [pb[i]] + [pb[j] for j in keep])
     groups: dict[int, list] = {}
-    for e, c in bs:
+    for e, c in _lifted_terms(b, [pb[i]] + [pb[j] for j in keep]):
         groups.setdefault(e[0], []).append((e[1:], c))
     out: dict[tuple, int] = {}
     get = out.get
-    for ea, ca in as_:
+    for ea, ca in _lifted_terms(a, [pa[i]] + [pa[j] for j in keep]):
         rest = ea[1:]
         for eb, cb in groups.get(-1 - ea[0], ()):
             e = tuple(map(add, rest, eb))
             if all(map(le, e, hi_k)):
                 out[e] = get(e, 0) + ca * cb
-    den = 2 * da * db
-    return MultiForm(
+    return MultiForm.from_numerators(
         tuple(vs[j] for j in keep),
         tuple(degs[j] for j in keep),
-        {e: Fraction(c, den) for e, c in out.items() if c},
+        out,
+        2 * a.den * b.den,
         tuple(lo[j] for j in keep),
         hi_k,
     )
@@ -591,8 +648,9 @@ def invert(f: MultiForm, v: Var, order: int | None = None) -> MultiForm:
         raise DegreeError("invert expects a form in exactly the given variable")
     if f.is_zero():
         raise SeriesError("cannot invert the zero series")
-    val = min(e[0] for e in f.coeffs)
-    lead = f.coeffs[(val,)]
+    coeffs = f.coeffs
+    val = min(e[0] for e in coeffs)
+    lead = coeffs[(val,)]
     max_order = f.hi[0] - val if f.hi[0] < INF else None
     if order is None:
         if max_order is None:
@@ -606,7 +664,7 @@ def invert(f: MultiForm, v: Var, order: int | None = None) -> MultiForm:
     for t in range(1, order + 1):
         acc = Rat(0)
         for i in range(1, t + 1):
-            ci = f.coeffs.get((val + i,))
+            ci = coeffs.get((val + i,))
             if ci:
                 gj = g.get(-val + t - i)
                 if gj:
@@ -620,17 +678,22 @@ def invert(f: MultiForm, v: Var, order: int | None = None) -> MultiForm:
 def agreement_mismatch(a: MultiForm, b: MultiForm):
     """First disagreement of two forms on their common certified window.
 
-    Returns None when they agree, else ``(exponents, value_a, value_b)``.
-    Variables and degrees must match; windows may differ.
+    Returns None when they agree, else ``(exponents, value_a, value_b)`` for
+    the lexicographically first differing exponent tuple, with both values
+    as reduced Fractions.  The numerators are compared crosswise
+    (``a * b.den`` against ``b * a.den``).  Variables and degrees must match;
+    windows may differ.
     """
     if a.vars != b.vars or a.degs != b.degs:
         raise DegreeError("cannot compare forms over different variables/degrees")
-    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
-    keys = set(a.coeffs) | set(b.coeffs)
-    for e in sorted(keys):
-        if all(x <= h for x, h in zip(e, hi)):
-            va = a.coeffs.get(e, Rat(0))
-            vb = b.coeffs.get(e, Rat(0))
-            if va != vb:
-                return e, va, vb
-    return None
+    hi = tuple(map(min, a.hi, b.hi))
+    na, nb, da, db = a.nums, b.nums, a.den, b.den
+    bad = [
+        e
+        for e in na.keys() | nb.keys()
+        if na.get(e, 0) * db != nb.get(e, 0) * da and all(map(le, e, hi))
+    ]
+    if not bad:
+        return None
+    e = min(bad)
+    return e, Fraction(na.get(e, 0), da), Fraction(nb.get(e, 0), db)

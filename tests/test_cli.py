@@ -436,3 +436,22 @@ def test_fuzzed_config_exits_with_one_line(cfg, argv):
         text = err.getvalue()
         assert text.count("\n") == 1 and text.endswith("\n"), text
         assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_one_line_error_before_any_table(
+    tmp_path, capsys, monkeypatch, where
+):
+    from localrec import cli
+
+    def no_table(self):
+        raise AssertionError("a table was built before the output path was checked")
+
+    monkeypatch.setattr(cli.RunConfig, "table", no_table)
+    path = write_config(tmp_path, airy_config())
+    out = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+    assert main(["correlators", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "no").exists()

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -503,3 +504,123 @@ def test_window_sentinels_saturate_both_ways():
     assert (unbounded * F(S, {0: 1}, hi=4)).hi == (-INF,)  # certified nowhere
     with pytest.raises(SeriesError):
         MultiForm((S,), (0,), {}, (INF,), (INF,)) * unbounded
+
+
+def _assert_canonical(f):
+    """Integer numerators over one positive denominator, gcd 1, read-only view."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c != 0 for c in f.nums.values())
+    assert gcd(f.den, *f.nums.values()) == 1
+    assert f.coeffs == {e: Fraction(c, f.den) for e, c in f.nums.items()}
+    with pytest.raises(TypeError):
+        f.coeffs[next(iter(f.nums), (0,) * len(f.vars))] = Fraction(1)
+
+
+def _assert_eq_and_hash_follow_the_values(f, g):
+    frame = (f.vars, f.degs, f.lo, f.hi) == (g.vars, g.degs, g.lo, g.hi)
+    same = frame and dict(f.coeffs) == dict(g.coeffs)
+    assert (f == g) == same
+    if same:
+        assert hash(f) == hash(g) and (f.den, f.nums) == (g.den, g.nums)
+
+
+@given(
+    summands(),
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 3), Fraction(-7, 6), Fraction(10, 4)]),
+)
+@settings(max_examples=120, deadline=None)
+def test_every_operation_keeps_the_canonical_representation(forms, c):
+    a = forms[0]
+    t = Var("t", 1)
+    results = [
+        *forms,
+        sum_forms(forms),
+        reduce(lambda x, y: x + y, forms),
+        a.scale(c),
+        a.scale(c).scale(3),
+        -a,
+        a * laurent(S, {-1: Fraction(1, 6), 1: c}),
+        a.reflect(S),
+        a.cap_hi(S, 1),
+        a.rename({"r": Var("x", 2)}),
+        MultiForm(a.vars, a.degs, a.coeffs, a.lo, a.hi),
+    ]
+    if -1 <= sum(a.degs) <= 2:
+        results.append(a.merge_diagonal(R, S, t))
+    for f in results:
+        _assert_canonical(f)
+    for f in results:
+        for g in results:
+            _assert_eq_and_hash_follow_the_values(f, g)
+
+
+@given(residue_factors())
+@settings(max_examples=100, deadline=None)
+def test_residue_of_product_keeps_the_canonical_representation(factors):
+    a, b = factors
+    try:
+        got = residue_of_product(a, b, S)
+    except WindowError:
+        return
+    _assert_canonical(got)
+    same = MultiForm(got.vars, got.degs, dict(got.coeffs), got.lo, got.hi)
+    _assert_eq_and_hash_follow_the_values(got, same)
+    _assert_eq_and_hash_follow_the_values(got, got.scale(2))
+
+
+def test_init_puts_mixed_input_over_the_least_denominator():
+    coeffs = {(0,): Fraction(3, 4), (1,): 2, (2,): Fraction(-5, 6)}
+    f = MultiForm((S,), (0,), coeffs, (0,), (4,))
+    assert f.den == 12 and f.nums == {(0,): 9, (1,): 24, (2,): -10}
+    g = MultiForm.from_numerators((S,), (0,), {(0,): 4, (1,): 0, (2,): -6}, 8, (0,), (4,))
+    assert g.den == 4 and g.nums == {(0,): 2, (2,): -3}
+    assert g == F(S, {0: Fraction(1, 2), 2: Fraction(-3, 4)}, lo=0, hi=4)
+    with pytest.raises(WindowError):
+        MultiForm.from_numerators((S,), (0,), {(5,): 1}, 2, (0,), (4,))
+    with pytest.raises(SeriesError):
+        MultiForm.from_numerators((S,), (0,), {(1,): 1}, 0, (0,), (4,))
+
+
+def _mismatch_reference(a, b):
+    """The first disagreement on the common window, read off Fraction maps."""
+    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
+    ca, cb = dict(a.coeffs), dict(b.coeffs)
+    for e in sorted(set(ca) | set(cb)):
+        if all(x <= h for x, h in zip(e, hi)):
+            va, vb = ca.get(e, Fraction(0)), cb.get(e, Fraction(0))
+            if va != vb:
+                return e, va, vb
+    return None
+
+
+@st.composite
+def compared_forms(draw):
+    """Two forms in (r, s) with equal degrees, unequal windows and different
+    denominators, built from one set of terms so that they agree often."""
+    degs = (draw(st.integers(-1, 2)), draw(st.integers(-1, 2)))
+    dens = st.sampled_from([1, 2, 3, 4, 6, 9, 35])
+    rats = st.builds(Fraction, st.integers(-6, 6), dens)
+    exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    base = draw(st.dictionaries(exps, rats, max_size=8))
+
+    def one():
+        hi = tuple(draw(st.sampled_from([INF, *range(-3, 4)])) for _ in range(2))
+        terms = dict(base)
+        for e in draw(st.lists(exps, max_size=4)):
+            terms[e] = draw(rats)  # a changed, added or dropped term
+        terms = {e: c for e, c in terms.items() if all(x <= h for x, h in zip(e, hi))}
+        return MultiForm((R, S), degs, terms, (-3, -3), hi)
+
+    return one(), one()
+
+
+@given(compared_forms())
+@settings(max_examples=300, deadline=None)
+def test_agreement_mismatch_is_the_first_fraction_mismatch(pair):
+    a, b = pair
+    got = agreement_mismatch(a, b)
+    assert got == _mismatch_reference(a, b)
+    if got is not None:
+        assert type(got[1]) is Fraction and type(got[2]) is Fraction
+    swapped = agreement_mismatch(b, a)
+    assert swapped == (None if got is None else (got[0], got[2], got[1]))
