@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation failure or an unwritable ``--out``,
 2 window exhaustion (message names the minimal sufficient truncation
 order), 3 internal consistency failure; a failing run writes one line to
-stderr.  All runs are deterministic given the config file and seed; output
-bytes are canonical JSON.
+stderr.  ``EXIT_TABLE`` maps every exception class a command can end with to
+its exit code and the prefix of that line.  All runs are deterministic given
+the config file and seed; output bytes are canonical JSON.
 """
 
 from __future__ import annotations
@@ -55,12 +56,27 @@ from .serialize import (
     rmatrix_from_json,
     vector_from_json,
 )
-from .series import MonodromyError, SeriesError, Var, WindowError
+from .series import DegreeError, MonodromyError, SeriesError, Var, WindowError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_WINDOW = 2
 EXIT_INCONSISTENT = 3
+
+# What a command run ends with, per exception class: (exit code, stderr
+# prefix).  An exception takes the entry of the first class in its MRO.
+EXIT_TABLE = {
+    TruncationOrderError: (EXIT_WINDOW, "window exhausted"),
+    WindowError: (EXIT_WINDOW, "window exhausted"),
+    ConsistencyError: (EXIT_INCONSISTENT, "internal consistency failure"),
+    RouteDisagreement: (EXIT_INCONSISTENT, "internal consistency failure"),
+    MonodromyError: (EXIT_INCONSISTENT, "internal consistency failure"),
+    DegreeError: (EXIT_INCONSISTENT, "series failure"),
+    DegenerateDatum: (EXIT_INCONSISTENT, "series failure"),
+    SeriesError: (EXIT_INCONSISTENT, "series failure"),
+    DatumError: (EXIT_VALIDATION, "invalid datum"),
+    OSError: (EXIT_VALIDATION, "output error"),  # from _check_out, or a failed write
+}
 
 
 class RunConfig:
@@ -322,24 +338,13 @@ def main(argv=None) -> int:
             return cmd_check(cfg, args.out)
         if args.command == "random-r":
             return cmd_random_r(cfg, args.out)
-    except (TruncationOrderError, WindowError) as exc:
+    except tuple(EXIT_TABLE) as exc:
+        code, prefix = next(EXIT_TABLE[c] for c in type(exc).__mro__ if c in EXIT_TABLE)
         hint = ""
         if isinstance(exc, TruncationOrderError) and exc.min_order is not None:
             hint = f" (minimal sufficient truncation order: {exc.min_order})"
-        sys.stderr.write(f"window exhausted: {exc}{hint}\n")
-        return EXIT_WINDOW
-    except (ConsistencyError, RouteDisagreement, MonodromyError) as exc:
-        sys.stderr.write(f"internal consistency failure: {exc}\n")
-        return EXIT_INCONSISTENT
-    except DatumError as exc:
-        sys.stderr.write(f"invalid datum: {exc}\n")
-        return EXIT_VALIDATION
-    except SeriesError as exc:
-        sys.stderr.write(f"series failure: {exc}\n")
-        return EXIT_INCONSISTENT
-    except OSError as exc:  # from _check_out, or a write that failed after it
-        sys.stderr.write(f"output error: {exc}\n")
-        return EXIT_VALIDATION
+        sys.stderr.write(f"{prefix}: {exc}{hint}\n")
+        return code
     raise AssertionError("unreachable")
 
 

@@ -32,11 +32,13 @@ the kernel, the weights) for a definite reflection parity on its full
 window, and by ``_finalize``, which checks every entry.
 
 Window budgeting: before a truncated-R computation starts, the same code is
-dry-run against a zero-dressed R of equal order (windows depend only on the
-truncation order and the combination pattern, never on coefficient values),
-which gives a faithful fail-fast check and a minimal sufficient order to
-report.  The dry runs share one shadow table per truncation order through the
-context memo, so every entry planned later reuses the lower entries already
+dry-run against a zero-dressed R (windows depend only on the truncation order
+and the combination pattern, never on coefficient values), which gives a
+faithful fail-fast check.  The plan dry-runs the table's own order first; when
+that certifies the entry, nothing else is tried.  Only when it fails are the
+orders from 0 upward searched, for the minimal sufficient order to report.
+The dry runs share one shadow table per truncation order through the context
+memo, so every entry planned later reuses the lower entries already
 certified.  Exact R data have unbounded windows and skip the plan.
 
 The table is a logical map with idempotent insertion.
@@ -114,6 +116,11 @@ def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     return residue_of_product(w, sum_forms(build(ycap) for _, build in pieces), y)
 
 
+def _table_budget(bound: int, min_budget: int) -> int:
+    """The window budget of a table: the deepest pole bound, or more on request."""
+    return max(max(pole_bound(g, n) for g, n in stable_entries(bound)), min_budget)
+
+
 def stable_entries(bound: int) -> list[tuple[int, int]]:
     """All stable (g, n) with 2g - 2 + n <= bound, ordered by complexity."""
     out = []
@@ -136,10 +143,7 @@ class OmegaTable:
     _store: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.budget = max(
-            max(pole_bound(g, n) for g, n in stable_entries(self.bound)),
-            self.min_budget,
-        )
+        self.budget = _table_budget(self.bound, self.min_budget)
 
     def hi_target(self, g: int, n: int) -> int:
         # entries feeding later loop terms need headroom above the pole part
@@ -284,11 +288,13 @@ class OmegaTable:
     # -- window planning ------------------------------------------------------
 
     def required_order(self, g: int, n: int) -> int:
-        """Minimal truncation order that certifies the (g, n) entries.
+        """A truncation order that certifies the (g, n) entries, for the plan.
 
-        Determined by dry-running this very code against a zero-dressed R of
-        increasing order: the windows depend only on the truncation order and
-        the assembly pattern, so the dry run is faithful by construction.
+        Determined by dry-running this very code against a zero-dressed R: the
+        windows depend only on the truncation order and the assembly pattern,
+        so the dry run is faithful by construction.  When the table's own
+        order certifies the entries, that order is returned and no other is
+        tried; otherwise the result is the minimal order that certifies them.
         """
         return self.ctx.memo(_required_order, g, n, self.bound, self.min_budget)
 
@@ -312,14 +318,20 @@ def _shadow_table(
 def _required_order(
     ctx: FormContext, g: int, n: int, bound: int, min_budget: int
 ) -> int:
-    # every shadow table has the budget of the table being planned
-    limit = 2 * ctx.memo(_shadow_table, 0, bound, min_budget).budget + 8
-    for order in range(limit):
+    def certifies(order: int) -> bool:
         try:
             ctx.memo(_shadow_table, order, bound, min_budget).omega(g, (1,) * n)
         except SeriesError:
-            continue
-        return order
+            return False
+        return True
+
+    own = ctx.r.order
+    if certifies(own):
+        return own
+    limit = 2 * _table_budget(bound, min_budget) + 8
+    for order in range(limit):
+        if order != own and certifies(order):
+            return order
     raise TruncationOrderError(f"no truncation order up to {limit} certifies ({g},{n})")
 
 

@@ -180,7 +180,54 @@ def test_window_exhaustion_exit_code(tmp_path, capsys):
     code = main(["correlators", "--config", path])
     assert code == 2
     err = capsys.readouterr().err
-    assert "minimal sufficient truncation order" in err
+    assert err == (
+        "window exhausted: entry (0,(1, 1, 1)) needs truncation order 6, have 1"
+        " (minimal sufficient truncation order: 6)\n"
+    )
+
+
+# the exit code each exception class documents (module docstring of cli:
+# 1 validation, 2 window exhaustion, 3 internal failure) and its stderr prefix
+DOCUMENTED_EXIT = {
+    "DatumError": (1, "invalid datum"),
+    "TruncationOrderError": (2, "window exhausted"),
+    "WindowError": (2, "window exhausted"),
+    "ConsistencyError": (3, "internal consistency failure"),
+    "RouteDisagreement": (3, "internal consistency failure"),
+    "MonodromyError": (3, "internal consistency failure"),
+    "DegreeError": (3, "series failure"),
+    "DegenerateDatum": (3, "series failure"),
+    "SeriesError": (3, "series failure"),
+}
+
+
+def _localrec_exceptions():
+    from localrec.frobenius import DatumError
+    from localrec.series import SeriesError
+
+    found, todo = [DatumError], [SeriesError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("localrec."):
+            found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+@pytest.mark.parametrize("cls", _localrec_exceptions(), ids=lambda c: c.__name__)
+def test_every_exception_class_has_its_documented_exit(tmp_path, capsys, monkeypatch, cls):
+    import localrec.cli as cli
+
+    code, prefix = DOCUMENTED_EXIT[cls.__name__]
+    assert cli.EXIT_TABLE[cls] == (code, prefix)
+
+    def fail(cfg, out):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    path = write_config(tmp_path, airy_config())
+    assert main(["validate", "--config", path]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_random_r_seed_flag_and_determinism(tmp_path):

@@ -153,6 +153,35 @@ def test_window_plan_builds_one_shadow_table_per_order(monkeypatch):
     assert sorted(built) == list(range(max(needs.values()) + 1))
 
 
+PLAN_NEED = 6  # minimal order certifying (1, 2) on decoupled N=2, bound 2
+
+
+@pytest.mark.parametrize("order", range(PLAN_NEED + 2))
+def test_window_plan_tries_own_order_first(monkeypatch, order):
+    import localrec.recursion as recursion
+
+    built = []
+
+    class CountingContext(FormContext):
+        def __post_init__(self):
+            built.append(self.r.order)
+            super().__post_init__()
+
+    t = OmegaTable(
+        FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, order, 5)), bound=2
+    )
+    monkeypatch.setattr(recursion, "FormContext", CountingContext)
+    if order < PLAN_NEED:
+        with pytest.raises(TruncationOrderError) as e:
+            t.omega(1, (1, 2))
+        assert e.value.min_order == PLAN_NEED
+        return
+    t.omega(1, (1, 2))
+    assert t.required_order(1, 2) == order
+    # a sufficient order is certified by its own shadow table alone
+    assert built == [order]
+
+
 def test_window_plan_sufficient_order_succeeds():
     probe = OmegaTable(
         FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 0, 5)), bound=2
