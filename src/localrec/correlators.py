@@ -20,6 +20,13 @@ solve is deliberately overdetermined: afterwards the tensor is contracted
 against the full weight series, and the result must reproduce every
 certified coefficient of every branch tuple.
 
+The residual is formed at the sorted branch tuples only.  Every ordered
+tuple ``jv`` is a slot permutation of its sorted one: ``omega[jv]`` is the
+stored entry renamed, the tensor holds every slot order of each value, and
+the weight series and their windows depend on the slot's branch alone.  So
+the residual at ``jv`` is the residual at ``sorted(jv)`` with its slots
+permuted, and the sorted tuples check every certified coefficient.
+
 The quadratic-constraint checker reassembles its residue weight directly from
 period pairings (sharing no code with the engine's kernel object) and
 compares against the correlator-level left side.
@@ -242,7 +249,8 @@ def extract_correlators(
                 tensor[idx] = val
 
     # overdetermined residual: every certified coefficient of every branch
-    # tuple must be explained.  The window of the reassembly is the usual sum
+    # tuple must be explained, which the sorted branch tuples already show
+    # (see the module docstring).  The window of the reassembly is the usual sum
     # rule over all summands, computed first so the contraction can prune
     # outside it as it goes.  The contraction runs on integer numerators over
     # common denominators, which are divided out once per coefficient.
@@ -259,7 +267,7 @@ def extract_correlators(
             series[j, ka] = {e: c * m for (e,), c in w.nums.items() if e <= his[j]}
     scale = den * wden**n
 
-    for jv in jvecs:
+    for jv in combinations_with_replacement(flat, n):
         form = omegas[jv]
         coeffs = _mode_products(numerators, [lambda ka, j=j: series[j, ka] for j in jv])
         predicted = MultiForm.from_numerators(
@@ -389,6 +397,11 @@ def virasoro_check(
     conventions (negative-frequency pairing and the diagonal propagator).
     Both sides are Laurent series in the external variable; they must agree
     on the certified window, which must reach the full pole depth.
+
+    The ordered enumeration of splittings and loop legs is deliberate
+    redundancy.  The table builds one product per unordered splitting (the
+    twin rule in ``recursion``); this check builds every order, so it is the
+    independent route that would catch a wrong fold.
     """
     rep = Report()
     ins = tuple((int(k), int(a)) for k, a in insertions)

@@ -4,9 +4,19 @@ Entries are memoized under sorted branch tuples (the raw keyspace is
 factorially redundant by symmetry) and retrieved with the permutation applied
 on the fly.  Each stable entry ``omega_{g,n}`` is produced by summing, over
 the branch points, the half-loop residue of the kernel against a bracket made
-of one loop term and all ordered splittings, with the two coinciding-argument
+of one loop term and the splitting products, with the two coinciding-argument
 conventions hard-coded: a dropped one-point term and the stored diagonal
 propagator for the residue-variable pair.
+
+The twin rule: the splitting ``(g1, mask)`` and its twin ``(g - g1, ~mask)``
+give the same two factors in swapped order, so the bracket builds one product
+per unordered splitting, from the twin that sorts lower, and doubles it.  The
+doubling is exact.  Multiplication is commutative, the capped product caps
+each factor at ``ycap`` minus the *other* factor's support bound, and a
+piece's bound is ``lo(f1) + lo(f2)``.  So the doubled piece has the window
+and the coefficients of the two twins' sum, and the kernel depth and the cap
+(which depend only on the pieces' bounds) do not change.  The one splitting
+that is its own twin (``n = 1`` and ``g1 = g / 2``) is built once, undoubled.
 
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
@@ -196,7 +206,9 @@ class OmegaTable:
         The loop piece comes first: none in genus 0, P_0 in y for the (1, 1)
         entry, and otherwise the loop child in ``ya``, ``yb``, capped in each
         like a product and then merged onto y.  Then one product piece per
-        ordered splitting, each factor with a leg at y.
+        unordered splitting, each factor with a leg at y: the twin that sorts
+        lower stands for both, doubled (the twin rule in the module
+        docstring), and a self-paired splitting stands for itself.
         """
         n_rest = len(branches)
         pieces = []
@@ -213,8 +225,12 @@ class OmegaTable:
 
             pieces.append((la + lb, merged))
         positions = tuple(range(n_rest))
+        full = (1 << n_rest) - 1
         for g1 in range(0, g + 1):
             for mask in range(1 << n_rest):
+                twin = (g - g1, full ^ mask)
+                if twin < (g1, mask):
+                    continue  # the same product, counted by its twin
                 left = tuple(p for p in positions if mask >> p & 1)
                 right = tuple(p for p in positions if not mask >> p & 1)
                 # a dropped one-point leg kills the term; decide before
@@ -224,11 +240,14 @@ class OmegaTable:
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                pieces.append(product_piece(
+                lo, build = product_piece(
                     self._factor(g1, left, branches, xs, j, y),
                     self._factor(g - g1, right, branches, xs, j, y),
                     y,
-                ))
+                )
+                if twin != (g1, mask):
+                    build = lambda ycap, build=build: build(ycap).scale(2)
+                pieces.append((lo, build))
         return pieces
 
     def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:

@@ -265,3 +265,15 @@ def test_extraction_checks_keys_beyond_tameness():
     table._store[key] = _perturbed(table._store[key], (-2, -2, -4, -4))
     with pytest.raises(ConsistencyError, match="beyond the tameness bound"):
         extract_correlators(table, 0, 4)
+
+
+def test_extraction_residual_on_sorted_branch_tuples():
+    # (0,3) solves only at (-2,-2,-2), so exponent 0 in the branch-2 slot of
+    # the stored (1, 1, 2) entry is read by the residual alone
+    ctx = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 11))
+    table = OmegaTable(ctx, bound=2)
+    key = (0, (1, 1, 2))
+    table.omega(*key)
+    table._store[key] = _perturbed(table._store[key], (-2, -2, 0))
+    with pytest.raises(ConsistencyError, match="extraction residual"):
+        extract_correlators(table, 0, 3)

@@ -244,3 +244,39 @@ def test_bracket_of_indefinite_parity_is_caught():
     t._store[(0, (1, 1, 1))] = MultiForm(w.vars, w.degs, coeffs, w.lo, w.hi)
     with pytest.raises(MonodromyError, match="no definite reflection parity in y"):
         t.omega(0, (1, 1, 1, 1))
+
+
+def _unordered_splittings(g, n):
+    """Splittings of a (g, n) bracket up to the swap of its two factors."""
+    rest = n - 1
+    ordered = (g + 1) * 2**rest - 2  # less the two with a dropped one-point leg
+    self_paired = 1 if rest == 0 and g % 2 == 0 else 0
+    return (ordered + self_paired) // 2
+
+
+@pytest.mark.parametrize(
+    "ctx, key",
+    [
+        (FormContext(decoupled_datum([0, 1]), RMatrix.identity_r(2)), (1, (1, 1, 2))),
+        (FormContext(airy_datum(), RMatrix.identity_r(1)), (2, (1,))),
+    ],
+    ids=["mixed-N2", "self-paired-airy"],
+)
+def test_bracket_builds_one_product_per_unordered_splitting(monkeypatch, ctx, key):
+    import localrec.recursion as recursion
+
+    g, branches = key
+    t = OmegaTable(ctx, bound=2 * g - 2 + len(branches))
+    first = t.omega(*key)
+    del t._store[key]  # recompute this entry alone: its factors stay stored
+    calls = []
+    real = recursion.capped_product
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(recursion, "capped_product", counting)
+    assert t.omega(*key) == first
+    # one bracket per residue branch
+    assert len(calls) == ctx.data.n * _unordered_splittings(g, len(branches))
