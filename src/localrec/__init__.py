@@ -21,7 +21,6 @@ from .frobenius import (
     RMatrix,
     airy_datum,
     check_symplectic,
-    complete_r,
     compute_vkl,
     decoupled_datum,
     random_symplectic_r,
@@ -77,7 +76,6 @@ __all__ = [
     "a1_period",
     "airy_datum",
     "check_symplectic",
-    "complete_r",
     "compute_vkl",
     "decoupled_datum",
     "dvv_intersection",

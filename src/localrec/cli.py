@@ -26,7 +26,6 @@ from .frobenius import (
     DatumError,
     RMatrix,
     check_symplectic,
-    complete_r,
     random_symplectic_r,
     validate_canonical,
 )
@@ -54,7 +53,6 @@ from .serialize import (
     matrix_to_json,
     rat_to_str,
     rmatrix_from_json,
-    vector_from_json,
 )
 from .series import DegreeError, MonodromyError, SeriesError, Var, WindowError
 
@@ -85,32 +83,38 @@ class RunConfig:
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
         self.datum = datum_from_json(raw)
-        self.bound = int(raw.get("g_max_complexity", 4))
-        if self.bound < 1:
-            raise ValueError(f"g_max_complexity must be at least 1, got {self.bound}")
-        window = raw.get("window")
-        self.window = 0 if window is None else int(window)  # extra headroom
-        self.seed = seed_override if seed_override is not None else raw.get("seed", 0)
-        self.coeff_bound = int(raw.get("coeff_bound", 3))
-        self.order = int(raw.get("L", 0))
+        self.bound = self._int(raw, "g_max_complexity", 4, least=1)
+        self.window = self._int(raw, "window", 0, least=0)  # extra headroom
+        seed = self._int(raw, "seed", 0)
+        self.seed = seed_override if seed_override is not None else seed
+        self.coeff_bound = self._int(raw, "coeff_bound", 3, least=1)
+        self.order = self._int(raw, "L", 0, least=0)
         self.r = self._resolve_r(raw)
         self._ctx: FormContext | None = None
 
+    @staticmethod
+    def _int(raw: dict, key: str, default: int, least: int | None = None) -> int:
+        """``raw[key]`` as an integer of at least ``least``; missing or null is ``default``."""
+        value = raw.get(key)
+        if value is None:
+            return default
+        if type(value) is not int:  # refuses bool, float and str alike
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{key} must be at least {least}, got {value}")
+        return value
+
     def _resolve_r(self, raw) -> RMatrix:
         source = raw.get("R")
-        exact = bool(raw.get("R_exact", False))
+        exact = raw.get("R_exact", False)
+        if type(exact) is not bool:
+            raise ValueError(f"R_exact must be true or false, got {exact!r}")
         if source is None:
             return RMatrix.identity_r(self.datum.n)
         if source == "random":
             return random_symplectic_r(
-                self.datum.n, self.order, int(self.seed), self.coeff_bound
+                self.datum.n, self.order, self.seed, self.coeff_bound
             )
-        if isinstance(source, dict) and "complete" in source:
-            if not isinstance(source["complete"], dict):
-                raise ValueError(f"R.complete must be an object, got {source['complete']!r}")
-            seeds = source["complete"].get("diag_seeds")
-            seeds = [vector_from_json(v) for v in seeds] if seeds else None
-            return complete_r(self.datum, self.order, diag_seeds=seeds)
         return rmatrix_from_json(source, exact=exact)
 
     def context(self) -> FormContext:
@@ -286,11 +290,11 @@ def cmd_check(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_random_r(cfg: RunConfig, out: str | None) -> int:
-    r = random_symplectic_r(cfg.datum.n, cfg.order, int(cfg.seed), cfg.coeff_bound)
+    r = random_symplectic_r(cfg.datum.n, cfg.order, cfg.seed, cfg.coeff_bound)
     payload = {
         "N": cfg.datum.n,
         "L": r.order,
-        "seed": int(cfg.seed),
+        "seed": cfg.seed,
         "coeff_bound": cfg.coeff_bound,
         "R": [matrix_to_json(m) for m in r.mats],
     }

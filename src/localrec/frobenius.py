@@ -2,15 +2,16 @@
 
 The input datum consists of pairwise distinct critical values ``u_j``, a flat
 Gram matrix ``eta``, the isometry ``psi`` from the normalized canonical frame
-to flat coordinates (so that psi^T eta psi = 1), the flat components of the
-unit vector, and optionally the diagonal of the grading operator in flat
-coordinates.  Hessian factors are never stored separately: they enter only
+to flat coordinates (so that psi^T eta psi = 1), and the flat components of
+the unit vector.  Hessian factors are never stored separately: they enter only
 through ``psi``, which keeps every coefficient rational.
 
-The R-matrix is primarily an input.  :func:`complete_r` solves for as much of
-it as a fixed semisimple point determines (off-diagonal parts from the
-commutator relation, even-order diagonals from the symplectic condition); the
-odd-order diagonals are genuinely free here and must be supplied as seeds.
+The R-matrix is an input, as in the paper: the identity, an explicit series,
+or a seeded random symplectic series.  Solving for R from the grading of the
+datum gives nothing new over the rationals: integrability at order 0 and the
+symplectic condition at order 1 force the canonical grading to be
+antisymmetric, and being similar to a real diagonal matrix it is then zero,
+which forces R = 1.
 """
 
 from __future__ import annotations
@@ -42,17 +43,16 @@ class DatumError(Exception):
 
 @dataclass(frozen=True)
 class CanonicalData:
-    """Semisimple datum at a fixed point: (u, eta, psi, unit[, theta])."""
+    """Semisimple datum at a fixed point: (u, eta, psi, unit)."""
 
     n: int
     u: tuple[Rat, ...]
     eta: tuple[tuple[Rat, ...], ...]
     psi: tuple[tuple[Rat, ...], ...]
     unit: tuple[Rat, ...]
-    theta: tuple[Rat, ...] | None = None
 
     @staticmethod
-    def make(u, eta, psi, unit, theta=None) -> "CanonicalData":
+    def make(u, eta, psi, unit) -> "CanonicalData":
         u = tuple(Rat(x) for x in u)
         n = len(u)
         return CanonicalData(
@@ -61,7 +61,6 @@ class CanonicalData:
             eta=tuple(tuple(Rat(x) for x in row) for row in eta),
             psi=tuple(tuple(Rat(x) for x in row) for row in psi),
             unit=tuple(Rat(x) for x in unit),
-            theta=tuple(Rat(x) for x in theta) if theta is not None else None,
         )
 
     def eta_m(self) -> Matrix:
@@ -73,7 +72,7 @@ class CanonicalData:
 
 def airy_datum() -> CanonicalData:
     """The one-dimensional datum: a single nondegenerate critical point at 0."""
-    return CanonicalData.make(u=[0], eta=[[1]], psi=[[1]], unit=[1], theta=[0])
+    return CanonicalData.make(u=[0], eta=[[1]], psi=[[1]], unit=[1])
 
 
 def decoupled_datum(u_values) -> CanonicalData:
@@ -133,7 +132,6 @@ def validate_canonical(d: CanonicalData) -> Report:
         and all(len(r) == d.n for r in d.eta)
         and len(d.psi) == d.n
         and all(len(r) == d.n for r in d.psi)
-        and (d.theta is None or len(d.theta) == d.n)
     )
     rep.add("shapes", sizes_ok, "" if sizes_ok else f"inconsistent sizes for N={d.n}")
     if not sizes_ok:
@@ -270,89 +268,6 @@ def random_symplectic_r(n: int, order: int, seed: int, coeff_bound: int = 3) -> 
         term = [mat_scale(Rat(1, m), x) for x in nxt]
         result = [mat_add(x, y) for x, y in zip(result, term)]
     return RMatrix.make(result, exact=False)
-
-
-def grading_canonical(d: CanonicalData) -> Matrix:
-    """Theta = psi^{-1} diag(theta) psi, the grading in the canonical frame."""
-    if d.theta is None:
-        raise DatumError("datum carries no grading data theta")
-    n = d.n
-    psi = d.psi_m()
-    theta_flat = [[d.theta[i] if i == j else Rat(0) for j in range(n)] for i in range(n)]
-    return mat_mul(mat_mul(mat_inv(psi), theta_flat), psi)
-
-
-def solve_r_step(
-    d: CanonicalData, theta_can: Matrix, mats: list[Matrix], k: int, diag_seed
-) -> Matrix:
-    """One step of R-completion: R_{k+1} from R_0..R_k.
-
-    Off-diagonal entries come from [U, R_{k+1}] = (Theta - k) R_k with
-    U = diag(u); this is solvable only when the right side has zero diagonal
-    (otherwise the datum is not integrable at this order).  The diagonal of
-    R_{k+1} comes from the symplectic condition at even orders and from
-    ``diag_seed`` at odd orders, where a single fixed point leaves it free.
-    """
-    n = d.n
-    rhs = mat_mul(mat_sub(theta_can, mat_scale(k, identity(n))), mats[k])
-    for i in range(n):
-        if rhs[i][i] != 0:
-            raise DatumError(
-                f"datum not integrable: diag((Theta - {k}) R_{k})[{i + 1}] = {rhs[i][i]}"
-            )
-    m = k + 1
-    nxt = zeros(n)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                nxt[i][j] = rhs[i][j] / (d.u[i] - d.u[j])
-    mid = zeros(n)
-    for a in range(1, m):
-        b = m - a
-        term = mat_mul(mats[a], transpose(mats[b]))
-        mid = mat_add(mid, term if b % 2 == 0 else mat_scale(-1, term))
-    if m % 2 == 0:
-        # R_m + R_m^T = -mid fixes the diagonal (and constrains the rest,
-        # which the final symplectic check enforces)
-        for i in range(n):
-            nxt[i][i] = -mid[i][i] / 2
-    else:
-        seed = diag_seed if diag_seed is not None else [Rat(0)] * n
-        for i in range(n):
-            nxt[i][i] = Rat(seed[i])
-    return nxt
-
-
-def complete_r(d: CanonicalData, order: int, diag_seeds=None) -> RMatrix:
-    """Solve for R order by order from the fixed-point data.
-
-    ``diag_seeds`` supplies the odd-order diagonals (one length-N vector per
-    odd order 1, 3, 5, ..., defaulting to zero).  Raises when the datum is
-    not integrable or when the assembled series fails the symplectic check;
-    over the rationals that check is restrictive (a rational isometry forces
-    a positive-definite eta, which rules out a nonzero antisymmetric grading),
-    so nontrivial completions mostly live at N = 1 or theta = 0.
-    """
-    theta_can = grading_canonical(d)
-    seeds: list[list[Rat]] = []
-    if diag_seeds is not None:
-        seeds = [[Rat(x) for x in vec] for vec in diag_seeds]
-
-    mats: list[Matrix] = [identity(d.n)]
-    for k in range(order):
-        m = k + 1
-        seed = None
-        if m % 2 == 1:
-            idx = (m - 1) // 2
-            seed = seeds[idx] if idx < len(seeds) else None
-        mats.append(solve_r_step(d, theta_can, mats, k, seed))
-
-    result = RMatrix.make(mats, exact=False)
-    rep = check_symplectic(result)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise DatumError(f"completed R violates the symplectic condition: {bad.line()}")
-    return result
 
 
 @dataclass(frozen=True)

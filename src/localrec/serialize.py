@@ -83,7 +83,6 @@ def datum_from_json(cfg: dict) -> CanonicalData:
         eta=matrix_from_json(cfg["eta"]),
         psi=matrix_from_json(cfg["psi"]),
         unit=vector_from_json(cfg["unit"]),
-        theta=vector_from_json(cfg["theta"]) if cfg.get("theta") is not None else None,
     )
     if "N" in cfg and cfg["N"] != d.n:
         raise ValueError(f"declared N={cfg['N']} but u has length {d.n}")

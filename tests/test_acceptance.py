@@ -229,7 +229,6 @@ def test_criterion_8_determinism(tmp_path):
         "eta": [["1/1", "0/1"], ["0/1", "1/1"]],
         "psi": [["1/1", "0/1"], ["0/1", "1/1"]],
         "unit": ["1/1", "1/1"],
-        "theta": None,
         "R": "random",
         "L": 6,
         "seed": 11,

@@ -28,7 +28,6 @@ def airy_config():
         "eta": [["1/1"]],
         "psi": [["1/1"]],
         "unit": ["1/1"],
-        "theta": ["0/1"],
         "R": [[["1/1"]]],
         "R_exact": True,
         "L": 0,
@@ -43,7 +42,6 @@ def pair_config(seed=1, order=6):
         "eta": [["1/1", "0/1"], ["0/1", "1/1"]],
         "psi": [["1/1", "0/1"], ["0/1", "1/1"]],
         "unit": ["1/1", "1/1"],
-        "theta": None,
         "R": "random",
         "L": order,
         "seed": seed,
@@ -388,6 +386,11 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
         (airy_config, {"psi": [["2/1"]]}, ["correlators"], "invalid datum: psi-isometry"),
         (airy_config, {"R": {"complete": 3}}, ["correlators"], "config error:"),
         (airy_config, {"unit": ["1/0"]}, ["validate"], "config error:"),
+        (airy_config, {"R": {"complete": {}}}, ["correlators"], "config error: R must"),
+        (airy_config, {"R_exact": "false"}, ["validate"], "config error: R_exact"),
+        (airy_config, {"g_max_complexity": 2.5}, ["correlators"], "config error: g_max"),
+        (pair_config, {"L": True}, ["correlators"], "config error: L must"),
+        (pair_config, {"coeff_bound": 0}, ["correlators"], "config error: coeff_bound"),
     ],
 )
 def test_bad_input_is_one_line_validation_error(
@@ -418,22 +421,26 @@ def test_incompatible_datum_is_one_line_error_for_every_command(
         assert err == f"invalid datum: {message}\n", err
 
 
-def test_complete_r_source(tmp_path, capsys):
-    cfg = airy_config()
-    cfg.update({"R": None, "L": 6, "g_max_complexity": 2})
-    plain, completed = tmp_path / "plain.out", tmp_path / "completed.out"
-    path = write_config(tmp_path, cfg, "plain.json")
-    assert main(["correlators", "--config", path, "--out", str(plain)]) == 0
-    cfg["R"] = {"complete": {}}
-    path = write_config(tmp_path, cfg, "complete.json")
-    assert main(["correlators", "--config", path, "--out", str(completed)]) == 0
-    assert completed.read_bytes() == plain.read_bytes()
+@pytest.mark.parametrize("base", [airy_config, pair_config])
+def test_theta_key_is_ignored(tmp_path, capsys, base):
+    outputs = set()
+    for i, theta in enumerate(["absent", None, ["0/1"], ["1/2", "1/2", "1/2"]]):
+        cfg = {**base(), "g_max_complexity": 2}
+        if theta != "absent":
+            cfg["theta"] = theta
+        path = write_config(tmp_path, cfg, f"theta{i}.json")
+        for command in ("validate", "correlators"):
+            assert main([command, "--config", path]) == 0, (theta, command)
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
 
-    cfg["R"] = {"complete": {"diag_seeds": [["1/3"]]}}
-    path = write_config(tmp_path, cfg, "seeded.json")
-    assert main(["correlators", "--config", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: datum not integrable") and err.count("\n") == 1, err
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = write_config(tmp_path, json.loads(example), "readme.json")
+    for command in ("validate", "correlators"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 0
 
 
 _json_values = st.recursive(

@@ -1,4 +1,4 @@
-"""Datum validation, symplectic checks, R completion and the closing matrices."""
+"""Datum validation, symplectic checks and the closing matrices."""
 
 from fractions import Fraction
 
@@ -10,12 +10,9 @@ from localrec.frobenius import (
     RMatrix,
     airy_datum,
     check_symplectic,
-    complete_r,
     compute_vkl,
     decoupled_datum,
-    grading_canonical,
     random_symplectic_r,
-    solve_r_step,
     validate_canonical,
 )
 from localrec.linalg import identity, mat_eq, transpose, zeros
@@ -24,13 +21,12 @@ Q = Fraction
 
 
 def graded_pair_datum():
-    """N = 2 rational datum with grading (1/6, -1/6) and zero-diagonal Theta."""
+    """N = 2 rational datum whose eta is not the identity."""
     return CanonicalData.make(
         u=[0, 1],
         eta=[[Q(1, 2), 0], [0, Q(1, 2)]],
         psi=[[1, 1], [1, -1]],
         unit=[1, 0],
-        theta=[Q(1, 6), Q(-1, 6)],
     )
 
 
@@ -88,49 +84,6 @@ def test_random_r_order_zero():
     r = random_symplectic_r(2, 0, seed=5)
     assert mat_eq(r.mat(0), identity(2))
     assert r.order == 0
-
-
-def test_complete_r_airy_forced_identity():
-    r = complete_r(airy_datum(), 4)
-    for k in range(1, 5):
-        assert mat_eq(r.mat(k), zeros(1))
-
-
-def test_complete_r_airy_nonzero_seed_rejected():
-    # a nonzero odd-order diagonal breaks integrability one order later
-    with pytest.raises(DatumError):
-        complete_r(airy_datum(), 2, diag_seeds=[[Q(1, 3)]])
-
-
-def test_complete_r_zero_grading_gives_identity():
-    d = CanonicalData.make(
-        u=[0, 1], eta=identity(2), psi=identity(2), unit=[1, 1], theta=[0, 0]
-    )
-    r = complete_r(d, 3)
-    for k in range(1, 4):
-        assert mat_eq(r.mat(k), zeros(2))
-    assert check_symplectic(r).ok
-
-
-def test_solve_r_step_offdiagonal_formula():
-    d = graded_pair_datum()
-    th = grading_canonical(d)
-    assert th[0][0] == 0 and th[1][1] == 0
-    r1 = solve_r_step(d, th, [identity(2)], 0, None)
-    assert r1[0][1] == th[0][1] / (d.u[0] - d.u[1])
-    assert r1[1][0] == th[1][0] / (d.u[1] - d.u[0])
-
-
-def test_complete_r_rational_grading_fails_symplectic():
-    # rational isometries force eta > 0, so Theta cannot be antisymmetric and
-    # the completed R_1 cannot be symmetric: the final check must reject it
-    with pytest.raises(DatumError):
-        complete_r(graded_pair_datum(), 1)
-
-
-def test_complete_r_needs_theta():
-    with pytest.raises(DatumError):
-        complete_r(decoupled_datum([0, 1]), 2)
 
 
 def test_vkl_identity_r_vanishes():
