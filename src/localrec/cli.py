@@ -83,6 +83,9 @@ class RunConfig:
     def __init__(self, raw: dict, seed_override: int | None = None):
         self.raw = raw
         self.datum = datum_from_json(raw)
+        declared = self._int(raw, "N", self.datum.n)
+        if declared != self.datum.n:
+            raise ValueError(f"declared N={declared} but u has length {self.datum.n}")
         self.bound = self._int(raw, "g_max_complexity", 4, least=1)
         self.window = self._int(raw, "window", 0, least=0)  # extra headroom
         seed = self._int(raw, "seed", 0)

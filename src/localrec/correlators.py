@@ -15,10 +15,30 @@ values, indexed by insertion tuples in every slot order.  The solve walks
 the psi-degree vectors by decreasing total degree, where the system is
 triangular: it contracts the tensor against the weight coefficients at the
 leading exponents to predict what the deeper keys explain, and maps the
-remainder back to flat indices slot by slot through the inverse of psi.  The
-solve is deliberately overdetermined: afterwards the tensor is contracted
-against the full weight series, and the result must reproduce every
-certified coefficient of every branch tuple.
+remainder back to flat indices slot by slot through the inverse of psi.  An
+ordered branch tuple reads the stored entry of its sorted tuple through the
+slot permutation, without renaming the entry.  The solve is deliberately
+overdetermined: afterwards the tensor is contracted against the full weight
+series, and the result must reproduce every certified coefficient of every
+branch tuple.
+
+The solve skips work whose outcome is known, without changing a value or a
+message.  The degree vectors past the tameness bound (total degree above
+3g - 3 + n) come first, and any nonzero value there is an error, so the
+tensor is still empty while they run: the prediction is empty, the inverse
+of psi is invertible, and such a step passes exactly when every ordered
+branch tuple's coefficient at its exponents is 0.  That is tested directly,
+reading the tuples in the order the step reads them, so an uncertified
+coefficient fails as the step would; a nonzero one runs the step, which
+names the offending key.  At the tame vectors the prediction contracts the
+tensor stored as a trie, keyed slot by slot in the order the slots are
+mapped, so a key whose weight has no term at the leading exponent drops its
+whole subtrie at once.  With identity R every weight is one monomial and
+every prediction drops to nothing.  Subtries that land on the same images
+are summed and their cancelled sums dropped before the next slot, as the
+flat contraction merges its partial sums, so the trie maps the same keys at
+the same exponents: the same values, and the same window failure, whose text
+names the exponent alone.
 
 The residual is formed at the sorted branch tuples only.  Every ordered
 tuple ``jv`` is a slot permutation of its sorted one: ``omega[jv]`` is the
@@ -137,8 +157,7 @@ def _mode_products(tensor: dict, maps) -> dict:
     mapped one at a time (the mode-m products of Kolda & Bader, SIAM Review
     51, 2009) and after each slot the partial sums that share every index are
     merged, so a slot costs one pass over the merged partial tensor.  Sums
-    that cancel are dropped.  The last slot goes first: the solve lists psi
-    degrees in ascending order, so that slot empties the most rows.
+    that cancel are dropped.  The last slot goes first.
     """
     for m in reversed(range(len(maps))):
         image = maps[m]
@@ -150,6 +169,61 @@ def _mode_products(tensor: dict, maps) -> dict:
                 out[key] = out.get(key, 0) + c * w
         tensor = {key: c for key, c in out.items() if c}
     return tensor
+
+
+def _trie_insert(trie: dict, idx: tuple, value) -> None:
+    """Store ``value`` at ``idx``, keyed slot by slot, last slot first."""
+    for key in reversed(idx[1:]):
+        trie = trie.setdefault(key, {})
+    trie[idx[0]] = value
+
+
+def _add_scaled(dst, src, w, depth: int):
+    """``dst + w * src`` for tries of ``depth`` levels (numbers at depth 0)."""
+    if not depth:
+        return dst + w * src
+    for key, sub in src.items():
+        dst[key] = _add_scaled(dst.get(key, {} if depth > 1 else 0), sub, w, depth - 1)
+    return dst
+
+
+def _pruned(trie, depth: int):
+    """The trie without its zero values and the branches left empty."""
+    if not depth:
+        return trie
+    return {key: s for key, sub in trie.items() if (s := _pruned(sub, depth - 1))}
+
+
+def _trie_mode_products(trie: dict, n: int, image) -> dict:
+    """:func:`_mode_products` of a tensor stored as a trie (see
+    :func:`_trie_insert`), with ``image(m, index)`` the map of slot m.
+
+    Each level maps one slot, the last first, as ``_mode_products`` does:
+    the solve lists psi degrees in ascending order, so that slot prunes the
+    most keys.  The partial tensor at a tuple of images of the mapped slots
+    is a sum of scaled subtries.  A key is mapped once for its whole
+    subtrie, and a key with an empty image is never descended into.
+    Subtries that land on the same images are added up and their cancelled
+    sums dropped before the next level, so exactly the indices
+    ``_mode_products`` maps are mapped here.  Returns the contracted tensor,
+    keyed by image tuples.
+    """
+    level = {(): [(trie, 1)]}
+    for m in reversed(range(n)):
+        out = defaultdict(list)
+        for images, terms in level.items():
+            if len(terms) == 1:
+                ((node, c),) = terms
+            else:
+                node, c = {}, 1
+                for sub, w in terms:
+                    _add_scaled(node, sub, w, m + 1)
+                node = _pruned(node, m + 1)
+            for key, child in node.items():
+                for new, w in image(m, key).items():
+                    out[(new,) + images].append((child, c * w))
+        level = out
+    return {at: v for at, terms in level.items() if (v := sum(x * w for x, w in terms))}
 
 
 def _ordered_indices(n: int, flat, budget: int) -> list[tuple[Insertion, ...]]:
@@ -189,7 +263,13 @@ def extract_correlators(
         j: {a: c for a in flat if (c := inv_psi_t[a - 1][j - 1])} for j in flat
     }
     jvecs = list(product(flat, repeat=n))
-    omegas = {jv: table.omega(g, jv) for jv in jvecs}
+    # every ordered branch tuple reads the stored entry of its sorted tuple
+    # through the slot permutation of OmegaTable.omega
+    forms = {jv: table.omega(g, jv) for jv in combinations_with_replacement(flat, n)}
+    reads = [
+        (forms[tuple(sorted(jv))], tuple(sorted(range(n), key=jv.__getitem__)))
+        for jv in jvecs
+    ]
 
     def weight(j: int, ka: Insertion) -> MultiForm:
         return ctx.memo(insertion_weight, j, *ka, Var("w", j))
@@ -200,8 +280,9 @@ def extract_correlators(
         return {j: c for j in flat if (c := weight(j, ka).coefficient((e,)))}
 
     # the ordered tensor: every solved nonzero value under each of its slot
-    # orders, filled in as keys are solved
+    # orders, filled in as keys are solved, flat and as a trie
     tensor: dict[tuple[Insertion, ...], Rat] = {}
+    trie: dict = {}
     orders = defaultdict(list)
     for idx in _ordered_indices(n, flat, kslot):
         orders[tuple(sorted(k for k, _ in idx))].append(idx)
@@ -213,11 +294,14 @@ def extract_correlators(
         exps = tuple(-2 * k - 2 for k in kvec)
         beyond = sum(kvec) > kslot
         try:
-            predicted = _mode_products(
-                tensor, [lambda ka, e=e: weights_at(ka, e) for e in exps]
+            if beyond and not any(f.coefficient(exps, o) for f, o in reads):
+                continue  # nothing to solve (the direct zero test, module docstring)
+            predicted = _trie_mode_products(
+                trie, n, lambda m, ka: weights_at(ka, exps[m])
             )
             resid = {
-                jv: omegas[jv].coefficient(exps) - predicted.get(jv, 0) for jv in jvecs
+                jv: f.coefficient(exps, o) - predicted.get(jv, 0)
+                for jv, (f, o) in zip(jvecs, reads)
             }
         except WindowError as exc:
             raise TruncationOrderError(
@@ -247,6 +331,7 @@ def extract_correlators(
         for idx in orders.get(kvec, ()):
             if val := staged[tuple(sorted(idx))]:
                 tensor[idx] = val
+                _trie_insert(trie, idx, val)
 
     # overdetermined residual: every certified coefficient of every branch
     # tuple must be explained, which the sorted branch tuples already show
@@ -267,8 +352,7 @@ def extract_correlators(
             series[j, ka] = {e: c * m for (e,), c in w.nums.items() if e <= his[j]}
     scale = den * wden**n
 
-    for jv in combinations_with_replacement(flat, n):
-        form = omegas[jv]
+    for jv, form in forms.items():
         coeffs = _mode_products(numerators, [lambda ka, j=j: series[j, ka] for j in jv])
         predicted = MultiForm.from_numerators(
             form.vars,

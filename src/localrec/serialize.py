@@ -78,15 +78,12 @@ def form_from_json(d: dict) -> MultiForm:
 
 
 def datum_from_json(cfg: dict) -> CanonicalData:
-    d = CanonicalData.make(
+    return CanonicalData.make(
         u=vector_from_json(cfg["u"]),
         eta=matrix_from_json(cfg["eta"]),
         psi=matrix_from_json(cfg["psi"]),
         unit=vector_from_json(cfg["unit"]),
     )
-    if "N" in cfg and cfg["N"] != d.n:
-        raise ValueError(f"declared N={cfg['N']} but u has length {d.n}")
-    return d
 
 
 def rmatrix_from_json(mats, exact: bool = False) -> RMatrix:

@@ -256,14 +256,21 @@ class MultiForm:
         den = self.den
         return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
 
-    def coefficient(self, exps: tuple) -> Rat:
-        """Certified coefficient at an exponent tuple (0 if absent)."""
+    def coefficient(self, exps: tuple, order: tuple[int, ...] | None = None) -> Rat:
+        """Certified coefficient at an exponent tuple (0 if absent).
+
+        With ``order``, variable ``t`` takes the exponent ``exps[order[t]]``:
+        this is the coefficient at ``exps`` of the form renamed so that
+        variable ``t`` comes at position ``order[t]``, read without building
+        that form.
+        """
         if len(exps) != len(self.vars):
             raise DegreeError("exponent tuple has wrong length")
-        for x, h in zip(exps, self.hi):
+        key = tuple(exps) if order is None else tuple(exps[i] for i in order)
+        for x, h in zip(key, self.hi):
             if x > h:
                 raise WindowError(f"coefficient at {exps} not certified")
-        return Fraction(self.nums.get(tuple(exps), 0), self.den)
+        return Fraction(self.nums.get(key, 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.nums

@@ -36,7 +36,7 @@ from localrec.series import Var
 
 Q = Fraction
 BOUND = 4
-DVV_BOUND = 7  # criterion 1 compares with the oracle one step further
+DVV_BOUND = 8  # criterion 1 compares with the oracle two steps further
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -391,6 +391,10 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
         (airy_config, {"g_max_complexity": 2.5}, ["correlators"], "config error: g_max"),
         (pair_config, {"L": True}, ["correlators"], "config error: L must"),
         (pair_config, {"coeff_bound": 0}, ["correlators"], "config error: coeff_bound"),
+        (airy_config, {"N": True}, ["validate"], "config error: N must"),
+        (airy_config, {"N": 1.0}, ["validate"], "config error: N must"),
+        (airy_config, {"N": "1"}, ["validate"], "config error: N must"),
+        (airy_config, {"N": 2}, ["validate"], "config error: declared N=2"),
     ],
 )
 def test_bad_input_is_one_line_validation_error(

@@ -1,5 +1,8 @@
 """Extraction against the independent oracle, reconstruction, constraints."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +11,9 @@ import pytest
 from localrec.correlators import (
     CorrelatorKey,
     CorrelatorTable,
+    _mode_products,
+    _trie_insert,
+    _trie_mode_products,
     extract_all,
     extract_correlators,
     insertion_reconstruct_check,
@@ -24,7 +30,7 @@ from localrec.frobenius import (
     validate_canonical,
 )
 from localrec.localforms import FormContext
-from localrec.recursion import ConsistencyError, OmegaTable
+from localrec.recursion import ConsistencyError, OmegaTable, TruncationOrderError
 from localrec.series import MultiForm, Var
 
 Q = Fraction
@@ -277,3 +283,114 @@ def test_extraction_residual_on_sorted_branch_tuples():
     table._store[key] = _perturbed(table._store[key], (-2, -2, 0))
     with pytest.raises(ConsistencyError, match="extraction residual"):
         extract_correlators(table, 0, 3)
+
+
+def random_pair_table(bound=2):
+    ctx = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 11))
+    return OmegaTable(ctx, bound=bound)
+
+
+# The failure texts and values below were recorded before the solve skipped
+# the degree vectors past the tameness bound and pruned its prediction; both
+# shortcuts must leave them byte-identical.
+
+
+@pytest.mark.parametrize(
+    "exps, message",
+    [
+        (
+            (-2, -2, -4, -4),
+            "nonzero correlator ((0, 1), (0, 1), (1, 2), (1, 2)) "
+            "beyond the tameness bound: 1/144",
+        ),
+        # read only through the ordered branch tuple (2, 2, 1, 1)
+        (
+            (-4, -4, -2, -2),
+            "nonzero correlator ((0, 2), (0, 2), (1, 1), (1, 1)) "
+            "beyond the tameness bound: 1/144",
+        ),
+    ],
+)
+def test_beyond_tameness_failure_text(exps, message):
+    table = random_pair_table()
+    key = (0, (1, 1, 2, 2))
+    table.omega(*key)
+    table._store[key] = _perturbed(table._store[key], exps, 1)
+    with pytest.raises(ConsistencyError) as info:
+        extract_correlators(table, 0, 4)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "slot, message",
+    [
+        (
+            1,
+            "extraction at (0,4) psi-degrees (0, 0, 1, 1) not certified: "
+            "coefficient at (-2, -2, -4, -4) not certified",
+        ),
+        # a branch-2 slot is read at -2 first by an ordered tuple such as
+        # (2, 1, 1, 2); the text names that tuple's exponents, not the
+        # stored entry's (-4, -4, -2, -4)
+        (
+            2,
+            "extraction at (0,4) psi-degrees (0, 1, 1, 1) not certified: "
+            "coefficient at (-2, -4, -4, -4) not certified",
+        ),
+    ],
+)
+def test_uncertified_solve_coefficient_failure_text(slot, message):
+    table = random_pair_table()
+    key = (0, (1, 1, 2, 2))
+    table.omega(*key)
+    form = table._store[key]
+    table._store[key] = form.cap_hi(form.vars[slot], -3)
+    with pytest.raises(TruncationOrderError) as info:
+        extract_correlators(table, 0, 4)
+    assert str(info.value) == message
+
+
+def test_extract_random_r_pair_values_pinned():
+    # R-corrections give every weight several terms, so four of the nine
+    # solve steps predict a nonzero part from deeper keys
+    corr = extract_all(random_pair_table())
+    rows = [
+        [key.g, [list(p) for p in key.insertions], str(value), corr.provenance[key]]
+        for key, value in corr.items()
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 35
+    assert digest == "d4c5bb380691bac160baa30100316f99281deb53754f16a3c43766b3f3d87b83"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_trie_contraction_is_the_flat_one(seed):
+    # values, and the keys mapped at each slot, agree with _mode_products;
+    # the small integer weights make partial sums cancel often
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    keys = range(4)
+    tensor = {
+        idx: rng.choice([-2, -1, 1, 2])
+        for idx in product(keys, repeat=n)
+        if rng.random() < 0.5
+    }
+    images = [
+        {key: {j: w for j in (1, 2) if (w := rng.choice([0, 0, -1, 1]))} for key in keys}
+        for _ in range(n)
+    ]
+    trie: dict = {}
+    for idx, value in tensor.items():
+        _trie_insert(trie, idx, value)
+    mapped_flat, mapped_trie = set(), set()
+
+    def flat_map(m):
+        return lambda key: mapped_flat.add((m, key)) or images[m][key]
+
+    def trie_map(m, key):
+        mapped_trie.add((m, key))
+        return images[m][key]
+
+    flat = _mode_products(tensor, [flat_map(m) for m in range(n)])
+    assert _trie_mode_products(trie, n, trie_map) == flat
+    assert mapped_trie == mapped_flat
