@@ -81,7 +81,6 @@ class RunConfig:
     """Parsed configuration: datum, R source, bounds."""
 
     def __init__(self, raw: dict, seed_override: int | None = None):
-        self.raw = raw
         self.datum = datum_from_json(raw)
         declared = self._int(raw, "N", self.datum.n)
         if declared != self.datum.n:

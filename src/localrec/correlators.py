@@ -63,7 +63,7 @@ from math import lcm, prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
-from .localforms import FormContext, propagator_p0
+from .localforms import FormContext, period_pairing, propagator_p0
 from .recursion import (
     ConsistencyError,
     OmegaTable,
@@ -258,7 +258,7 @@ def extract_correlators(
         raise ConsistencyError(f"({g},{n}) is unstable")
     source = f"omega({g},{n})"
 
-    inv_psi_t = transpose(mat_inv(ctx.data.psi_m()))
+    inv_psi_t = transpose(mat_inv(ctx.data.psi))
     psi_inverse = {
         j: {a: c for a in flat if (c := inv_psi_t[a - 1][j - 1])} for j in flat
     }
@@ -383,30 +383,22 @@ def insertion_reconstruct_check(ctx: FormContext, k: int, a: int) -> Report:
     """Half-loop residues against the negative-frequency pairing rebuild an
     insertion: the residue sum over branches of the pairing of v_a z^k with
     the descending series, times the full local expansion series, must return
-    exactly v_a psi^k.  Exactness is required component by component."""
+    exactly v_a psi^k.  Exactness is required component by component.  The
+    residue sum is the period pairing at (-k-1, a) against (m+1, b), so this
+    is ``hrp_check``'s orthogonality, re-indexed."""
     rep = Report()
-    n = ctx.data.n
     name = f"insertion-reconstruction-(k={k},a={a})"
-    for m in range(-2, k + 3):
-        for b in range(1, n + 1):
-            expected = Rat(1) if (m == k and b == a) else Rat(0)
-            total = Rat(0)
-            try:
-                for j in range(1, n + 1):
-                    y = Var("y", j)
-                    pair_neg = ctx.period_basis(j, -k - 1, a, y)
-                    phi_comp = ctx.period_dual(j, m + 1, b, y)
-                    f = pair_neg * phi_comp * monomial(y, 1, 1, deg=1)
-                    total += f.residue_half_loop(y).coefficient(())
-            except WindowError:
-                rep.add(name, False, f"window exhausted at psi power {m}")
-                return rep
-            got = Fraction(-1, 2) * (-1) ** m * total
-            if got != expected:
-                rep.add(
-                    name, False, f"psi power {m}, component {b}: {got} != {expected}"
-                )
-                return rep
+    for m, b in product(range(-2, k + 3), range(1, ctx.data.n + 1)):
+        expected = Rat(1) if (m == k and b == a) else Rat(0)
+        try:
+            total = ctx.memo(period_pairing, -k - 1, a, m + 1, b)
+        except WindowError:
+            rep.add(name, False, f"window exhausted at psi power {m}")
+            return rep
+        got = Fraction(-1, 2) * (-1) ** m * total
+        if got != expected:
+            rep.add(name, False, f"psi power {m}, component {b}: {got} != {expected}")
+            return rep
     rep.add(name, True)
     return rep
 
@@ -505,16 +497,16 @@ def virasoro_check(
         if g == 1 and n == 0:
             pieces.append(form_piece(ctx.memo(propagator_p0, j, y), y))
         elif g >= 1:
+            # per first leg, its weight times the insertion sum over the
+            # second leg; a sum without a nonzero correlator is no piece (a
+            # zero weight still carries its window, so test for no terms)
             loop_budget = 3 * (g - 1) - 3 + (n + 2) - sum(k for k, _ in ins)
             for k1 in range(loop_budget + 1):
                 for b1 in range(1, ctx.data.n + 1):
-                    for k2 in range(loop_budget - k1 + 1):
-                        for b2 in range(1, ctx.data.n + 1):
-                            val = corr.get(g - 1, ((k1, b1), (k2, b2)) + ins)
-                            if val != 0:
-                                w1 = ctx.memo(insertion_weight, j, k1, b1, y)
-                                w2 = ctx.memo(insertion_weight, j, k2, b2, y)
-                                pieces.append(product_piece(w1, w2.scale(val), y))
+                    rest = _assembled_factor(ctx, corr, g - 1, ((k1, b1),) + ins, j, y)
+                    if rest != zero_form((y,), (1,)):
+                        w1 = ctx.memo(insertion_weight, j, k1, b1, y)
+                        pieces.append(product_piece(w1, rest, y))
         for g1 in range(0, g + 1):
             for mask in range(1 << n):
                 left = tuple(ins[m] for m in range(n) if mask >> m & 1)

@@ -12,6 +12,11 @@ datum gives nothing new over the rationals: integrability at order 0 and the
 symplectic condition at order 1 force the canonical grading to be
 antisymmetric, and being similar to a real diagonal matrix it is then zero,
 which forces R = 1.
+
+A matrix is a sequence of rows, and a matrix power series is a list of
+coefficient matrices.  One primitive, :func:`_series_product`, multiplies two
+such series; it computes both the exponential behind a random R and every
+symplectic defect.
 """
 
 from __future__ import annotations
@@ -63,12 +68,6 @@ class CanonicalData:
             unit=tuple(Rat(x) for x in unit),
         )
 
-    def eta_m(self) -> Matrix:
-        return [list(row) for row in self.eta]
-
-    def psi_m(self) -> Matrix:
-        return [list(row) for row in self.psi]
-
 
 def airy_datum() -> CanonicalData:
     """The one-dimensional datum: a single nondegenerate critical point at 0."""
@@ -116,7 +115,7 @@ class RMatrix:
 
     def mat(self, k: int) -> Matrix:
         if 0 <= k <= self.order:
-            return [list(row) for row in self.mats[k]]
+            return self.mats[k]
         if self.exact:
             return zeros(self.n)
         raise DatumError(f"R_{k} beyond truncation order {self.order}")
@@ -149,77 +148,69 @@ def validate_canonical(d: CanonicalData) -> Report:
         "" if not coincident else f"coincident critical values at {coincident[0]}",
     )
 
-    sym_bad = next(
-        (
-            (i + 1, j + 1)
-            for i in range(d.n)
-            for j in range(i + 1, d.n)
-            if d.eta[i][j] != d.eta[j][i]
-        ),
-        None,
-    )
-    rep.add(
-        "eta-symmetric", sym_bad is None, "" if sym_bad is None else f"entry {sym_bad}"
-    )
+    # the first nonzero entry of an antisymmetric matrix lies above the diagonal
+    bad = _first_nonzero(mat_sub(d.eta, transpose(d.eta)))
+    rep.add("eta-symmetric", bad is None, "" if bad is None else f"entry {bad[:2]}")
 
     try:
-        mat_inv(d.eta_m())
+        mat_inv(d.eta)
         rep.add("eta-invertible", True)
     except ValueError:
         rep.add("eta-invertible", False, "eta is singular")
         return rep
 
-    gram = mat_mul(mat_mul(transpose(d.psi_m()), d.eta_m()), d.psi_m())
-    bad = next(
-        (
-            (i + 1, j + 1, gram[i][j])
-            for i in range(d.n)
-            for j in range(d.n)
-            if gram[i][j] != (1 if i == j else 0)
-        ),
-        None,
-    )
-    rep.add(
-        "psi-isometry",
-        bad is None,
-        "" if bad is None else f"(psi^T eta psi)[{bad[0]},{bad[1]}] = {bad[2]}",
-    )
+    gram = mat_mul(mat_mul(transpose(d.psi), d.eta), d.psi)
+    bad = _first_nonzero(mat_sub(gram, identity(d.n)))
+    detail = ""
+    if bad is not None:  # the Gram entry: the defect, plus 1 on the diagonal
+        i, j, x = bad
+        detail = f"(psi^T eta psi)[{i},{j}] = {x + (i == j)}"
+    rep.add("psi-isometry", bad is None, detail)
     return rep
 
 
-def symplectic_defect(r: RMatrix, m: int) -> Matrix:
-    """sum_{a+b=m} (-1)^b R_a R_b^T, which must vanish for m >= 1."""
-    acc = zeros(r.n)
-    for a in range(0, m + 1):
-        b = m - a
-        if a > r.order or b > r.order:
-            if r.exact:
-                continue
-            raise DatumError(f"order {m} not determined by truncation {r.order}")
-        term = mat_mul(r.mat(a), transpose(r.mat(b)))
-        acc = mat_add(acc, term if b % 2 == 0 else mat_scale(-1, term))
-    return acc
+def _first_nonzero(m: Matrix) -> tuple[int, int, Rat] | None:
+    """The first nonzero entry in row-major order as a 1-based
+    (row, column, value); None for a zero matrix."""
+    return next(
+        ((i + 1, j + 1, x) for i, row in enumerate(m) for j, x in enumerate(row) if x),
+        None,
+    )
+
+
+def _series_product(a, b, top: int) -> list[Matrix]:
+    """Coefficients 0..top of a(z) b(z), for series given as lists of matrices.
+
+    All-zero coefficient matrices are skipped: the m-th power of a random
+    generator starts at z^m, and multiplying its leading zeros would nearly
+    double the cost of :func:`random_symplectic_r`.
+    """
+
+    def support(ser):
+        return [(i, m) for i, m in enumerate(ser[: top + 1]) if any(map(any, m))]
+
+    out = [zeros(len(a[0])) for _ in range(top + 1)]
+    right = support(b)
+    for i, x in support(a):
+        for j, y in right:
+            if i + j <= top:
+                out[i + j] = mat_add(out[i + j], mat_mul(x, y))
+    return out
 
 
 def check_symplectic(r: RMatrix) -> Report:
     """Verify R(z) R(-z)^T = 1 order by order, exactly.
 
-    For a truncated R only orders 1..L are determined; an exact R must satisfy
+    The defect at order m is the z^m coefficient of R(z) R(-z)^T.  For a
+    truncated R only orders 1..L are determined; an exact R must satisfy
     every order up to 2L (beyond that the condition is vacuous).
     """
     rep = Report()
     top = 2 * r.order if r.exact else r.order
+    flipped = [mat_scale((-1) ** b, transpose(m)) for b, m in enumerate(r.mats)]
+    defects = _series_product(r.mats, flipped, top)
     for m in range(1, top + 1):
-        defect = symplectic_defect(r, m)
-        bad = next(
-            (
-                (i + 1, j + 1, defect[i][j])
-                for i in range(r.n)
-                for j in range(r.n)
-                if defect[i][j] != 0
-            ),
-            None,
-        )
+        bad = _first_nonzero(defects[m])
         rep.add(
             f"symplectic-order-{m}",
             bad is None,
@@ -255,17 +246,11 @@ def random_symplectic_r(n: int, order: int, seed: int, coeff_bound: int = 3) -> 
         )
         a_ser.append(a_k)
 
-    # exp(A) as a z-polynomial mod z^(order+1)
+    # exp(A) mod z^(order+1): term m is term (m-1) times A / m
     result: list[Matrix] = [identity(n)] + [zeros(n) for _ in range(order)]
-    term: list[Matrix] = [identity(n)] + [zeros(n) for _ in range(order)]
+    term: list[Matrix] = [identity(n)]
     for m in range(1, order + 1):
-        nxt: list[Matrix] = [zeros(n) for _ in range(order + 1)]
-        for i in range(order + 1):
-            if mat_eq(term[i], zeros(n)):
-                continue
-            for j in range(1, order + 1 - i):
-                nxt[i + j] = mat_add(nxt[i + j], mat_mul(term[i], a_ser[j]))
-        term = [mat_scale(Rat(1, m), x) for x in nxt]
+        term = [mat_scale(Rat(1, m), x) for x in _series_product(term, a_ser, order)]
         result = [mat_add(x, y) for x, y in zip(result, term)]
     return RMatrix.make(result, exact=False)
 
@@ -279,14 +264,7 @@ class VTable:
     mats: dict  # (k, l) -> matrix as a tuple of row tuples
 
     def mat(self, k: int, l: int) -> Matrix:
-        if k < 0 or l < 0:
-            raise KeyError((k, l))
-        m = self.mats.get((k, l))
-        if m is not None:
-            return [list(row) for row in m]
-        if k + l <= self.top:
-            return zeros(self.n)
-        raise KeyError((k, l))
+        return self.mats[k, l]
 
 
 def compute_vkl(r: RMatrix, top: int) -> VTable:
@@ -302,26 +280,16 @@ def compute_vkl(r: RMatrix, top: int) -> VTable:
         raise DatumError(
             f"V_(k,l) certified only for k+l <= {r.order - 1}; requested {top}"
         )
-    a_top = top + 1  # numerator degrees needed
+    a_top = top + 1  # numerator degrees needed (a truncated R has them all)
 
     def n_ab(a: int, b: int) -> Matrix:
         base = identity(n) if (a == 0 and b == 0) else zeros(n)
-        if (a <= r.order and b <= r.order) or r.exact:
-            ra = r.mat(a) if a <= r.order else zeros(n)
-            rb = r.mat(b) if b <= r.order else zeros(n)
-            prod = mat_mul(transpose(ra), rb)
-            sgn = -1 if (a + b) % 2 == 0 else 1
-            return mat_add(base, mat_scale(sgn, prod))
-        raise DatumError(f"numerator coefficient ({a},{b}) not certified")
+        sgn = -1 if (a + b) % 2 == 0 else 1
+        return mat_add(base, mat_scale(sgn, mat_mul(transpose(r.mat(a)), r.mat(b))))
 
+    # N_{a,b} = V_{a,b-1} + V_{a-1,b}; solve row by row in a.  Every
+    # k + l <= top is stored.
     v: dict[tuple[int, int], Matrix] = {}
-
-    def v_at(k: int, l: int) -> Matrix:
-        if k < 0 or l < 0:
-            return zeros(n)
-        return v.get((k, l), zeros(n))
-
-    # N_{a,b} = V_{a,b-1} + V_{a-1,b}; solve row by row in a.
     for a in range(0, a_top + 1):
         for b in range(0, a_top + 1 - a):
             if a == 0 and b == 0:
@@ -330,22 +298,17 @@ def compute_vkl(r: RMatrix, top: int) -> VTable:
                 continue
             if b == 0:
                 # coefficient of w^a z^0: equals V_{a-1,0}
-                expect = v_at(a - 1, 0)
-                if not mat_eq(n_ab(a, 0), expect):
+                if not mat_eq(n_ab(a, 0), v.get((a - 1, 0), zeros(n))):
                     raise DatumError(
                         f"numerator not divisible by z+w at w^{a}: symplectic condition broken"
                     )
                 continue
-            v[(a, b - 1)] = mat_sub(n_ab(a, b), v_at(a - 1, b))
+            v[(a, b - 1)] = mat_sub(n_ab(a, b), v.get((a - 1, b), zeros(n)))
 
-    out = {}
-    for (k, l), m in v.items():
-        if k + l <= top:
-            out[(k, l)] = m
-    for (k, l), m in sorted(out.items()):
-        if not mat_eq(m, transpose(out[(l, k)])):
+    for (k, l), m in sorted(v.items()):
+        if not mat_eq(m, transpose(v[(l, k)])):
             raise DatumError(f"V_({k},{l}) != V_({l},{k})^T; symplectic condition broken")
-    frozen = {kl: tuple(tuple(row) for row in m) for kl, m in out.items()}
+    frozen = {kl: tuple(tuple(row) for row in m) for kl, m in v.items()}
     return VTable(n=n, top=top, mats=frozen)
 
 

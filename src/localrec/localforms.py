@@ -12,12 +12,19 @@ Sign convention.  A single global orientation is free in the residue setup;
 it is fixed once by requiring the three-point genus-zero output of the
 recursion to give <tau_0^3> = +1, and every other sign (kernel prefactor,
 unstable pairing orientation) is locked to that choice by unit tests.
+
+Periods pair through one memoized primitive, :func:`period_pairing`, the
+summed half-loop residue of two period components.  :func:`hrp_check` checks
+its orthogonality, and ``correlators.insertion_reconstruct_check`` is the
+same orthogonality re-indexed, at (-k-1, a) against (m+1, b); the two checks
+share every pairing they both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .frobenius import CanonicalData, RMatrix, VTable, compute_vkl, double_factorial
 from .linalg import mat_vec
@@ -30,11 +37,11 @@ from .series import (
     Var,
     WindowError,
     agreement_mismatch,
+    capped_product,
     d_unit,
     geometric_expand,
     invert,
     monomial,
-    residue_of_product,
     sum_forms,
     zero_form,
 )
@@ -72,10 +79,10 @@ class FormContext:
 
     :meth:`memo` holds each derived object once per context: the columns of
     psi R_l e_j and their pairings, the closing-matrix tables, the period
-    expansions, the one-point forms, the two-point and P_0 seeds and the
-    recursion kernels of every table on the context, the insertion and
-    constraint weights, and the window planner's shadow tables and planned
-    orders.
+    expansions and their residue pairings, the one-point forms, the two-point
+    and P_0 seeds and the recursion kernels of every table on the context,
+    the insertion and constraint weights, and the window planner's shadow
+    tables and planned orders.
 
     Parity policy: every form the memo stores has a definite reflection
     parity in each of its variables, checked on its full window on the miss
@@ -138,12 +145,12 @@ class FormContext:
 def _column(ctx: FormContext, l: int, j: int) -> tuple[Rat, ...]:
     """Flat components of psi R_l e_j."""
     rl = ctx.r.mat(l)
-    return tuple(mat_vec(ctx.data.psi_m(), [rl[i][j - 1] for i in range(ctx.data.n)]))
+    return tuple(mat_vec(ctx.data.psi, [row[j - 1] for row in rl]))
 
 
 def _eta_column(ctx: FormContext, l: int, j: int) -> tuple[Rat, ...]:
     """The eta-lowered components of psi R_l e_j."""
-    return tuple(mat_vec(ctx.data.eta_m(), list(ctx.memo(_column, l, j))))
+    return tuple(mat_vec(ctx.data.eta, ctx.memo(_column, l, j)))
 
 
 def _vtable(ctx: FormContext, top: int) -> VTable:
@@ -435,43 +442,49 @@ def ope_normalization_check(ctx: FormContext, j: int) -> Report:
     return rep
 
 
+def period_pairing(ctx: FormContext, k1: int, a: int, k2: int, b: int) -> Rat:
+    """The residue pairing of two periods: the sum over branches j of the
+    half-loop residue of (I^(k1), v_a) (I^(k2), v^b) dlambda at branch j.
+
+    The residue reads the product of the two periods at s^-2 only, so the
+    product is built up to there.  Raises WindowError when a branch's window
+    cannot reach that coefficient.
+    """
+    total = Rat(0)
+    for j in range(1, ctx.data.n + 1):
+        sv = Var("s", j)
+        p, q = ctx.period_basis(j, k1, a, sv), ctx.period_dual(j, k2, b, sv)
+        f = capped_product(p, q, sv, -2) * monomial(sv, 1, 1, deg=1)
+        total += f.residue_half_loop(sv).coefficient(())
+    return total
+
+
 def hrp_check(ctx: FormContext, k_bound: int = 5) -> Report:
     """Residue-pairing orthogonality of the periods.
 
     For every pair (k1, k2) with |k1|, |k2| <= k_bound and every flat pair
-    (a, b), the half-loop residues summed over branches must give
-    2 (-1)^k1 delta_ab delta_{k1+k2,0}.  Pairs whose certified window cannot
-    reach the pole slice are reported as skipped rather than silently passed;
-    they become certifiable once the truncation order exceeds k1 + k2.
+    (a, b), the period pairing must be 2 (-1)^k1 delta_ab delta_{k1+k2,0}.
+    Pairs whose certified window cannot reach the pole slice are reported as
+    skipped rather than silently passed; they become certifiable once the
+    truncation order exceeds k1 + k2.
     """
     rep = Report()
-    n = ctx.data.n
+    ks, flat = range(-k_bound, k_bound + 1), range(1, ctx.data.n + 1)
     skipped = 0
-    for k1 in range(-k_bound, k_bound + 1):
-        for k2 in range(-k_bound, k_bound + 1):
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    expected = Rat(0)
-                    if a == b and k1 + k2 == 0:
-                        expected = Rat(2 * (-1) ** k1)
-                    total = Rat(0)
-                    try:
-                        for j in range(1, n + 1):
-                            sv = Var("s", j)
-                            p = ctx.period_basis(j, k1, a, sv)
-                            q = ctx.period_dual(j, k2, b, sv)
-                            dlam = monomial(sv, 1, 1, deg=1)
-                            total += residue_of_product(p * q, dlam, sv).coefficient(())
-                    except WindowError:
-                        skipped += 1
-                        continue
-                    if total != expected:
-                        rep.add(
-                            "period-residue-orthogonality",
-                            False,
-                            f"(k1,k2,a,b)=({k1},{k2},{a},{b}): {total} != {expected}",
-                        )
-                        return rep
+    for k1, k2, a, b in product(ks, ks, flat, flat):
+        expected = Rat(2 * (-1) ** k1) if a == b and k1 + k2 == 0 else Rat(0)
+        try:
+            total = ctx.memo(period_pairing, k1, a, k2, b)
+        except WindowError:
+            skipped += 1
+            continue
+        if total != expected:
+            rep.add(
+                "period-residue-orthogonality",
+                False,
+                f"(k1,k2,a,b)=({k1},{k2},{a},{b}): {total} != {expected}",
+            )
+            return rep
     rep.add(
         "period-residue-orthogonality",
         True,

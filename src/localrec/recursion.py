@@ -49,7 +49,9 @@ that certifies the entry, nothing else is tried.  Only when it fails are the
 orders from 0 upward searched, for the minimal sufficient order to report.
 The dry runs share one shadow table per truncation order through the context
 memo, so every entry planned later reuses the lower entries already
-certified.  Exact R data have unbounded windows and skip the plan.
+certified.  Only a window failure counts against an order; any other error
+met on a shadow table is a fault of the program and ends the plan at once.
+Exact R data have unbounded windows and skip the plan.
 
 The table is a logical map with idempotent insertion.
 """
@@ -72,6 +74,7 @@ from .series import (
     MultiForm,
     SeriesError,
     Var,
+    WindowError,
     agreement_mismatch,
     capped_product,
     residue_of_product,
@@ -340,7 +343,7 @@ def _required_order(
     def certifies(order: int) -> bool:
         try:
             ctx.memo(_shadow_table, order, bound, min_budget).omega(g, (1,) * n)
-        except SeriesError:
+        except (WindowError, TruncationOrderError):
             return False
         return True
 

@@ -11,10 +11,6 @@ class Check:
     ok: bool
     detail: str = ""
 
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"{status} {self.name}" + (f": {self.detail}" if self.detail else "")
-
 
 @dataclass
 class Report:

@@ -171,8 +171,7 @@ class MultiForm:
             tuple(e): c if isinstance(c, (int, Fraction)) else Rat(c)
             for e, c in coeffs.items()
         }
-        den = lcm(*(c.denominator for c in rats.values()))
-        nums = {e: c.numerator * (den // c.denominator) for e, c in rats.items()}
+        den, nums = common_denominator(rats)
         self._assign(tuple(vars), tuple(degs), nums, den, tuple(lo), tuple(hi))
 
     @classmethod

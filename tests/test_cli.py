@@ -1,5 +1,6 @@
 """CLI: config ingestion, serialization round trips, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import tempfile
@@ -395,6 +396,54 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
         (airy_config, {"N": 1.0}, ["validate"], "config error: N must"),
         (airy_config, {"N": "1"}, ["validate"], "config error: N must"),
         (airy_config, {"N": 2}, ["validate"], "config error: declared N=2"),
+        (
+            pair_config,
+            {"R": [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["1/1"]]]},  # ragged
+            ["validate"],
+            "config error: every R_l must be a square matrix of size 2",
+        ),
+        (
+            pair_config,
+            {"R": [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"]]]},  # one row
+            ["correlators"],
+            "config error: every R_l must be a square matrix of size 2",
+        ),
+        # the first bad entry, named in full: the only asymmetric entry of eta
+        # lies below the diagonal, and psi reports its Gram entry on the
+        # diagonal and off it
+        (
+            pair_config,
+            {"eta": [["1/1", "0/1"], ["1/2", "1/1"]]},
+            ["validate"],
+            "invalid datum: eta-symmetric failed: entry (1, 2)\n",
+        ),
+        (
+            pair_config,
+            {"psi": [["2/1", "0/1"], ["0/1", "1/1"]]},
+            ["validate"],
+            "invalid datum: psi-isometry failed: (psi^T eta psi)[1,1] = 4\n",
+        ),
+        (
+            pair_config,
+            {"psi": [["1/1", "1/1"], ["0/1", "1/1"]]},
+            ["validate"],
+            "invalid datum: psi-isometry failed: (psi^T eta psi)[1,2] = 1\n",
+        ),
+        (
+            pair_config,
+            {"R": [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["-1/1", "0/1"]]]},
+            ["validate"],
+            "invalid datum: symplectic-order-1 failed: defect[1,2] = 2\n",
+        ),
+        (  # R_1 symmetric passes order 1; exact, so order 2 sees -R_1 R_1^T
+            pair_config,
+            {
+                "R": [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["1/1", "0/1"]]],
+                "R_exact": True,
+            },
+            ["validate"],
+            "invalid datum: symplectic-order-2 failed: defect[1,1] = -1\n",
+        ),
     ],
 )
 def test_bad_input_is_one_line_validation_error(
@@ -513,3 +562,54 @@ def test_unwritable_out_is_one_line_error_before_any_table(
     assert err.startswith("output error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not (tmp_path / "no").exists()
+
+
+def test_internal_failure_while_planning_is_not_window_exhaustion(
+    tmp_path, capsys, monkeypatch
+):
+    """The window plan treats only window failures as "this order does not
+    certify": a ConsistencyError met on a shadow table ends the run with
+    exit 3 at once instead of trying every order and reporting exhaustion."""
+    from localrec.recursion import ConsistencyError, OmegaTable
+
+    finalize = OmegaTable._finalize
+
+    def planted(self, g, n, form):
+        if (g, n) == (1, 2):
+            raise ConsistencyError("planted")
+        return finalize(self, g, n, form)
+
+    monkeypatch.setattr(OmegaTable, "_finalize", planted)
+    path = write_config(tmp_path, pair_config(seed=5, order=6))
+    assert main(["omega", "--g", "1", "--n", "2", "--config", path]) == 3
+    assert capsys.readouterr().err == "internal consistency failure: planted\n"
+
+
+def test_validate_exact_r_padded_with_zeros(tmp_path, capsys):
+    """An exact R with a trailing zero matrix is checked through order 2L."""
+    zero_padded = [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "0/1"], ["0/1", "0/1"]]]
+    path = write_config(tmp_path, {**pair_config(), "R": zero_padded, "R_exact": True})
+    assert main(["validate", "--config", path]) == 0
+
+    def passed(*names):
+        return {"checks": [{"detail": "", "name": n, "ok": True} for n in names], "ok": True}
+
+    datum = passed(
+        "shapes", "distinct-critical-values", "eta-symmetric", "eta-invertible", "psi-isometry"
+    )
+    symplectic = passed("symplectic-order-1", "symplectic-order-2")
+    assert capsys.readouterr().out == dumps_canonical(
+        {"datum": datum, "symplectic": symplectic}
+    )
+
+
+def test_check_exact_airy_bound4_bytes(tmp_path):
+    """Exact Airy at bound 4 is the small config whose constraint left side
+    (2,1) runs the loop legs at genus 2; its report's bytes are pinned."""
+    path = write_config(tmp_path, {**airy_config(), "g_max_complexity": 4})
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ok"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8396a77689498d0cb0ad9e7417e192c45e9f1332ac39ee198f7914c011bc48e0"
+    )

@@ -394,3 +394,61 @@ def test_trie_contraction_is_the_flat_one(seed):
     flat = _mode_products(tensor, [flat_map(m) for m in range(n)])
     assert _trie_mode_products(trie, n, trie_map) == flat
     assert mapped_trie == mapped_flat
+
+
+def identity_r_oracle(datum: CanonicalData, g: int, insertions) -> Fraction:
+    """<prod_m v_{a_m} psi^{k_m}>_g for R = 1, from the datum and DVV alone:
+
+        sum_j p_j^(-(2g-2+n)) prod_m (eta psi)[a_m][j] <tau_{k_1} ... tau_{k_n}>_g
+
+    with p_j = sum_a (eta psi)[a][j] unit[a].  Each branch is a rescaled copy
+    of the Airy model, seen through the frame eta psi.
+    """
+    n_flat = datum.n
+    eta_psi = [
+        [sum(datum.eta[a][c] * datum.psi[c][j] for c in range(n_flat)) for j in range(n_flat)]
+        for a in range(n_flat)
+    ]
+    chi = 2 * g - 2 + len(insertions)
+    wk = dvv_intersection(g, [k for k, _ in insertions])
+    total = Fraction(0)
+    for j in range(n_flat):
+        p = sum(eta_psi[a][j] * datum.unit[a] for a in range(n_flat))
+        term = wk / p**chi
+        for _, a in insertions:
+            term *= eta_psi[a - 1][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "u, eta, psi, unit, bound",
+    [
+        ([0, 1], [[1, 0], [0, 1]], [[Q(3, 5), Q(4, 5)], [Q(-4, 5), Q(3, 5)]], [1, 2], 3),
+        (
+            [0, 1],
+            [[Q(1, 4), 0], [0, 4]],
+            [[Q(6, 5), Q(8, 5)], [Q(-2, 5), Q(3, 10)]],  # not symmetric
+            [1, 1],
+            3,
+        ),
+        (
+            [0, 1, 3],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[Q(n, 3) for n in row] for row in ([1, 2, 2], [2, 1, -2], [2, -2, 1])],
+            [1, 0, 2],
+            2,
+        ),
+    ],
+    ids=["rotated-pair", "nonsymmetric-psi", "dense-triple"],
+)
+def test_identity_r_correlators_match_the_local_oracle(u, eta, psi, unit, bound):
+    """With R = 1 every extracted correlator is the oracle's value; the
+    non-symmetric psi pins the row/column convention of eta psi."""
+    datum = CanonicalData.make(u=u, eta=eta, psi=psi, unit=unit)
+    assert validate_canonical(datum).ok
+    table = OmegaTable(FormContext(datum, RMatrix.identity_r(datum.n)), bound=bound)
+    corr = extract_all(table)
+    assert corr.values
+    for key, value in corr.items():
+        assert value == identity_r_oracle(datum, key.g, key.insertions), key
