@@ -97,6 +97,7 @@ __all__ = [
     "symmetry_check",
     "two_point_form",
     "validate_canonical",
+    "virasoro_check",
 ]
 
 __version__ = "0.1.0"

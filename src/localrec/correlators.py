@@ -112,9 +112,12 @@ class CorrelatorKey:
         return self.psi_degree() <= 3 * self.g - 3 + self.n
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelatorTable:
-    """Exact correlator values keyed by genus and insertion multiset."""
+    """Exact correlator values keyed by genus and insertion multiset.
+
+    Tables compare and hash by identity, so a context memo can key on one.
+    """
 
     values: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
@@ -477,7 +480,9 @@ def virasoro_check(
     The ordered enumeration of splittings and loop legs is deliberate
     redundancy.  The table builds one product per unordered splitting (the
     twin rule in ``recursion``); this check builds every order, so it is the
-    independent route that would catch a wrong fold.
+    independent route that would catch a wrong fold.  Each factor is built
+    once per context and correlator table, through the context memo, and
+    then shared by every order, left side and external branch that uses it.
     """
     rep = Report()
     ins = tuple((int(k), int(a)) for k, a in insertions)
@@ -486,7 +491,11 @@ def virasoro_check(
     if 2 * g - 2 + (n + 1) <= 0:
         raise ConsistencyError("constraint check needs a stable left side")
     rv = Var("r", i_ext)
-    lhs = _assembled_factor(ctx, corr, g, ins, i_ext, rv)
+
+    def factor(g1, sub, j, y):
+        return ctx.memo(_assembled_factor, corr, g1, sub, j, y)
+
+    lhs = factor(g, ins, i_ext, rv)
 
     terms = []
     for j in range(1, ctx.data.n + 1):
@@ -503,7 +512,7 @@ def virasoro_check(
             loop_budget = 3 * (g - 1) - 3 + (n + 2) - sum(k for k, _ in ins)
             for k1 in range(loop_budget + 1):
                 for b1 in range(1, ctx.data.n + 1):
-                    rest = _assembled_factor(ctx, corr, g - 1, ((k1, b1),) + ins, j, y)
+                    rest = factor(g - 1, ((k1, b1),) + ins, j, y)
                     if rest != zero_form((y,), (1,)):
                         w1 = ctx.memo(insertion_weight, j, k1, b1, y)
                         pieces.append(product_piece(w1, rest, y))
@@ -516,8 +525,8 @@ def virasoro_check(
                 if g - g1 == 0 and not right:
                     continue
                 pieces.append(product_piece(
-                    _assembled_factor(ctx, corr, g1, left, j, y),
-                    _assembled_factor(ctx, corr, g - g1, right, j, y),
+                    factor(g1, left, j, y),
+                    factor(g - g1, right, j, y),
                     y,
                 ))
         terms.append(

@@ -259,9 +259,7 @@ def random_symplectic_r(n: int, order: int, seed: int, coeff_bound: int = 3) -> 
 class VTable:
     """Closing matrices V_{kl} with sum V_{kl} w^k z^l = (1 - R(-w)^T R(-z)) / (z + w)."""
 
-    n: int
-    top: int  # entries with k + l <= top are stored
-    mats: dict  # (k, l) -> matrix as a tuple of row tuples
+    mats: dict  # (k, l) -> matrix as a tuple of row tuples, every k + l <= top
 
     def mat(self, k: int, l: int) -> Matrix:
         return self.mats[k, l]
@@ -309,7 +307,7 @@ def compute_vkl(r: RMatrix, top: int) -> VTable:
         if not mat_eq(m, transpose(v[(l, k)])):
             raise DatumError(f"V_({k},{l}) != V_({l},{k})^T; symplectic condition broken")
     frozen = {kl: tuple(tuple(row) for row in m) for kl, m in v.items()}
-    return VTable(n=n, top=top, mats=frozen)
+    return VTable(mats=frozen)
 
 
 def double_factorial(n: int) -> int:

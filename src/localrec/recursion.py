@@ -58,8 +58,10 @@ The table is a logical map with idempotent insertion.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import comb, prod
 
 from .frobenius import RMatrix
 from .linalg import identity, zeros
@@ -357,29 +359,74 @@ def _required_order(
     raise TruncationOrderError(f"no truncation order up to {limit} certifies ({g},{n})")
 
 
+def _arrangements(exps, his) -> int:
+    """Distinct arrangements of the multiset ``exps`` over slots capped at ``his``.
+
+    The values are placed from the largest down: a value may sit in any slot
+    whose cap reaches it and that no larger value took, and those slots also
+    admit every smaller value, so each value's choice is a binomial.
+    """
+    count, placed = 1, 0
+    for e, m in sorted(Counter(exps).items(), reverse=True):
+        count *= comb(sum(h >= e for h in his) - placed, m)
+        placed += m
+    return count
+
+
+def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> bool:
+    """The symmetry verdict of :func:`symmetry_check` (the orbit rule in its
+    docstring) from one pass over the stored terms of the entry at the
+    sorted ``branches``."""
+    blocks = [
+        (branches.index(b), branches.index(b) + branches.count(b))
+        for b in sorted(set(branches))
+    ]
+    groups = defaultdict(list)
+    for e, c in form.nums.items():
+        groups[tuple(x for a, b in blocks for x in sorted(e[a:b]))].append(c)
+    return all(
+        len(set(cs)) == 1
+        and len(cs) == prod(_arrangements(key[a:b], form.hi[a:b]) for a, b in blocks)
+        for key, cs in groups.items()
+    )
+
+
 def symmetry_check(table: OmegaTable, g: int, branches) -> Report:
     """Permutation symmetry, evenness and the pole bound for one entry.
 
     Symmetry is compared on the common certified window of the entry and its
-    permuted image: slot windows are generally asymmetric (the pivot slot of
-    the computation sees further than the external ones), and coefficients
-    beyond a slot window are unknown rather than zero.
+    permuted image, under every permutation that fixes the branch tuple:
+    slot windows are generally asymmetric (the pivot slot of the computation
+    sees further than the external ones), and coefficients beyond a slot
+    window are unknown rather than zero.
+
+    The verdict is read off the stabilizer orbits of the stored terms.  The
+    common window of the entry and its image is the meet of their ``hi``,
+    so two arrangements of one orbit are compared by some stabilizing
+    permutation exactly when both lie under ``hi``, and every stored term
+    lies under ``hi``.  So the entry is symmetric exactly when each group of
+    stored terms with equal exponents up to the order within every block of
+    equal branches has one numerator and holds every arrangement of its
+    exponents that lies under ``hi``.  Only an asymmetric entry runs the
+    permutation loop, which names the first permutation and coefficient
+    that differ.
     """
     rep = Report()
     branches = tuple(sorted(branches))
     n = len(branches)
     form = table.omega(g, branches)
     name = f"symmetry-({g},{branches})"
-    base_vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
     bad = None
-    for perm in permutations(range(n)):
-        if tuple(branches[p] for p in perm) != branches:
-            continue  # only stabilizing permutations map the entry to itself
-        permuted = form.rename({f"x{i}": base_vars[perm[i]] for i in range(n)})
-        mismatch = agreement_mismatch(form, permuted)
-        if mismatch is not None:
-            bad = (perm, mismatch)
-            break
+    if not _orbit_symmetric(form, branches):
+        base_vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
+        for perm in permutations(range(n)):
+            if tuple(branches[p] for p in perm) != branches:
+                continue  # only stabilizing permutations map the entry to itself
+            permuted = form.rename({f"x{i}": base_vars[perm[i]] for i in range(n)})
+            mismatch = agreement_mismatch(form, permuted)
+            if mismatch is not None:
+                bad = (perm, mismatch)
+                break
     rep.add(name, bad is None, "" if bad is None else f"asymmetric at {bad}")
 
     p = pole_bound(g, n)

@@ -613,3 +613,30 @@ def test_check_exact_airy_bound4_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "8396a77689498d0cb0ad9e7417e192c45e9f1332ac39ee198f7914c011bc48e0"
     )
+
+
+def test_check_builds_each_constraint_factor_once(tmp_path, capsys, monkeypatch):
+    """Every constraint factor of a check is built once, through the context
+    memo, though the ordered splittings and the left sides repeat them; the
+    report's bytes are those of the passing check of any seed."""
+    import localrec.correlators as correlators
+
+    real = correlators._assembled_factor
+    built = []
+
+    def counting(ctx, corr, *args):
+        built.append(args)
+        return real(ctx, corr, *args)
+
+    monkeypatch.setattr(correlators, "_assembled_factor", counting)
+    rotated = {
+        **pair_config(seed=1),
+        "psi": [["3/5", "4/5"], ["-4/5", "3/5"]],
+        "unit": ["1/1", "2/1"],
+    }
+    assert main(["check", "--config", write_config(tmp_path, rotated)]) == 0
+    out = capsys.readouterr().out
+    assert len(built) == len(set(built)) == 42
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "be0f6ebd75c7d4dc46183825f5e479ce3ca50607bb1dd0782e2deca612e24d92"
+    )

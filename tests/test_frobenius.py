@@ -126,3 +126,11 @@ def test_non_symplectic_r_fails_division():
     bad = RMatrix.make([identity(2), [[0, 1], [-1, 0]]])
     with pytest.raises(DatumError):
         compute_vkl(bad, 0)
+
+
+def test_vkl_refuses_r0_not_identity():
+    """``RMatrix.make`` refuses R_0 != 1, but the constructor itself does not,
+    so the closing matrices check the constant term of their numerator."""
+    r = RMatrix(n=2, mats=(((Q(2), Q(0)), (Q(0), Q(1))),), exact=True)
+    with pytest.raises(DatumError, match="constant term; R_0 != 1"):
+        compute_vkl(r, 0)

@@ -1,9 +1,11 @@
 """Recursion engine: frozen one-branch values, symmetry, decoupling, windows."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from localrec.cli import RunConfig
 from localrec.frobenius import RMatrix, airy_datum, decoupled_datum, random_symplectic_r
 from localrec.localforms import FormContext
 from localrec.recursion import (
@@ -13,6 +15,7 @@ from localrec.recursion import (
     stable_entries,
     symmetry_check,
 )
+from localrec.series import INF, MultiForm, Var, agreement_mismatch
 
 
 Q = Fraction
@@ -211,7 +214,12 @@ def test_symmetry_check_flags_corrupted_entry():
     t._store[(0, (1, 1, 1))] = MultiForm(w.vars, w.degs, broken, w.lo, w.hi)
     rep = symmetry_check(t, 0, (1, 1, 1))
     bad = [c for c in rep.checks if not c.ok]
-    assert bad and "asymmetric at" in bad[0].detail
+    assert [(c.name, c.detail) for c in bad] == [
+        (
+            "symmetry-(0,(1, 1, 1))",
+            "asymmetric at ((0, 2, 1), ((-2, -2, 0), Fraction(7, 1), Fraction(0, 1)))",
+        )
+    ]
 
 
 def test_odd_seed_term_above_the_cap_is_caught(monkeypatch):
@@ -280,3 +288,92 @@ def test_bracket_builds_one_product_per_unordered_splitting(monkeypatch, ctx, ke
     assert t.omega(*key) == first
     # one bracket per residue branch
     assert len(calls) == ctx.data.n * _unordered_splittings(g, len(branches))
+
+
+def _loop_symmetric(form, branches):
+    """Symmetry by the stabilizer loop: the entry agrees with every image
+    under a branch-fixing permutation on their common window."""
+    n = len(branches)
+    base = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
+    return all(
+        agreement_mismatch(form, form.rename({f"x{i}": base[p[i]] for i in range(n)}))
+        is None
+        for p in permutations(range(n))
+        if tuple(branches[i] for i in p) == branches
+    )
+
+
+def _entry_perturbations(form):
+    """The entry changed four ways, each labelled, as ``(label, nums)``."""
+    nums, lo, hi = form.nums, form.lo, form.hi
+    out = []
+    first, last = min(nums), max(nums)
+    out.append(("changed-numerator", {**nums, first: nums[first] + 1}))
+    out.append(("deleted-term", {e: c for e, c in nums.items() if e != last}))
+    # added terms have odd exponents, so none is stored already; first one
+    # with every arrangement inside every slot window
+    low, top = max(lo) + 1, min(hi)
+    inside = tuple(min(low + 2 * i, top - 1 + top % 2) for i in range(len(lo)))
+    out.append(("added-inside", {**nums, inside: 1}))
+    # then one whose images moving slot 0 lie above the other slots' windows
+    if len(lo) > 1 and max(hi[1:]) < hi[0] < INF:
+        above = (hi[0] - 1 + hi[0] % 2,) + (low,) * (len(lo) - 1)
+        out.append(("added-above", {**nums, above: 1}))
+    return out
+
+
+def _pair_table(psi, unit):
+    cfg = {
+        "N": 2,
+        "u": ["0/1", "1/1"],
+        "eta": [["1/1", "0/1"], ["0/1", "1/1"]],
+        "psi": psi,
+        "unit": unit,
+        "R": "random",
+        "L": 6,
+        "seed": 5,
+        "coeff_bound": 3,
+        "g_max_complexity": 2,
+    }
+    return RunConfig(cfg).table()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: airy_table(bound=4),
+        lambda: _pair_table([["1/1", "0/1"], ["0/1", "1/1"]], ["1/1", "1/1"]),
+        lambda: _pair_table([["3/5", "4/5"], ["-4/5", "3/5"]], ["1/1", "2/1"]),
+    ],
+    ids=["airy-b4", "decoupled-N2", "rotated-N2"],
+)
+def test_orbit_verdict_equals_permutation_verdict(monkeypatch, make):
+    """The orbit rule of ``symmetry_check`` gives the stabilizer loop's
+    verdict on perturbed entries; the loop runs only when the rule fails."""
+    import localrec.recursion as recursion
+
+    t = make()
+    loops = []
+    real = recursion.agreement_mismatch
+    monkeypatch.setattr(
+        recursion, "agreement_mismatch", lambda a, b: loops.append(1) or real(a, b)
+    )
+    verdicts = []
+    for g, n in stable_entries(t.bound):
+        for branches in combinations_with_replacement(range(1, t.ctx.data.n + 1), n):
+            key = (g, branches)
+            form = t.omega(g, branches)
+            for label, nums in _entry_perturbations(form):
+                planted = MultiForm.from_numerators(
+                    form.vars, form.degs, nums, form.den, form.lo, form.hi
+                )
+                t._store[key] = planted
+                loops.clear()
+                ok = symmetry_check(t, g, branches).checks[0].ok
+                expected = _loop_symmetric(planted, branches)
+                assert (ok, not loops) == (expected, expected), (key, label)
+                if label == "added-above":
+                    assert ok, key
+                verdicts.append(ok)
+            t._store[key] = form
+    assert True in verdicts and False in verdicts
