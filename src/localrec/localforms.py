@@ -81,8 +81,7 @@ class FormContext:
     psi R_l e_j and their pairings, the closing-matrix tables, the period
     expansions and their residue pairings, the one-point forms, the two-point
     and P_0 seeds and the recursion kernels of every table on the context,
-    the insertion and constraint weights, and the window planner's shadow
-    tables and planned orders.
+    and the insertion and constraint weights.
 
     Parity policy: every form the memo stores has a definite reflection
     parity in each of its variables, checked on its full window on the miss

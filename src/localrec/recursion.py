@@ -41,17 +41,19 @@ covered by the context memo, which checks every form it stores (the seeds,
 the kernel, the weights) for a definite reflection parity on its full
 window, and by ``_finalize``, which checks every entry.
 
-Window budgeting: before a truncated-R computation starts, the same code is
-dry-run against a zero-dressed R (windows depend only on the truncation order
-and the combination pattern, never on coefficient values), which gives a
-faithful fail-fast check.  The plan dry-runs the table's own order first; when
-that certifies the entry, nothing else is tried.  Only when it fails are the
-orders from 0 upward searched, for the minimal sufficient order to report.
-The dry runs share one shadow table per truncation order through the context
-memo, so every entry planned later reuses the lower entries already
-certified.  Only a window failure counts against an order; any other error
-met on a shadow table is a fault of the program and ends the plan at once.
-Exact R data have unbounded windows and skip the plan.
+The order rule: ``_finalize`` requires each slot of a (g, n) entry to reach
+B - pole_bound(g, n), with B the table's ``budget``.  The windows depend only
+on the truncation order L and the assembly pattern, never on the values of
+R, so the minimal sufficient L is a function of B and (g, n) alone.  (0, 3)
+is the kernel's residue against two two-point seeds: its ``x0`` window tops
+out at 2L - 1, and its external slots are capped by the seed, expanded to
+pole depth 2 floor(B/2) + 2, at 2L - 2 floor(B/2) - 1; the target B - 2 needs
+L >= 2 floor(B/2).  (1, 1) is built from P_0 and the kernel alone, capped at
+2L - 3; the target B - 4 needs L >= floor(B/2).  Every other entry contains
+(0, 3) among its splittings and is no more demanding; the grid test in
+``tests/test_recursion.py`` pins this against dry runs on a zero-dressed R.
+A shortfall is refused before the entry is built, so one met in
+``_finalize`` is a fault of the program.  Exact R data skip the rule.
 
 The table is a logical map with idempotent insertion.
 """
@@ -63,8 +65,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb, prod
 
-from .frobenius import RMatrix
-from .linalg import identity, zeros
 from .localforms import (
     FormContext,
     propagator_p0,
@@ -76,7 +76,6 @@ from .series import (
     MultiForm,
     SeriesError,
     Var,
-    WindowError,
     agreement_mismatch,
     capped_product,
     residue_of_product,
@@ -131,11 +130,6 @@ def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     return residue_of_product(w, sum_forms(build(ycap) for _, build in pieces), y)
 
 
-def _table_budget(bound: int, min_budget: int) -> int:
-    """The window budget of a table: the deepest pole bound, or more on request."""
-    return max(max(pole_bound(g, n) for g, n in stable_entries(bound)), min_budget)
-
-
 def stable_entries(bound: int) -> list[tuple[int, int]]:
     """All stable (g, n) with 2g - 2 + n <= bound, ordered by complexity."""
     out = []
@@ -153,12 +147,13 @@ class OmegaTable:
 
     ctx: FormContext
     bound: int = 4
-    check_plan: bool = True
     min_budget: int = 0  # extra window request beyond the pole-bound budget
     _store: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.budget = _table_budget(self.bound, self.min_budget)
+        # the window budget: the deepest pole bound, or more on request
+        deepest = max(pole_bound(g, n) for g, n in stable_entries(self.bound))
+        self.budget = max(deepest, self.min_budget)
 
     def hi_target(self, g: int, n: int) -> int:
         # entries feeding later loop terms need headroom above the pole part
@@ -266,7 +261,7 @@ class OmegaTable:
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
         n = len(branches)
-        if not self.ctx.r.exact and self.check_plan:
+        if not self.ctx.r.exact:
             need = self.required_order(g, n)
             if self.ctx.r.order < need:
                 raise TruncationOrderError(
@@ -302,61 +297,19 @@ class OmegaTable:
         hi_need = self.hi_target(g, n)
         for v, h in zip(form.vars, form.hi):
             if h < hi_need:
-                shortfall = hi_need - h
-                raise TruncationOrderError(
-                    f"({g},{n}) window tops out at {h} in {v.name}, need {hi_need}",
-                    min_order=self.ctx.r.order + (shortfall + 1) // 2,
+                raise ConsistencyError(
+                    f"({g},{n}) window tops out at {h} in {v.name}, need {hi_need}, "
+                    f"at truncation order {self.ctx.r.order}"
                 )
         return form
 
-    # -- window planning ------------------------------------------------------
+    # -- the order rule -------------------------------------------------------
 
     def required_order(self, g: int, n: int) -> int:
-        """A truncation order that certifies the (g, n) entries, for the plan.
-
-        Determined by dry-running this very code against a zero-dressed R: the
-        windows depend only on the truncation order and the assembly pattern,
-        so the dry run is faithful by construction.  When the table's own
-        order certifies the entries, that order is returned and no other is
-        tried; otherwise the result is the minimal order that certifies them.
-        """
-        return self.ctx.memo(_required_order, g, n, self.bound, self.min_budget)
-
-
-def _shadow_table(
-    ctx: FormContext, order: int, bound: int, min_budget: int
-) -> OmegaTable:
-    """The zero-dressed table of one truncation order that the plan dry-runs.
-
-    It never plans itself: its windows are what the plan measures.
-    """
-    shadow_r = RMatrix.make([identity(ctx.data.n)] + [zeros(ctx.data.n)] * order)
-    return OmegaTable(
-        FormContext(ctx.data, shadow_r),
-        bound=bound,
-        check_plan=False,
-        min_budget=min_budget,
-    )
-
-
-def _required_order(
-    ctx: FormContext, g: int, n: int, bound: int, min_budget: int
-) -> int:
-    def certifies(order: int) -> bool:
-        try:
-            ctx.memo(_shadow_table, order, bound, min_budget).omega(g, (1,) * n)
-        except (WindowError, TruncationOrderError):
-            return False
-        return True
-
-    own = ctx.r.order
-    if certifies(own):
-        return own
-    limit = 2 * _table_budget(bound, min_budget) + 8
-    for order in range(limit):
-        if order != own and certifies(order):
-            return order
-    raise TruncationOrderError(f"no truncation order up to {limit} certifies ({g},{n})")
+        """The minimal truncation order that certifies the (g, n) entries
+        (the order rule in the module docstring)."""
+        half = self.budget // 2
+        return half if (g, n) == (1, 1) else 2 * half
 
 
 def _arrangements(exps, his) -> int:

@@ -386,9 +386,15 @@ class MultiForm:
         return self._over(nums, self.den, hi)
 
     def rename(self, mapping: Mapping[str, Var]) -> "MultiForm":
-        """Rename (and possibly re-brand) variables; exponents follow along."""
+        """Rename (and possibly re-brand) variables; exponents follow along.
+
+        A mapping that changes no variable returns the form itself.
+        """
+        vars = tuple(mapping.get(v.name, v) for v in self.vars)
+        if vars == self.vars:
+            return self
         return MultiForm.from_numerators(
-            (mapping.get(v.name, v) for v in self.vars),
+            vars,
             self.degs,
             self.nums,
             self.den,

@@ -185,7 +185,7 @@ def test_criterion_6_constraint_equivalence():
     for seed in (1, 2, 3):
         ctx2 = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, seed))
         t2 = OmegaTable(ctx2, bound=2)
-        assert t2.required_order(1, 2) <= 6  # the plan admits this truncation
+        assert t2.required_order(1, 2) <= 6  # the order rule admits this truncation
         corr2 = extract_all(t2)
         for g, n in [(0, 3), (1, 1)]:
             budget = 3 * g - 3 + (n + 1)

@@ -567,9 +567,8 @@ def test_unwritable_out_is_one_line_error_before_any_table(
 def test_internal_failure_while_planning_is_not_window_exhaustion(
     tmp_path, capsys, monkeypatch
 ):
-    """The window plan treats only window failures as "this order does not
-    certify": a ConsistencyError met on a shadow table ends the run with
-    exit 3 at once instead of trying every order and reporting exhaustion."""
+    """A ConsistencyError met while an entry is built ends the run with
+    exit 3; it is never reported as window exhaustion (exit 2)."""
     from localrec.recursion import ConsistencyError, OmegaTable
 
     finalize = OmegaTable._finalize
@@ -583,6 +582,25 @@ def test_internal_failure_while_planning_is_not_window_exhaustion(
     path = write_config(tmp_path, pair_config(seed=5, order=6))
     assert main(["omega", "--g", "1", "--n", "2", "--config", path]) == 3
     assert capsys.readouterr().err == "internal consistency failure: planted\n"
+
+
+def test_order_rule_shortfall_is_an_internal_failure(tmp_path, capsys, monkeypatch):
+    """An order rule that admits one order too few leaves an entry's window
+    short in ``_finalize``: the rule and the windows disagree, a fault of the
+    program, so the run exits 3 with one line naming the entry, the variable
+    and both bounds."""
+    from localrec.recursion import OmegaTable
+
+    rule = OmegaTable.required_order
+    monkeypatch.setattr(
+        OmegaTable, "required_order", lambda self, g, n: rule(self, g, n) - 1
+    )
+    path = write_config(tmp_path, pair_config(seed=5, order=5))
+    assert main(["omega", "--g", "1", "--n", "2", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: (0,3) window tops out at 3 in x1, need 4, "
+        "at truncation order 5\n"
+    )
 
 
 def test_validate_exact_r_padded_with_zeros(tmp_path, capsys):

@@ -6,16 +6,24 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from localrec.cli import RunConfig
-from localrec.frobenius import RMatrix, airy_datum, decoupled_datum, random_symplectic_r
+from localrec.frobenius import (
+    CanonicalData,
+    RMatrix,
+    airy_datum,
+    decoupled_datum,
+    random_symplectic_r,
+)
+from localrec.linalg import identity, zeros
 from localrec.localforms import FormContext
 from localrec.recursion import (
+    ConsistencyError,
     OmegaTable,
     TruncationOrderError,
     pole_bound,
     stable_entries,
     symmetry_check,
 )
-from localrec.series import INF, MultiForm, Var, agreement_mismatch
+from localrec.series import INF, MultiForm, Var, WindowError, agreement_mismatch
 
 
 Q = Fraction
@@ -102,6 +110,18 @@ def test_retrieval_permutes_branches():
     assert w_sorted.is_zero() and w_rotated.is_zero()
 
 
+def test_sorted_retrieval_returns_the_stored_entry():
+    """Retrieval at the sorted tuple renames through the identity, which
+    hands back the stored entry itself; a permuted tuple gets a fresh form."""
+    t = OmegaTable(
+        FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 5)), bound=2
+    )
+    for g, branches in [(0, (1, 1, 2)), (1, (1, 2)), (1, (2,))]:
+        assert t.omega(g, branches) is t.omega(g, branches)
+        assert t.omega(g, branches) is t._store[(g, branches)]
+    assert t.omega(1, (2, 1)) is not t.omega(1, (1, 2))
+
+
 def test_order_independence():
     t1 = airy_table()
     t2 = airy_table()
@@ -136,53 +156,70 @@ def test_window_plan_fail_fast():
     assert e.value.min_order == need
 
 
-def test_window_plan_builds_one_shadow_table_per_order(monkeypatch):
-    import localrec.recursion as recursion
-
-    built = []
-
-    class CountingContext(FormContext):
-        def __post_init__(self):
-            built.append(self.r.order)
-            super().__post_init__()
-
-    t = OmegaTable(
-        FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 1, 5)), bound=2
-    )
-    monkeypatch.setattr(recursion, "FormContext", CountingContext)
-    needs = {(g, n): t.required_order(g, n) for g, n in stable_entries(2)}
-    assert needs == {(0, 3): 6, (1, 1): 3, (0, 4): 6, (1, 2): 6}
-    # every (g, n) shares the shadow table of each order it dry-runs
-    assert sorted(built) == list(range(max(needs.values()) + 1))
-
-
 PLAN_NEED = 6  # minimal order certifying (1, 2) on decoupled N=2, bound 2
 
 
 @pytest.mark.parametrize("order", range(PLAN_NEED + 2))
-def test_window_plan_tries_own_order_first(monkeypatch, order):
-    import localrec.recursion as recursion
-
+def test_truncated_run_builds_one_context(monkeypatch, order):
+    """The order rule builds nothing: a truncated-R ``omega`` constructs the
+    table's own context and no other, whether the order suffices or not."""
     built = []
-
-    class CountingContext(FormContext):
-        def __post_init__(self):
-            built.append(self.r.order)
-            super().__post_init__()
-
+    real = FormContext.__post_init__
+    monkeypatch.setattr(
+        FormContext, "__post_init__", lambda self: built.append(self.r.order) or real(self)
+    )
     t = OmegaTable(
         FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, order, 5)), bound=2
     )
-    monkeypatch.setattr(recursion, "FormContext", CountingContext)
     if order < PLAN_NEED:
         with pytest.raises(TruncationOrderError) as e:
             t.omega(1, (1, 2))
         assert e.value.min_order == PLAN_NEED
-        return
-    t.omega(1, (1, 2))
-    assert t.required_order(1, 2) == order
-    # a sufficient order is certified by its own shadow table alone
+    else:
+        t.omega(1, (1, 2))
+    assert t.required_order(1, 2) == PLAN_NEED
     assert built == [order]
+
+
+ROTATED_PAIR = CanonicalData.make(
+    u=[0, 1], eta=[[1, 0], [0, 1]], psi=[["3/5", "4/5"], ["-4/5", "3/5"]], unit=[1, 2]
+)
+
+
+@pytest.mark.parametrize("datum", [airy_datum(), ROTATED_PAIR], ids=["airy", "rotated-N2"])
+def test_order_rule_equals_the_dry_run_minimum(monkeypatch, datum):
+    """The order rule against its reference, the dry run: the recursion run
+    with the rule switched off on a zero-dressed R of every order L (windows
+    depend only on L and the assembly pattern).  Every entry fails below the
+    rule's order and is certified at and above it.  A table depends on its
+    bound and ``window`` only through the budget, so each budget of the grid
+    (bounds 1-3, windows 0 and 5-13) is run once, at the largest bound that
+    has it."""
+    rule = OmegaTable.required_order
+    monkeypatch.setattr(OmegaTable, "required_order", lambda self, g, n: 0)
+
+    def table(order, bound, budget):
+        mats = [identity(datum.n)] + [zeros(datum.n)] * order
+        return OmegaTable(FormContext(datum, RMatrix.make(mats)), bound, min_budget=budget)
+
+    bounds = {}
+    for bound in (1, 2, 3):
+        for window in (0, 5, 7, 9, 11, 13):
+            bounds[table(0, bound, window).budget] = bound
+    for budget, bound in bounds.items():
+        needs = {(g, n): rule(table(0, bound, budget), g, n) for g, n in stable_entries(bound)}
+        for order in range(max(needs.values()) + 3):
+            t = table(order, bound, budget)
+            for (g, n), need in needs.items():
+                try:
+                    t.omega(g, (1,) * n)
+                    certified = True
+                except ConsistencyError as e:
+                    assert "window tops out" in str(e), e
+                    certified = False
+                except WindowError:
+                    certified = False
+                assert certified == (order >= need), (budget, order, g, n)
 
 
 def test_window_plan_sufficient_order_succeeds():
