@@ -236,16 +236,18 @@ def _check_battery(cfg: RunConfig) -> Report:
     for j in range(1, n + 1):
         one_point_form(ctx, j, Var("s", j))  # raises on route disagreement
         rep.checks.extend(ope_normalization_check(ctx, j).checks)
+    table = cfg.table()
+    # the table's own seeds, which it then reuses, at a window of at least 6
+    s_hi = max(6, table.budget)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            two_point_form(ctx, i, j, Var("r", i), Var("s", j), 6)
+            ctx.memo(two_point_form, i, j, Var("a", i), Var("b", j), s_hi)
     rep.add("dual-route-agreement", True, "one- and two-point constructions")
 
     for k in range(0, 3):
         for a in range(1, n + 1):
             rep.checks.extend(insertion_reconstruct_check(ctx, k, a).checks)
 
-    table = cfg.table()
     sym_bound = min(cfg.bound, 2 if n > 1 or not cfg.r.exact else 4)
     for g, nn in stable_entries(sym_bound):
         for branches in combinations_with_replacement(range(1, n + 1), nn):

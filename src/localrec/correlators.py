@@ -27,18 +27,22 @@ message.  The degree vectors past the tameness bound (total degree above
 3g - 3 + n) come first, and any nonzero value there is an error, so the
 tensor is still empty while they run: the prediction is empty, the inverse
 of psi is invertible, and such a step passes exactly when every ordered
-branch tuple's coefficient at its exponents is 0.  That is tested directly,
-reading the tuples in the order the step reads them, so an uncertified
-coefficient fails as the step would; a nonzero one runs the step, which
-names the offending key.  At the tame vectors the prediction contracts the
-tensor stored as a trie, keyed slot by slot in the order the slots are
-mapped, so a key whose weight has no term at the leading exponent drops its
-whole subtrie at once.  With identity R every weight is one monomial and
-every prediction drops to nothing.  Subtries that land on the same images
-are summed and their cancelled sums dropped before the next slot, as the
-flat contraction merges its partial sums, so the trie maps the same keys at
-the same exponents: the same values, and the same window failure, whose text
-names the exponent alone.
+branch tuple's coefficient at its exponents is 0.  That is decided by one
+scan of each stored entry's terms: an ordered tuple reads its sorted entry at
+exponents that do not increase along a block of equal branches, so the
+vectors with a nonzero read are those of the stored terms past the bound that
+have this shape.  A nonzero read runs the step, which names the offending
+key.  Only a vector whose exponents may lie above some slot's window has its
+tuples read one by one, in the order the step reads them, so an uncertified
+coefficient fails as the step would.  At the tame vectors the prediction
+contracts the tensor stored as a trie, keyed slot by slot in the order the
+slots are mapped, so a key whose weight has no term at the leading exponent
+drops its whole subtrie at once.  With identity R every weight is one
+monomial and every prediction drops to nothing.  Subtries that land on the
+same images are summed and their cancelled sums dropped before the next
+slot, as the flat contraction merges its partial sums, so the trie maps the
+same keys at the same exponents: the same values, and the same window
+failure, whose text names the exponent alone.
 
 The residual is formed at the sorted branch tuples only.  Every ordered
 tuple ``jv`` is a slot permutation of its sorted one: ``omega[jv]`` is the
@@ -46,6 +50,26 @@ stored entry renamed, the tensor holds every slot order of each value, and
 the weight series and their windows depend on the slot's branch alone.  So
 the residual at ``jv`` is the residual at ``sorted(jv)`` with its slots
 permuted, and the sorted tuples check every certified coefficient.
+
+Within a sorted tuple the residual is compared at block-sorted exponents
+only.  Slots m and m + 1 are tied when they share a branch and the window
+they are compared on, the meet of the entry's ``hi`` and the reassembly's;
+slot 0, the pivot of the computation, usually sees further and stays apart.
+The prediction is symmetric under every exchange of tied slots, for the
+reason above.  The entry is symmetric under them, wherever both arrangements
+are certified, when the orbit verdict of ``recursion.symmetry_check`` passes
+on it, and tied slots share their window, so an exponent tuple and its sort
+within the tied blocks are compared together.  Under a passing verdict every
+certified coefficient is therefore checked by the one at its block-sorted
+arrangement, and ``_mode_products`` drops each partial key with
+e_m > e_(m+1) at a tied pair as soon as slot m is mapped (the
+symmetric-tensor contraction of Schatz, Low, van de Geijn and Kolda, SIAM J.
+Sci. Comput. 36, 2014, restricted to blocks).  The verdict is computed once
+per stored entry and shared with ``symmetry_check``; with no tied pair or a
+failed verdict the full residual runs.  A failure names the coefficient it
+named without the cut: under a passing verdict, sorting the first mismatch of
+the full residual within the tied blocks gives a mismatch that is no later
+in lexicographic order, so that first mismatch is itself block-sorted.
 
 The quadratic-constraint checker reassembles its residue weight directly from
 period pairings (sharing no code with the engine's kernel object) and
@@ -152,7 +176,7 @@ def insertion_weight(ctx: FormContext, j: int, k: int, a: int, v: Var) -> MultiF
     return (ctx.period_dual(j, k + 1, a, v) * dlam).scale((-1) ** k)
 
 
-def _mode_products(tensor: dict, maps) -> dict:
+def _mode_products(tensor: dict, maps, ties=()) -> dict:
     """Apply one linear map per slot to a sparse tensor.
 
     ``tensor`` maps index tuples to values; ``maps[m]`` sends an index of
@@ -161,13 +185,20 @@ def _mode_products(tensor: dict, maps) -> dict:
     51, 2009) and after each slot the partial sums that share every index are
     merged, so a slot costs one pass over the merged partial tensor.  Sums
     that cancel are dropped.  The last slot goes first.
+
+    For each m in ``ties`` only the images with ``new[m] <= new[m + 1]`` are
+    kept, dropped as soon as slot m is mapped: the result is the full one
+    restricted to those keys.
     """
     for m in reversed(range(len(maps))):
         image = maps[m]
+        tied = m in ties
         out: dict[tuple, Rat | int] = {}
         for idx, c in tensor.items():
             head, tail = idx[:m], idx[m + 1 :]
             for new, w in image(idx[m]).items():
+                if tied and new > tail[0]:
+                    continue
                 key = head + (new,) + tail
                 out[key] = out.get(key, 0) + c * w
         tensor = {key: c for key, c in out.items() if c}
@@ -290,6 +321,26 @@ def extract_correlators(
     for idx in _ordered_indices(n, flat, kslot):
         orders[tuple(sorted(k for k, _ in idx))].append(idx)
 
+    # the direct zero test (module docstring): the degree vectors past the
+    # tameness bound where some ordered tuple reads a stored term, from one
+    # scan of each entry; a tuple reads its sorted entry at exponents that do
+    # not increase along a block of equal branches
+    nonzero = set()
+    for jv, f in forms.items():
+        blocks = [m for m in range(n - 1) if jv[m] == jv[m + 1]]
+        for e in f.nums:
+            # all poles, with psi degrees summing past kslot
+            if max(e) > -2 or sum(e) >= -2 * (n + kslot):
+                continue
+            ks = tuple(sorted((-2 - x) // 2 for x in e))
+            if (
+                ks[-1] <= kslot
+                and all(x % 2 == 0 for x in e)
+                and all(e[m] >= e[m + 1] for m in blocks)
+            ):
+                nonzero.add(ks)
+    floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
+
     kvecs = sorted(
         combinations_with_replacement(range(kslot + 1), n), key=lambda kv: (-sum(kv), kv)
     )
@@ -297,8 +348,11 @@ def extract_correlators(
         exps = tuple(-2 * k - 2 for k in kvec)
         beyond = sum(kvec) > kslot
         try:
-            if beyond and not any(f.coefficient(exps, o) for f, o in reads):
-                continue  # nothing to solve (the direct zero test, module docstring)
+            if beyond and kvec not in nonzero:
+                if max(exps) > floor:  # a read may be uncertified: fail as the step
+                    for f, o in reads:
+                        f.coefficient(exps, o)
+                continue  # nothing to solve
             predicted = _trie_mode_products(
                 trie, n, lambda m, ka: weights_at(ka, exps[m])
             )
@@ -339,33 +393,55 @@ def extract_correlators(
     # overdetermined residual: every certified coefficient of every branch
     # tuple must be explained, which the sorted branch tuples already show
     # (see the module docstring).  The window of the reassembly is the usual sum
-    # rule over all summands, computed first so the contraction can prune
-    # outside it as it goes.  The contraction runs on integer numerators over
-    # common denominators, which are divided out once per coefficient.
+    # rule over all summands, and the comparison reads only the common window
+    # of the reassembly and the entry, so each slot's map is cut there before
+    # the contraction: every key it drops lies outside that window.  The
+    # contraction runs on integer numerators over common denominators, which
+    # are divided out once per coefficient.
     support = {ka for idx in tensor for ka in idx}
     los = {j: min([0] + [weight(j, ka).lo[0] for ka in support]) for j in flat}
     his = {j: min([INF] + [weight(j, ka).hi[0] for ka in support]) for j in flat}
     den, numerators = common_denominator(tensor)
     wden = lcm(*(weight(j, ka).den for j in flat for ka in support))
-    series = {}
-    for j in flat:
-        for ka in support:
-            w = weight(j, ka)
-            m = wden // w.den
-            series[j, ka] = {e: c * m for (e,), c in w.nums.items() if e <= his[j]}
     scale = den * wden**n
 
+    @cache
+    def images(j: int, top: int) -> dict[Insertion, dict[int, int]]:
+        """The map of a branch-j slot compared up to ``top``: each insertion's
+        weight numerators over ``wden``, up to that exponent."""
+        out = {}
+        for ka in support:
+            w = weight(j, ka)
+            out[ka] = {e: c * (wden // w.den) for (e,), c in w.nums.items() if e <= top}
+        return out
+
     for jv, form in forms.items():
-        coeffs = _mode_products(numerators, [lambda ka, j=j: series[j, ka] for j in jv])
+        tops = [min(h, his[j]) for h, j in zip(form.hi, jv)]
+        # tied slots are compared at block-sorted exponents where the entry
+        # is symmetric (module docstring)
+        ties = {
+            m for m in range(n - 1) if jv[m] == jv[m + 1] and tops[m] == tops[m + 1]
+        }
+        if ties and not table.orbit_symmetric(g, jv):
+            ties = set()
+        maps = [images(j, top).__getitem__ for j, top in zip(jv, tops)]
         predicted = MultiForm.from_numerators(
             form.vars,
             form.degs,
-            coeffs,
+            _mode_products(numerators, maps, ties),
             scale,
             [los[j] for j in jv],
-            [his[j] for j in jv],
+            tops,
         )
-        bad = agreement_mismatch(predicted, form)
+        computed = form
+        if ties:
+            nums = {
+                e: c for e, c in form.nums.items() if all(e[m] <= e[m + 1] for m in ties)
+            }
+            computed = MultiForm.from_numerators(
+                form.vars, form.degs, nums, form.den, form.lo, form.hi
+            )
+        bad = agreement_mismatch(predicted, computed)
         if bad is not None:
             raise ConsistencyError(
                 f"extraction residual at branches {jv} of ({g},{n}): "

@@ -37,7 +37,6 @@ from .series import (
     Var,
     WindowError,
     agreement_mismatch,
-    capped_product,
     d_unit,
     geometric_expand,
     invert,
@@ -79,9 +78,9 @@ class FormContext:
 
     :meth:`memo` holds each derived object once per context: the columns of
     psi R_l e_j and their pairings, the closing-matrix tables, the period
-    expansions and their residue pairings, the one-point forms, the two-point
-    and P_0 seeds and the recursion kernels of every table on the context,
-    and the insertion and constraint weights.
+    expansions, each dual period times dlambda and the residue pairings, the
+    one-point forms, the two-point and P_0 seeds and the recursion kernels of
+    every table on the context, and the insertion and constraint weights.
 
     Parity policy: every form the memo stores has a definite reflection
     parity in each of its variables, checked on its full window on the miss
@@ -441,20 +440,25 @@ def ope_normalization_check(ctx: FormContext, j: int) -> Report:
     return rep
 
 
+def _dual_dlambda(ctx: FormContext, j: int, k: int, b: int, v: Var) -> MultiForm:
+    """(I^(k), v^b) dlambda at branch j, the second factor of a period pairing."""
+    return ctx.period_dual(j, k, b, v) * monomial(v, 1, 1, deg=1)
+
+
 def period_pairing(ctx: FormContext, k1: int, a: int, k2: int, b: int) -> Rat:
     """The residue pairing of two periods: the sum over branches j of the
     half-loop residue of (I^(k1), v_a) (I^(k2), v^b) dlambda at branch j.
 
-    The residue reads the product of the two periods at s^-2 only, so the
-    product is built up to there.  Raises WindowError when a branch's window
-    cannot reach that coefficient.
+    Each branch takes one residue of the first period times the memoized
+    second factor, which forms only the product's s^-1 slice.  Raises
+    WindowError when a branch's window cannot reach that coefficient.
     """
     total = Rat(0)
     for j in range(1, ctx.data.n + 1):
         sv = Var("s", j)
-        p, q = ctx.period_basis(j, k1, a, sv), ctx.period_dual(j, k2, b, sv)
-        f = capped_product(p, q, sv, -2) * monomial(sv, 1, 1, deg=1)
-        total += f.residue_half_loop(sv).coefficient(())
+        dual = ctx.memo(_dual_dlambda, j, k2, b, sv)
+        residue = ctx.period_basis(j, k1, a, sv).residue_half_loop(sv, times=dual)
+        total += residue.coefficient(())
     return total
 
 

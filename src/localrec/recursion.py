@@ -149,6 +149,7 @@ class OmegaTable:
     bound: int = 4
     min_budget: int = 0  # extra window request beyond the pole-bound budget
     _store: dict = field(default_factory=dict, repr=False)
+    _verdicts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # the window budget: the deepest pole bound, or more on request
@@ -185,6 +186,16 @@ class OmegaTable:
         stored = self._store[key]
         mapping = {f"x{slot}": vars[order[slot]] for slot in range(n)}
         return stored.rename(mapping)
+
+    def orbit_symmetric(self, g: int, branches: tuple[int, ...]) -> bool:
+        """The orbit verdict of :func:`symmetry_check` on the stored entry at
+        the sorted ``branches``, computed once per stored entry: it is kept
+        with the entry it was read off, so a replaced entry is judged anew."""
+        form = self.omega(g, branches)
+        hit = self._verdicts.get((g, branches))
+        if hit is None or hit[0] is not form:
+            hit = self._verdicts[g, branches] = (form, _orbit_symmetric(form, branches))
+        return hit[1]
 
     # -- the recursion ------------------------------------------------------
 
@@ -362,7 +373,9 @@ def symmetry_check(table: OmegaTable, g: int, branches) -> Report:
     equal branches has one numerator and holds every arrangement of its
     exponents that lies under ``hi``.  Only an asymmetric entry runs the
     permutation loop, which names the first permutation and coefficient
-    that differ.
+    that differ.  The verdict is cached on the table with the stored entry
+    (:meth:`OmegaTable.orbit_symmetric`) and shared with the extraction
+    residual, which compares block-sorted exponents only where it holds.
     """
     rep = Report()
     branches = tuple(sorted(branches))
@@ -370,7 +383,7 @@ def symmetry_check(table: OmegaTable, g: int, branches) -> Report:
     form = table.omega(g, branches)
     name = f"symmetry-({g},{branches})"
     bad = None
-    if not _orbit_symmetric(form, branches):
+    if not table.orbit_symmetric(g, branches):
         base_vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
         for perm in permutations(range(n)):
             if tuple(branches[p] for p in perm) != branches:

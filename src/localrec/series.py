@@ -362,18 +362,24 @@ class MultiForm:
                 )
         return None if first is None else first[i] % 2
 
-    def residue_half_loop(self, v: Var) -> "MultiForm":
+    def residue_half_loop(self, v: Var, times: "MultiForm | None" = None) -> "MultiForm":
         """Residue in lambda at the branch point of ``v``.
 
         One lambda-loop around the branch point lifts to half an s-loop on the
         double cover, hence the factor 1/2 on the s**-1 coefficient.  The
         integrand must carry exactly one ds factor, must be certified at
         exponent -1, and must be invariant under :meth:`reflect` (otherwise it
-        is not single valued in lambda and the residue is meaningless).  The
-        rules are those of :func:`residue_of_product`, with the constant 1 as
-        the second factor.
+        is not single valued in lambda and the residue is meaningless).
+
+        With ``times``, the integrand is ``self * times``, and only its v^-1
+        slice is formed; the degree and window rules then apply to that
+        product, and single valuedness is checked on the two factors.  This
+        is :func:`residue_of_product` of ``self`` and ``times``, which is the
+        constant 1 when ``times`` is None.
         """
-        return residue_of_product(self, MultiForm((), (), {(): 1}, (), ()), v)
+        if times is None:
+            times = MultiForm((), (), {(): 1}, (), ())
+        return residue_of_product(self, times, v)
 
     def cap_hi(self, v: Var, new_hi: int) -> "MultiForm":
         """Shrink the certified window of ``v`` (used after truncating a sum)."""

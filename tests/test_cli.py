@@ -636,8 +636,14 @@ def test_check_exact_airy_bound4_bytes(tmp_path):
 def test_check_builds_each_constraint_factor_once(tmp_path, capsys, monkeypatch):
     """Every constraint factor of a check is built once, through the context
     memo, though the ordered splittings and the left sides repeat them; the
-    report's bytes are those of the passing check of any seed."""
+    report's bytes are those of the passing check of any seed.  The
+    two-point seeds the dual-route family certifies are the table's own:
+    four of them, plus the two of the OPE family (ten when the table built
+    its own four)."""
+    import localrec.cli as cli
     import localrec.correlators as correlators
+    import localrec.localforms as localforms
+    import localrec.recursion as recursion
 
     real = correlators._assembled_factor
     built = []
@@ -647,6 +653,15 @@ def test_check_builds_each_constraint_factor_once(tmp_path, capsys, monkeypatch)
         return real(ctx, corr, *args)
 
     monkeypatch.setattr(correlators, "_assembled_factor", counting)
+    real_seed = localforms.two_point_form
+    seeds = []
+
+    def counting_seed(*args):
+        seeds.append(args[1:])
+        return real_seed(*args)
+
+    for module in (cli, localforms, recursion):
+        monkeypatch.setattr(module, "two_point_form", counting_seed)
     rotated = {
         **pair_config(seed=1),
         "psi": [["3/5", "4/5"], ["-4/5", "3/5"]],
@@ -655,6 +670,7 @@ def test_check_builds_each_constraint_factor_once(tmp_path, capsys, monkeypatch)
     assert main(["check", "--config", write_config(tmp_path, rotated)]) == 0
     out = capsys.readouterr().out
     assert len(built) == len(set(built)) == 42
+    assert len(seeds) == 6
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "be0f6ebd75c7d4dc46183825f5e479ce3ca50607bb1dd0782e2deca612e24d92"
     )

@@ -285,6 +285,31 @@ def test_extraction_residual_on_sorted_branch_tuples():
         extract_correlators(table, 0, 3)
 
 
+def test_off_sorted_coefficient_is_caught_through_the_orbit_verdict(monkeypatch):
+    # slots 1-3 of the rotated (1, 1, 1, 1) entry share a branch and a window,
+    # so the residual compares them at block-sorted exponents only; the
+    # planted exponent (0, -2, -2) is off-sorted there and read by no solve
+    # step, so only the failed orbit verdict, on which the full residual
+    # runs, catches it.  The text was recorded with the full residual alone.
+    rotated = CanonicalData.make(
+        u=[0, 1], eta=[[1, 0], [0, 1]], psi=[["3/5", "4/5"], ["-4/5", "3/5"]], unit=[1, 2]
+    )
+    table = OmegaTable(FormContext(rotated, random_symplectic_r(2, 6, 11)), bound=2)
+    key = (0, (1, 1, 1, 1))
+    form = table.omega(*key)
+    assert form.hi[1] == form.hi[2] == form.hi[3] != form.hi[0]
+    table._store[key] = _perturbed(form, (-2, 0, -2, -2))
+    assert not table.orbit_symmetric(*key)
+    with pytest.raises(ConsistencyError) as info:
+        extract_correlators(table, 0, 4)
+    assert str(info.value) == (
+        "extraction residual at branches (1, 1, 1, 1) of (0,4): "
+        "coefficient (-2, 0, -2, -2) predicted -9/2, computed -7/2"
+    )
+    monkeypatch.setattr(OmegaTable, "orbit_symmetric", lambda *args: True)
+    extract_correlators(table, 0, 4)  # the block-sorted comparison alone passes
+
+
 def random_pair_table(bound=2):
     ctx = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 6, 11))
     return OmegaTable(ctx, bound=bound)

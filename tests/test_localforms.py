@@ -205,6 +205,19 @@ def test_hrp_identity_random(n, seed):
     assert rep.ok, rep.failures()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n, skipped", [(1, 10), (2, 40), (3, 90)])
+def test_hrp_window_limited_counts_pinned(n, skipped, seed):
+    # the pairs whose window cannot reach the pole slice, recorded when each
+    # pairing multiplied the two periods before taking the residue; the
+    # check's report holds the count, the check command's output only the verdict
+    rep = hrp_check(random_ctx(n, 6, seed), k_bound=5)
+    assert rep.ok, rep.failures()
+    assert rep.checks[0].detail == (
+        f"all certified pairs up to |k| <= 5; {skipped} window-limited pairs skipped"
+    )
+
+
 def test_hrp_identity_airy_exact_everything():
     rep = hrp_check(airy_ctx(), k_bound=5)
     assert rep.ok

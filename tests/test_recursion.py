@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from localrec.cli import RunConfig
+from localrec.correlators import extract_correlators
 from localrec.frobenius import (
     CanonicalData,
     RMatrix,
@@ -23,7 +24,14 @@ from localrec.recursion import (
     stable_entries,
     symmetry_check,
 )
-from localrec.series import INF, MultiForm, Var, WindowError, agreement_mismatch
+from localrec.series import (
+    INF,
+    MultiForm,
+    SeriesError,
+    Var,
+    WindowError,
+    agreement_mismatch,
+)
 
 
 Q = Fraction
@@ -414,3 +422,60 @@ def test_orbit_verdict_equals_permutation_verdict(monkeypatch, make):
                 verdicts.append(ok)
             t._store[key] = form
     assert True in verdicts and False in verdicts
+
+
+def _extraction_outcome(table, g, n):
+    try:
+        extract_correlators(table, g, n)
+    except SeriesError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: airy_table(bound=4),
+        lambda: _pair_table([["1/1", "0/1"], ["0/1", "1/1"]], ["1/1", "1/1"]),
+        lambda: _pair_table([["3/5", "4/5"], ["-4/5", "3/5"]], ["1/1", "2/1"]),
+    ],
+    ids=["airy-b4", "decoupled-N2", "rotated-N2"],
+)
+def test_block_sorted_residual_gives_the_full_verdict(monkeypatch, make):
+    """On the entries of the orbit-verdict test, unperturbed and perturbed,
+    the extraction with the block-sorted residual ends as the one that runs
+    the full residual everywhere, with the same failure text."""
+    import localrec.correlators as correlators
+
+    t = make()
+    real = correlators._mode_products
+    sorted_runs = []
+
+    def spy(tensor, maps, ties=()):
+        sorted_runs.append(bool(ties))
+        return real(tensor, maps, ties)
+
+    monkeypatch.setattr(correlators, "_mode_products", spy)
+    outcomes = []
+    for g, n in stable_entries(t.bound):
+        for branches in combinations_with_replacement(range(1, t.ctx.data.n + 1), n):
+            key = (g, branches)
+            form = t.omega(g, branches)
+            for label, nums in [("unperturbed", form.nums)] + _entry_perturbations(form):
+                t._store[key] = MultiForm.from_numerators(
+                    form.vars, form.degs, nums, form.den, form.lo, form.hi
+                )
+                sorted_runs.clear()
+                fast = _extraction_outcome(t, g, n)
+                with monkeypatch.context() as m:
+                    m.setattr(OmegaTable, "orbit_symmetric", lambda *args: False)
+                    full = _extraction_outcome(t, g, n)
+                assert fast == full, (key, label)
+                outcomes.append((label, fast is None, any(sorted_runs)))
+            t._store[key] = form
+    assert ("unperturbed", True, True) in outcomes
+    assert any(not ok for _, ok, _ in outcomes)
+    # a symmetric term added where only the wide slot 0 sees it: the
+    # block-sorted residual finds it and the full one words the failure
+    if any(label == "added-above" for label, _, _ in outcomes):
+        assert ("added-above", False, True) in outcomes
