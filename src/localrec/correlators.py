@@ -93,9 +93,7 @@ from .recursion import (
     OmegaTable,
     TruncationOrderError,
     capped_residue,
-    form_piece,
     pole_bound,
-    product_piece,
     stable_entries,
 )
 from .report import Report
@@ -580,7 +578,7 @@ def virasoro_check(
         # then the splitting factor pairs
         pieces = []
         if g == 1 and n == 0:
-            pieces.append(form_piece(ctx.memo(propagator_p0, j, y), y))
+            pieces.append((1, ctx.memo(propagator_p0, j, y), None))
         elif g >= 1:
             # per first leg, its weight times the insertion sum over the
             # second leg; a sum without a nonzero correlator is no piece (a
@@ -591,7 +589,7 @@ def virasoro_check(
                     rest = factor(g - 1, ((k1, b1),) + ins, j, y)
                     if rest != zero_form((y,), (1,)):
                         w1 = ctx.memo(insertion_weight, j, k1, b1, y)
-                        pieces.append(product_piece(w1, rest, y))
+                        pieces.append((1, w1, rest))
         for g1 in range(0, g + 1):
             for mask in range(1 << n):
                 left = tuple(ins[m] for m in range(n) if mask >> m & 1)
@@ -600,11 +598,7 @@ def virasoro_check(
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                pieces.append(product_piece(
-                    factor(g1, left, j, y),
-                    factor(g - g1, right, j, y),
-                    y,
-                ))
+                pieces.append((1, factor(g1, left, j, y), factor(g - g1, right, j, y)))
         terms.append(
             capped_residue(
                 y,

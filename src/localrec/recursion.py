@@ -9,37 +9,42 @@ conventions hard-coded: a dropped one-point term and the stored diagonal
 propagator for the residue-variable pair.
 
 The twin rule: the splitting ``(g1, mask)`` and its twin ``(g - g1, ~mask)``
-give the same two factors in swapped order, so the bracket builds one product
-per unordered splitting, from the twin that sorts lower, and doubles it.  The
-doubling is exact.  Multiplication is commutative, the capped product caps
-each factor at ``ycap`` minus the *other* factor's support bound, and a
-piece's bound is ``lo(f1) + lo(f2)``.  So the doubled piece has the window
+give the same two factors in swapped order, so the bracket holds one product
+per unordered splitting, from the twin that sorts lower, with multiplicity
+2.  The doubling is exact.  Multiplication is commutative, each factor is
+capped at ``ycap`` minus the *other* factor's support bound, and a piece's
+bound is ``lo(f1) + lo(f2)``.  So the piece of multiplicity 2 has the window
 and the coefficients of the two twins' sum, and the kernel depth and the cap
 (which depend only on the pieces' bounds) do not change.  The one splitting
-that is its own twin (``n = 1`` and ``g1 = g / 2``) is built once, undoubled.
+that is its own twin (``n = 1`` and ``g1 = g / 2``) has multiplicity 1.
 
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
 bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The bracket is
-handed to :func:`capped_residue` as a list of pieces, each its support bound
-in y and a function that builds it capped at ``y <= ycap``.  The kernel's
-pole depth follows from the pieces' bounds, so it is fetched before any
-piece is built.  A product piece caps each factor first, f1 at
-``ycap - lo(f2)`` and f2 at ``ycap - lo(f1)``; the loop child is capped
-likewise in ya and yb before its diagonal merge, and P_0 at ycap.  A product
-term at y <= ycap only combines leg terms inside those caps, so every
-coefficient the residue reads is unchanged.  Capping only narrows a
-certified window: the residue still refuses when y^-1 is not certified, and
-the windows of the other slots stay those of the full bracket.  The
-constraint checker in ``correlators`` hands its own pieces and weight to the
-same helper.  The residue is ``series.residue_of_product``, which forms only
-the y^-1 slice of ``kernel * bracket`` and checks single valuedness on the
-two factors: the kernel and the capped bracket must each have a definite
-reflection parity in y, of odd sum, so every bracket term up to the cap is
-checked whether the slice reads it or not.  The terms above the cap are
-covered by the context memo, which checks every form it stores (the seeds,
-the kernel, the weights) for a definite reflection parity on its full
-window, and by ``_finalize``, which checks every entry.
+handed to :func:`capped_residue` as a list of pieces, ``(m, f1, f2)`` for
+``m * f1 * f2`` and ``(m, f, None)`` for ``m * f``.  The kernel's pole depth
+follows from the pieces' support bounds in y, so it is fetched before the
+bracket is built.  The cap is a filter: ``series.capped_sum_of_products``
+caps f1 at ``ycap - lo(f2)``, f2 at ``ycap - lo(f1)`` and a single form at
+ycap, by shrinking their windows and dropping their terms above the caps,
+and sums the bracket in one accumulator.  A product term at y <= ycap only
+combines leg terms inside those caps, so every coefficient the residue
+reads is unchanged.  The loop piece is P_0 in y for the (1, 1) entry and
+otherwise the whole loop child merged onto y: a merged term at y <= ycap
+combines only terms at ``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``,
+so filtering the merged form at ycap gives what capping both slots before
+the merge would.  Capping only narrows a certified window: the residue still refuses
+when y^-1 is not certified, and the windows of the other slots stay those
+of the full bracket.  The constraint checker in ``correlators`` hands its
+own pieces and weight to the same helper.  The residue is
+``series.residue_of_product``, which forms only the y^-1 slice of
+``kernel * bracket`` and checks single valuedness on the two factors: the
+kernel and the capped bracket must each have a definite reflection parity
+in y, of odd sum, so every bracket term up to the cap is checked whether
+the slice reads it or not.  The terms above the cap are covered by the
+context memo, which checks every form it stores (the seeds, the kernel, the
+weights) for a definite reflection parity on its full window, and by
+``_finalize``, which checks every entry.
 
 The order rule: ``_finalize`` requires each slot of a (g, n) entry to reach
 B - pole_bound(g, n), with B the table's ``budget``.  The windows depend only
@@ -77,7 +82,7 @@ from .series import (
     SeriesError,
     Var,
     agreement_mismatch,
-    capped_product,
+    capped_sum_of_products,
     residue_of_product,
     sum_forms,
 )
@@ -103,31 +108,22 @@ def pole_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 2 + n)
 
 
-def product_piece(f1: MultiForm, f2: MultiForm, y: Var):
-    """The bracket piece ``f1 * f2`` for :func:`capped_residue`."""
-    return f1.lo_of(y) + f2.lo_of(y), lambda ycap: capped_product(f1, f2, y, ycap)
-
-
-def form_piece(f: MultiForm, y: Var):
-    """The bracket piece ``f`` for :func:`capped_residue`."""
-    return f.lo_of(y), lambda ycap: f.cap_hi(y, ycap)
-
-
 def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     """``Res_y weight * bracket``, with the bracket built only up to the cap.
 
-    The bracket is the sum of the ``pieces``; each is ``(lo, build)``, its
-    support bound in y and a function that returns it capped at
-    ``y <= ycap``.  The kernel depth kmax follows from the bracket's support
-    bound and the pole bound ``p`` of the entry; ``weight(kmax)`` fetches the
-    residue weight.  Every coefficient the residue reads is that of the full
-    bracket (the cap rule in the module docstring), and only the y^-1 slice
-    of the product is formed.
+    The bracket is the sum of the ``pieces``, each ``(m, f1, f2)`` for
+    ``m * f1 * f2`` or ``(m, f, None)`` for ``m * f``
+    (:func:`series.capped_sum_of_products`).  The kernel depth kmax follows
+    from the bracket's support bound in y and the pole bound ``p`` of the
+    entry; ``weight(kmax)`` fetches the residue weight.  Every coefficient
+    the residue reads is that of the full bracket (the cap rule in the
+    module docstring), and only the y^-1 slice of the product is formed.
     """
-    depth = max(-min(lo for lo, _ in pieces), 0)
+    depth = max(
+        -min(f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces), 0
+    )
     w = weight(max(depth // 2, (p - 2) // 2, 0))
-    ycap = -1 - w.lo_of(y)
-    return residue_of_product(w, sum_forms(build(ycap) for _, build in pieces), y)
+    return residue_of_product(w, capped_sum_of_products(pieces, y, -1 - w.lo_of(y)), y)
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
@@ -215,26 +211,20 @@ class OmegaTable:
         """The bracket as pieces for :func:`capped_residue`.
 
         The loop piece comes first: none in genus 0, P_0 in y for the (1, 1)
-        entry, and otherwise the loop child in ``ya``, ``yb``, capped in each
-        like a product and then merged onto y.  Then one product piece per
-        unordered splitting, each factor with a leg at y: the twin that sorts
-        lower stands for both, doubled (the twin rule in the module
-        docstring), and a self-paired splitting stands for itself.
+        entry, and otherwise the loop child in ``ya``, ``yb`` merged onto y.
+        Then one product piece per unordered splitting, each factor with a
+        leg at y: the twin that sorts lower stands for both, with
+        multiplicity 2 (the twin rule in the module docstring), and a
+        self-paired splitting stands for itself.
         """
         n_rest = len(branches)
         pieces = []
         if g == 1 and n_rest == 0:
-            pieces.append(form_piece(self.ctx.memo(propagator_p0, j, y), y))
+            pieces.append((1, self.ctx.memo(propagator_p0, j, y), None))
         elif g >= 1:
             ya, yb = Var("ya", j), Var("yb", j)
             loop = self.omega(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
-            la, lb = loop.lo_of(ya), loop.lo_of(yb)
-
-            def merged(ycap):
-                capped = loop.cap_hi(ya, ycap - lb).cap_hi(yb, ycap - la)
-                return capped.merge_diagonal(ya, yb, y)
-
-            pieces.append((la + lb, merged))
+            pieces.append((1, loop.merge_diagonal(ya, yb, y), None))
         positions = tuple(range(n_rest))
         full = (1 << n_rest) - 1
         for g1 in range(0, g + 1):
@@ -251,14 +241,11 @@ class OmegaTable:
                     continue
                 if g - g1 == 0 and not right:
                     continue
-                lo, build = product_piece(
+                pieces.append((
+                    1 if twin == (g1, mask) else 2,
                     self._factor(g1, left, branches, xs, j, y),
                     self._factor(g - g1, right, branches, xs, j, y),
-                    y,
-                )
-                if twin != (g1, mask):
-                    build = lambda ycap, build=build: build(ycap).scale(2)
-                pieces.append((lo, build))
+                ))
         return pieces
 
     def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:
@@ -345,9 +332,14 @@ def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> bool:
         (branches.index(b), branches.index(b) + branches.count(b))
         for b in sorted(set(branches))
     ]
+    # a key is the exponents with each block of two or more slots sorted
+    ties = [slice(a, b) for a, b in blocks if b - a > 1]
     groups = defaultdict(list)
     for e, c in form.nums.items():
-        groups[tuple(x for a, b in blocks for x in sorted(e[a:b]))].append(c)
+        key = list(e)
+        for s in ties:
+            key[s] = sorted(e[s])
+        groups[tuple(key)].append(c)
     return all(
         len(set(cs)) == 1
         and len(cs) == prod(_arrangements(key[a:b], form.hi[a:b]) for a, b in blocks)

@@ -43,14 +43,27 @@ against the window and divides out the gcd.  Rationals appear only at the
 edges: :attr:`MultiForm.coeffs`, :meth:`MultiForm.coefficient` and
 :meth:`MultiForm.items` give reduced Fractions, built on each access.
 
-A branch residue reads only the ``v**-1`` slice of an integrand, so
-:func:`residue_of_product` gives ``(a * b).residue_half_loop(v)`` without
-forming ``a * b``: under the product's windows and degrees it pairs each
-term of ``a`` only with the terms of ``b`` that land on ``v**-1``.  It checks
-single valuedness on the factors (each of definite reflection parity in
-``v``, the parities summing to odd), which implies the residue's check on
-every product term; :meth:`MultiForm.residue_half_loop` is the case of a
-constant second factor.
+A branch residue reads only the ``v**-1`` slice of an integrand, and only
+the terms of its second factor up to some cap in ``v``.  Two functions serve
+it without building forms that would be summed and thrown away:
+
+* :func:`capped_sum_of_products` builds a sum of products ``m * f1 * f2``
+  and single forms only up to ``v <= top``, in one integer accumulator.
+  The caps shrink each factor's window and filter its terms; no capped
+  form, product or scaled form is built.  Its products and :func:`_mul`
+  share one product loop.
+* :func:`residue_of_product` gives ``(a * b).residue_half_loop(v)`` without
+  forming ``a * b``, as a grouped contraction: each factor's terms are
+  grouped by their exponents at ``v`` and at the slots both factors hold,
+  only groups whose ``v`` exponents sum to -1 meet, and the window is
+  tested once per pair of groups on the shared slots.  A slot held by one
+  factor needs no test: the other factor is exactly constant there, so the
+  product's window at that slot is the holder's own ``hi``, which each of
+  its stored terms satisfies.  Single valuedness is checked on the factors
+  (each of definite reflection parity in ``v``, the parities summing to
+  odd), which implies the residue's check on every product term;
+  :meth:`MultiForm.residue_half_loop` is the case of a constant second
+  factor.
 
 All values are immutable after construction and all operations are pure, so
 forms may be shared freely across threads.
@@ -377,9 +390,7 @@ class MultiForm:
         is :func:`residue_of_product` of ``self`` and ``times``, which is the
         constant 1 when ``times`` is None.
         """
-        if times is None:
-            times = MultiForm((), (), {(): 1}, (), ())
-        return residue_of_product(self, times, v)
+        return residue_of_product(self, _ONE if times is None else times, v)
 
     def cap_hi(self, v: Var, new_hi: int) -> "MultiForm":
         """Shrink the certified window of ``v`` (used after truncating a sum)."""
@@ -434,6 +445,10 @@ class MultiForm:
         return MultiForm.from_numerators(new_vars, new_degs, out, self.den, lo, hi)
 
 
+#: The exact constant 1: no variables, one term.
+_ONE = MultiForm.from_numerators((), (), {(): 1}, 1, (), ())
+
+
 def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
     """The sum of one or more forms, in a single pass.
 
@@ -462,30 +477,21 @@ def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
     return MultiForm.from_numerators(first.vars, first.degs, out, den, lo, hi)
 
 
-def capped_product(a: MultiForm, b: MultiForm, v: Var, top: int) -> MultiForm:
-    """``a * b`` built only up to exponent ``top`` in ``v``.
-
-    Each factor is capped first, at ``top`` minus the other factor's support
-    bound in ``v``: a product term at ``v <= top`` combines only terms inside
-    those caps, so its coefficient is that of the full product.  The window
-    in ``v`` is the full product's, capped at ``top``; the other windows are
-    unchanged.
-    """
-    return a.cap_hi(v, top - b.lo_of(v)) * b.cap_hi(v, top - a.lo_of(v))
-
-
 def common_denominator(values: Mapping) -> tuple[int, dict]:
     """A common denominator of rational ``values`` and the numerators over it."""
     den = lcm(*(c.denominator for c in values.values()))
     return den, {key: c.numerator * (den // c.denominator) for key, c in values.items()}
 
 
-def _product_frame(a: MultiForm, b: MultiForm):
+def _product_frame(
+    a: MultiForm, b: MultiForm, ha: tuple | None = None, hb: tuple | None = None
+):
     """Variables, slot positions, degrees and windows of ``a * b``.
 
     ``pa[i]`` is the position of the i-th product variable in ``a``, or None:
     then ``a`` is exactly constant in that direction (exponent 0, degree 0,
-    window [0, INF]); likewise ``pb``.
+    window [0, INF]); likewise ``pb``.  ``ha`` and ``hb`` stand in for the
+    factors' ``hi`` when given (a factor capped without building it).
     """
     union: dict[str, Var] = {}
     for v in a.vars + b.vars:
@@ -497,15 +503,15 @@ def _product_frame(a: MultiForm, b: MultiForm):
     pa = [a.vars.index(v) if v in a.vars else None for v in vs]
     pb = [b.vars.index(v) if v in b.vars else None for v in vs]
 
-    def lift(f: MultiForm, pos):
+    def lift(f: MultiForm, hi, pos):
         return (
             [f.degs[p] if p is not None else 0 for p in pos],
             [f.lo[p] if p is not None else 0 for p in pos],
-            [f.hi[p] if p is not None else INF for p in pos],
+            [hi[p] if p is not None else INF for p in pos],
         )
 
-    da, la, ha = lift(a, pa)
-    db, lb, hb = lift(b, pb)
+    da, la, ha = lift(a, a.hi if ha is None else ha, pa)
+    db, lb, hb = lift(b, b.hi if hb is None else hb, pb)
     if sum(1 for x, y in zip(ha, hb) if x < INF and y < INF) > 1:
         raise SeriesError(
             "product of two truncated expansions sharing several variables; "
@@ -519,14 +525,37 @@ def _product_frame(a: MultiForm, b: MultiForm):
     return vs, pa, pb, degs, tuple(w[0] for w in windows), tuple(w[1] for w in windows)
 
 
+def _picker(pos):
+    """``e -> tuple(e[p] for p in pos)``, as an itemgetter wherever it gives
+    a tuple (it gives a bare entry for one position, and needs one)."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    if pos:
+        (p,) = pos
+        return lambda e: (e[p],)
+    return lambda e: ()
+
+
 def _lifted_terms(f: MultiForm, pos):
     """``f``'s terms as (exponents at the slots ``pos``, numerator); a slot
     of None holds exponent 0."""
-    if pos == list(range(len(f.vars))):
+    n = len(f.vars)
+    if pos == list(range(n)):
         return f.nums.items()
-    return [
-        (tuple(e[p] if p is not None else 0 for p in pos), c) for e, c in f.nums.items()
-    ]
+    lift = _picker([n if p is None else p for p in pos])  # index n: a padded 0
+    return [(lift(e + (0,)), c) for e, c in f.nums.items()]
+
+
+def _add_products(out: dict, m: int, a_terms, b_terms, hi: tuple) -> None:
+    """Add ``m * ca * cb`` at ``ea + eb`` to ``out`` for every pair of terms
+    whose exponents sum to within ``hi``: the one product loop."""
+    get = out.get
+    for ea, ca in a_terms:
+        ca *= m
+        for eb, cb in b_terms:
+            e = tuple(map(add, ea, eb))
+            if all(map(le, e, hi)):
+                out[e] = get(e, 0) + ca * cb
 
 
 def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
@@ -535,15 +564,69 @@ def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
     Numerators are multiplied and summed as integers over ``a.den * b.den``.
     """
     vs, pa, pb, degs, lo, hi = _product_frame(a, b)
-    bs = _lifted_terms(b, pb)
     out: dict[tuple, int] = {}
-    get = out.get
-    for ea, ca in _lifted_terms(a, pa):
-        for eb, cb in bs:
-            e = tuple(map(add, ea, eb))
-            if all(map(le, e, hi)):
-                out[e] = get(e, 0) + ca * cb
+    _add_products(out, 1, _lifted_terms(a, pa), _lifted_terms(b, pb), hi)
     return MultiForm.from_numerators(vs, degs, out, a.den * b.den, lo, hi)
+
+
+def _capped(f: MultiForm, v: Var, top: int) -> tuple[int, tuple]:
+    """The slot of ``v`` in ``f`` and ``f.cap_hi(v, top).hi``."""
+    i = f.index_of(v)
+    hi = f.hi
+    if top < hi[i]:
+        hi = hi[:i] + (top,) + hi[i + 1 :]
+    return i, hi
+
+
+def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
+    """The sum of ``m * f1 * f2`` over ``pieces``, built only up to ``v <= top``.
+
+    Each piece is ``(m, f1, f2)`` with an integer multiplicity ``m``, or
+    ``(m, f, None)`` for the single form ``m * f``.  The result equals
+    :func:`sum_forms` of the pieces with every factor capped first:
+    ``f1.cap_hi(v, top - f2.lo_of(v))``, ``f2.cap_hi(v, top - f1.lo_of(v))``
+    and ``f.cap_hi(v, top)``.  A product term at ``v <= top`` combines only
+    terms inside those caps, so its coefficient is that of the full product.
+    No capped or partial form is built: each product's variables, degrees
+    and windows come from :func:`_product_frame` on the capped windows (with
+    its degree check and its refusal of several truncated shared variables),
+    the caps filter the factors' terms, the window of the sum is
+    ``sum_forms``' (``lo = min``, ``hi = min``), and every term is added
+    straight into one dict of integer numerators over the lcm of the pieces'
+    ``d1 * d2``, the multiplicity scaling the numerators.  A term outside
+    the common ``hi`` is dropped.  A single form is the product with the
+    exact constant 1, so every piece runs the one product loop.
+    """
+    frames = []  # (vars, degs, lo, hi) of each piece
+    products = []  # (m, d1 * d2, f1's terms, f2's terms) of each piece
+    for m, a, b in pieces:
+        if b is None:
+            (ia, ha), b, ib, hb = _capped(a, v, top), _ONE, None, ()
+        else:
+            ia, ha = _capped(a, v, top - b.lo_of(v))
+            ib, hb = _capped(b, v, top - a.lo[ia])
+        vs, pa, pb, degs, lo, hi = _product_frame(a, b, ha, hb)
+        frames.append((vs, degs, lo, hi))
+        k = vs.index(v)
+        lifted = []
+        for f, pos, i, h in ((a, pa, ia, ha), (b, pb, ib, hb)):
+            terms = _lifted_terms(f, pos)
+            if i is not None and h[i] < f.hi[i]:  # capped: drop the terms above
+                terms = [(e, c) for e, c in terms if e[k] <= h[i]]
+            lifted.append(terms)
+        products.append((m, a.den * b.den, *lifted))
+    if not frames:
+        raise DegreeError("capped_sum_of_products needs at least one piece")
+    if any(f[:2] != frames[0][:2] for f in frames):
+        raise DegreeError("sum requires identical variables and degrees")
+    lo = tuple(map(min, zip(*(f[2] for f in frames))))
+    hi = tuple(map(min, zip(*(f[3] for f in frames))))
+    den = lcm(*(d for _, d, _, _ in products))
+    out: dict[tuple, int] = {}
+    for m, d, a_terms, b_terms in products:
+        _add_products(out, m * (den // d), a_terms, b_terms, hi)
+    vs, degs = frames[0][:2]
+    return MultiForm.from_numerators(vs, degs, out, den, lo, hi)
 
 
 def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
@@ -551,14 +634,21 @@ def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
 
     The variables, degrees and windows are those of ``a * b`` (the same
     helper), and the residue's degree and window rules are checked on them.
-    ``b``'s terms are grouped by their exponent in ``v``, and each term of
-    ``a`` meets only the group at ``-1`` minus its own exponent; the
-    numerators are multiplied and summed as integers over
-    ``2 * a.den * b.den``.  Single valuedness is checked on the factors: each
-    must have a definite reflection parity in ``v`` (a factor without ``v``
-    is even), and the two parities must sum to odd.  Then every product term
-    is odd in ``v``, which is what :meth:`MultiForm.residue_half_loop`
-    requires of them.
+    Single valuedness is checked on the factors: each must have a definite
+    reflection parity in ``v`` (a factor without ``v`` is even), and the two
+    parities must sum to odd.  Then every product term is odd in ``v``,
+    which is what :meth:`MultiForm.residue_half_loop` requires of them.
+
+    The slice is a grouped contraction.  Each factor's terms are grouped by
+    their exponents at ``v`` and at the slots the two factors share, and
+    only groups whose ``v`` exponents sum to -1 are paired.  The window is
+    tested once per pair of groups, on the shared slots alone: at a slot
+    held by one factor the other is exactly constant (exponent 0, support
+    bound 0, window INF), so the product's window there is that factor's
+    own ``hi``, which each of its stored terms already satisfies.  Each key
+    of the slice is the two factors' own exponents and the shared sums,
+    placed in the product's slot order by one itemgetter.  The numerators
+    are multiplied and summed as integers over ``2 * a.den * b.den``.
     """
     vs, pa, pb, degs, lo, hi = _product_frame(a, b)
     if v not in vs:
@@ -581,25 +671,49 @@ def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
             f"both factors have exponents of parity {parities[0]}"
         )
     keep = [j for j in range(len(vs)) if j != i]
-    hi_k = tuple(hi[j] for j in keep)
-    groups: dict[int, list] = {}
-    for e, c in _lifted_terms(b, [pb[i]] + [pb[j] for j in keep]):
-        groups.setdefault(e[0], []).append((e[1:], c))
+    shared = [j for j in keep if pa[j] is not None and pb[j] is not None]
+    own_a = [j for j in keep if pb[j] is None]
+    own_b = [j for j in keep if pa[j] is None]
+    hi_s = tuple(hi[j] for j in shared)
+
+    def grouped(f: MultiForm, pos, own):
+        # v exponent -> shared exponents -> [(own exponents, numerator)]
+        at_v = (lambda e: 0) if pos[i] is None else itemgetter(pos[i])
+        at_shared = _picker([pos[j] for j in shared])
+        at_own = _picker([pos[j] for j in own])
+        groups: dict[int, dict[tuple, list]] = {}
+        for e, c in f.nums.items():
+            by_shared = groups.setdefault(at_v(e), {})
+            by_shared.setdefault(at_shared(e), []).append((at_own(e), c))
+        return groups
+
+    # a key is (a's own exponents, shared sums, b's own exponents), placed
+    order = [(own_a + shared + own_b).index(j) for j in keep]
+    place = None if order == sorted(order) else _picker(order)
+    b_groups = grouped(b, pb, own_b)
     out: dict[tuple, int] = {}
     get = out.get
-    for ea, ca in _lifted_terms(a, [pa[i]] + [pa[j] for j in keep]):
-        rest = ea[1:]
-        for eb, cb in groups.get(-1 - ea[0], ()):
-            e = tuple(map(add, rest, eb))
-            if all(map(le, e, hi_k)):
-                out[e] = get(e, 0) + ca * cb
+    for ex, a_groups in grouped(a, pa, own_a).items():
+        b_by_shared = b_groups.get(-1 - ex)
+        if b_by_shared is None:
+            continue
+        for sa, ta in a_groups.items():
+            for sb, tb in b_by_shared.items():
+                s = tuple(map(add, sa, sb))
+                if not all(map(le, s, hi_s)):
+                    continue
+                for ea, ca in ta:
+                    left = ea + s
+                    for eb, cb in tb:
+                        key = left + eb if place is None else place(left + eb)
+                        out[key] = get(key, 0) + ca * cb
     return MultiForm.from_numerators(
         tuple(vs[j] for j in keep),
         tuple(degs[j] for j in keep),
         out,
         2 * a.den * b.den,
         tuple(lo[j] for j in keep),
-        hi_k,
+        tuple(hi[j] for j in keep),
     )
 
 

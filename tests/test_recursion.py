@@ -322,17 +322,17 @@ def test_bracket_builds_one_product_per_unordered_splitting(monkeypatch, ctx, ke
     t = OmegaTable(ctx, bound=2 * g - 2 + len(branches))
     first = t.omega(*key)
     del t._store[key]  # recompute this entry alone: its factors stay stored
-    calls = []
-    real = recursion.capped_product
+    products = []
+    real = recursion.capped_sum_of_products
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(pieces, *args):
+        products.extend(p for p in pieces if p[2] is not None)
+        return real(pieces, *args)
 
-    monkeypatch.setattr(recursion, "capped_product", counting)
+    monkeypatch.setattr(recursion, "capped_sum_of_products", counting)
     assert t.omega(*key) == first
     # one bracket per residue branch
-    assert len(calls) == ctx.data.n * _unordered_splittings(g, len(branches))
+    assert len(products) == ctx.data.n * _unordered_splittings(g, len(branches))
 
 
 def _loop_symmetric(form, branches):

@@ -17,7 +17,7 @@ from localrec.series import (
     WindowError,
     agreement_mismatch,
     SeriesError,
-    capped_product,
+    capped_sum_of_products,
     d_unit,
     geometric_expand,
     invert,
@@ -355,12 +355,116 @@ def test_init_drops_zeros_and_checks_windows(one):
 
 @given(sparse_forms(), sparse_forms(), st.integers(1, 6), st.integers(-14, 14))
 @settings(max_examples=80, deadline=None)
-def test_capped_product_agrees_below_the_cap(a, b, shift, top):
+def test_capped_sum_of_products_agrees_below_the_cap(a, b, shift, top):
     b = b * laurent(S, {shift: 1})  # the factors' support bounds differ
     full = a * b
-    capped = capped_product(a, b, S, top)
+    capped = capped_sum_of_products([(1, a, b)], S, top)
     assert capped.hi == (min(full.hi[0], top),) and capped.lo == full.lo
     assert capped.coeffs == {e: c for e, c in full.coeffs.items() if e[0] <= top}
+
+
+T = Var("t", 1)
+
+
+def _capped_fold(pieces, v, top):
+    """Reference bracket: every factor capped, multiplied, scaled, summed."""
+    forms = []
+    for m, a, b in pieces:
+        if b is None:
+            forms.append(a.cap_hi(v, top).scale(m))
+        else:
+            capped = a.cap_hi(v, top - b.lo_of(v)) * b.cap_hi(v, top - a.lo_of(v))
+            forms.append(capped.scale(m))
+    return sum_forms(forms)
+
+
+@st.composite
+def bracket_pieces(draw):
+    """One to four pieces over (r, s, t) with shared degrees, capped in s.
+
+    A product piece splits the variables between two factors that both hold
+    s (r and t may sit in one factor or both, in any arrangement) and splits
+    each degree between them; a single-form piece holds every variable.
+    Windows are finite or INF on either side (a finite r or t window in both
+    factors makes the product refuse), multiplicities are 1 or 2, and
+    sometimes one piece is broken: s missing from a factor, a degree out of
+    range, degrees unlike the other pieces', or r at a second branch.
+    """
+    degs = {R: draw(st.integers(-1, 2)), S: draw(st.integers(-1, 1))}
+    degs[T] = draw(st.integers(0, 1))
+
+    def form(vs, dg):
+        lo, hi = {}, {}
+        for v in vs:
+            if v == S:
+                lo[v] = draw(st.integers(-6, -3))
+                hi[v] = draw(st.sampled_from([INF, 0, 2, 5]))
+            else:
+                lo[v] = draw(st.sampled_from([-INF, -1, -1, 0, 0]))
+                hi[v] = draw(st.sampled_from([INF, INF, INF, 2, 4]))
+        coeffs = {}
+        for _ in range(draw(st.integers(1, 6))):
+            e = tuple(draw(st.integers(max(lo[v], -6), min(hi[v], 4))) for v in vs)
+            coeffs[e] = draw(st.sampled_from([-2, -1, 1, 2, Fraction(1, 3), -Fraction(1, 3)]))
+        return MultiForm(
+            vs, [dg[v] for v in vs], coeffs, [lo[v] for v in vs], [hi[v] for v in vs]
+        )
+
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.sampled_from([1, 2]))
+        if draw(st.integers(0, 3)) == 0:
+            pieces.append((m, form((R, S, T), degs), None))
+            continue
+        where = {v: draw(st.sampled_from(["a", "b", "ab"])) for v in (R, T)}
+        va = tuple(v for v in (R, S, T) if v == S or "a" in where[v])
+        vb = tuple(v for v in (R, S, T) if v == S or "b" in where[v])
+        da, db = {}, {}
+        for v in (R, S, T):
+            if v in va and v in vb:
+                da[v] = draw(st.integers(max(-1, degs[v] - 2), min(2, degs[v] + 1)))
+                db[v] = degs[v] - da[v]
+            elif v in va:
+                da[v] = degs[v]
+            else:
+                db[v] = degs[v]
+        pieces.append((m, form(va, da), form(vb, db)))
+    broken = draw(st.sampled_from([None] * 6 + ["no-s", "degree", "unlike", "branch"]))
+    if broken is not None:
+        k = draw(st.integers(0, len(pieces) - 1))
+        m, a, b = pieces[k]
+        if broken == "no-s":
+            b = laurent(R, {0: 1})
+        elif broken == "degree":
+            a, b = MultiForm(a.vars, [2] * len(a.vars), {}, a.lo, a.hi), d_unit(S)
+        elif broken == "unlike":
+            unlike = (degs[R], degs[S], 1 - degs[T])
+            a, b = MultiForm((R, S, T), unlike, {}, (0, 0, 0), (INF,) * 3), None
+        else:
+            b = laurent(Var("r", 2), {0: 1}) * laurent(S, {0: 1})
+        pieces[k] = (m, a, b)
+    return pieces, draw(st.integers(-6, 8))
+
+
+@given(bracket_pieces())
+@settings(max_examples=300, deadline=None)
+def test_capped_sum_of_products_is_the_capped_fold(drawn):
+    pieces, top = drawn
+    try:
+        want = _capped_fold(pieces, S, top)
+    except SeriesError as exc:
+        with pytest.raises(type(exc)) as got:
+            capped_sum_of_products(pieces, S, top)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = capped_sum_of_products(pieces, S, top)
+    assert got == want  # coefficients, degrees, lo and hi
+    _assert_canonical(got)
+
+
+def test_capped_sum_of_products_refuses_no_pieces():
+    with pytest.raises(DegreeError):
+        capped_sum_of_products([], S, 0)
 
 
 def test_check_definite_parity():
@@ -373,26 +477,39 @@ def test_check_definite_parity():
         mixed.check_definite_parity(S)
 
 
+X0, X1, X2 = Var("x0", 1), Var("x1", 1), Var("x2", 1)
+
+
 @st.composite
 def residue_factors(draw):
     """Two factors whose product has one ds in s and odd exponents in s.
 
-    Each factor holds s, r or both; its exponents in s share one parity, and
-    the two parities sum to odd (a factor without s counts as even).  The r
-    window is finite in at most one factor, the s window in either.
-    Few exponents and coefficients of equal size make cancellations common.
+    Besides s, each factor holds up to two of r, x0, x1, x2, so the product
+    has one to five slots in any interleaving (``a`` on (s, x0, x2) against
+    ``b`` on (s, x1), say), slots other than s may be shared, and the
+    residue may have one slot or none.  Each factor's exponents in s share
+    one parity, and the two parities sum to odd (a factor without s counts
+    as even).  A slot other than s is finitely windowed in ``a`` alone, the
+    s window in either, so at most one shared slot is finite in both.  Few
+    exponents and coefficients of equal size make cancellations common.
     """
-    va = draw(st.sampled_from([(R, S), (S,), (R,)]))
-    vb = draw(st.sampled_from([(R, S), (S,)] if va == (R,) else [(R, S), (S,), (R,)]))
-    if S not in vb:
+    others = st.lists(st.sampled_from([R, X0, X1, X2]), max_size=2, unique=True)
+    va = draw(others) + ([S] if draw(st.booleans()) else [])
+    vb = draw(others) + [S]
+    if not va:
+        va = [S]
+    if draw(st.booleans()):
         va, vb = vb, va
-    pa = draw(st.integers(0, 1)) if S in va else 0
-    da = draw(st.integers(0, 1)) if S in va else 0
-    r_finite = draw(st.booleans())
+    # parity and degree in s: free when both hold s, else the holder's are odd
+    if S in va and S in vb:
+        pa, da = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    else:
+        pa, da = (1, 1) if S in va else (0, 0)
+    finite = {v: draw(st.sampled_from([False, False, True])) for v in (R, X0, X1, X2)}
 
-    def factor(vs, s_parity, s_deg, r_hi):
+    def factor(vs, s_parity, s_deg, truncated):
         coeffs = {}
-        for _ in range(draw(st.integers(0, 5))):
+        for _ in range(draw(st.integers(1, 6))):
             e = tuple(
                 2 * draw(st.integers(-2, 1)) + s_parity if v == S else draw(st.integers(-1, 1))
                 for v in vs
@@ -400,19 +517,22 @@ def residue_factors(draw):
             coeffs[e] = draw(st.sampled_from([1, -1, Fraction(1, 3), Fraction(-1, 3)]))
         lo = tuple(-5 if v == S else -2 for v in vs)
         hi = tuple(
-            draw(st.sampled_from([INF, 3, 7])) if v == S else r_hi for v in vs
+            draw(st.sampled_from([INF, 3, 7]))
+            if v == S
+            else draw(st.sampled_from([2, 0])) if truncated and finite[v] else INF
+            for v in vs
         )
         coeffs = {e: c for e, c in coeffs.items() if all(x <= h for x, h in zip(e, hi))}
         degs = tuple(s_deg if v == S else draw(st.integers(0, 1)) for v in vs)
         return MultiForm(vs, degs, coeffs, lo, hi)
 
-    a = factor(va, pa, da, 2 if r_finite else INF)
-    b = factor(vb, 1 - pa, 1 - da, INF)
+    a = factor(va, pa, da, True)
+    b = factor(vb, 1 - pa, 1 - da, False)
     return a, b
 
 
 @given(residue_factors())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_residue_of_product_is_the_halved_slice_of_the_product(factors):
     a, b = factors
     full = a * b
