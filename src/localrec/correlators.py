@@ -87,7 +87,7 @@ from math import lcm, prod
 
 from .frobenius import double_factorial
 from .linalg import mat_inv, transpose
-from .localforms import FormContext, period_pairing, propagator_p0
+from .localforms import FormContext, _dual_dlambda, period_pairing, propagator_p0
 from .recursion import (
     ConsistencyError,
     OmegaTable,
@@ -104,6 +104,7 @@ from .series import (
     Var,
     WindowError,
     agreement_mismatch,
+    capped_sum_of_products,
     common_denominator,
     invert,
     monomial,
@@ -169,9 +170,10 @@ class CorrelatorTable:
 
 
 def insertion_weight(ctx: FormContext, j: int, k: int, a: int, v: Var) -> MultiForm:
-    """Series multiplying <... v_a psi^k ...> in the branch-j expansion."""
-    dlam = monomial(v, 1, 1, deg=1)
-    return (ctx.period_dual(j, k + 1, a, v) * dlam).scale((-1) ** k)
+    """Series multiplying <... v_a psi^k ...> in the branch-j expansion:
+    (-1)^k (I^(k+1), v^a) dlambda."""
+    w = ctx.memo(_dual_dlambda, j, k + 1, a, v)
+    return -w if k % 2 else w
 
 
 def _mode_products(tensor: dict, maps, ties=()) -> dict:
@@ -487,20 +489,15 @@ def _constraint_weight(
 
     Quarter of the positive/negative commutator pairing over the normalizing
     one-point pairing, with the global orientation folded in; intentionally
-    assembled from scratch rather than through the engine's kernel.
+    assembled from scratch rather than through the engine's kernel.  The
+    pairing is minus the sum over (k, c) of W_i(k, c) in rv times
+    (I^(-k-1), v_c) in y; the zero piece holds its support bound in y at 0.
     """
-    drv = monomial(rv, 1, 1, deg=1)
-    terms = [zero_form((rv, y), (1, 0))]
-    for k in range(kmax + 1):
-        pair = sum_forms(
-            [zero_form((rv, y), (0, 0))]
-            + [
-                ctx.period_dual(i_ext, k + 1, c, rv) * ctx.period_basis(j, -k - 1, c, y)
-                for c in range(1, ctx.data.n + 1)
-            ]
-        )
-        terms.append((pair * drv).scale((-1) ** (k + 1)))
-    acc = sum_forms(terms).cap_hi(y, 2 * kmax + 2)
+    pieces = [(1, zero_form((rv, y), (1, 0)), None)] + [
+        (-1, ctx.memo(insertion_weight, i_ext, k, c, rv), ctx.period_basis(j, -k - 1, c, y))
+        for k, c in product(range(kmax + 1), range(1, ctx.data.n + 1))
+    ]
+    acc = capped_sum_of_products(pieces, y, 2 * kmax + 2)
     denom = ctx.period_unit(j, -1, y) * monomial(y, 1, 1, deg=1)
     if denom.is_zero() or denom.coefficient((2,)) == 0:
         raise ConsistencyError(f"degenerate normalizing pairing at branch {j}")

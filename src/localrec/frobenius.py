@@ -125,14 +125,16 @@ def validate_canonical(d: CanonicalData) -> Report:
     """Check every structural invariant; reports the offending entry on failure."""
     rep = Report()
     sizes_ok = (
-        len(d.u) == d.n
+        d.n >= 1
+        and len(d.u) == d.n
         and len(d.unit) == d.n
         and len(d.eta) == d.n
         and all(len(r) == d.n for r in d.eta)
         and len(d.psi) == d.n
         and all(len(r) == d.n for r in d.psi)
     )
-    rep.add("shapes", sizes_ok, "" if sizes_ok else f"inconsistent sizes for N={d.n}")
+    detail = f"inconsistent sizes for N={d.n}" if d.n else "N must be at least 1, got 0"
+    rep.add("shapes", sizes_ok, "" if sizes_ok else detail)
     if not sizes_ok:
         return rep
 

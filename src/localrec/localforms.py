@@ -37,6 +37,7 @@ from .series import (
     Var,
     WindowError,
     agreement_mismatch,
+    capped_sum_of_products,
     d_unit,
     geometric_expand,
     invert,
@@ -214,19 +215,6 @@ def one_point_form(ctx: FormContext, j: int, v: Var) -> MultiForm:
     return route1
 
 
-def _pairing_sum(
-    ctx: FormContext, i: int, j: int, k_r: int, k_s: int, rv: Var, sv: Var
-) -> MultiForm:
-    """sum_c (I^(k_r) at branch i in rv, v^c) (I^(k_s) at branch j in sv, v_c)."""
-    return sum_forms(
-        [zero_form((rv, sv), (0, 0))]
-        + [
-            ctx.period_dual(i, k_r, c, rv) * ctx.period_basis(j, k_s, c, sv)
-            for c in range(1, ctx.data.n + 1)
-        ]
-    )
-
-
 def _closing_part(ctx: FormContext, i: int, j: int, rv: Var, sv: Var) -> MultiForm | None:
     """The polynomial part of B(rv, sv) drv dsv carried by the closing matrices.
 
@@ -264,14 +252,13 @@ def two_point_form(
     expansion is taken in the annulus |sv| < |rv|.
     """
     kmax = max(s_hi // 2, 0)
-    drv = monomial(rv, 1, 1, deg=1)
-    dsv = monomial(sv, 1, 1, deg=1)
-    terms = [zero_form((rv, sv), (1, 1))]
-    for k in range(kmax + 1):
-        term = _pairing_sum(ctx, i, j, k + 1, -k, rv, sv)
-        terms.append((term * drv * dsv).scale((-1) ** (k + 1)))
-    acc = sum_forms(terms)
-    route_a = acc.cap_hi(sv, 2 * kmax + 1)
+    pieces = [
+        ((-1) ** (k + 1), ctx.memo(_dual_dlambda, i, k + 1, c, rv),
+         ctx.period_basis(j, -k, c, sv))
+        for k, c in product(range(kmax + 1), range(1, ctx.data.n + 1))
+    ]
+    # the trailing dsv = sv dsv lifts the sum's cap 2 kmax to 2 kmax + 1
+    route_a = capped_sum_of_products(pieces, sv, 2 * kmax) * monomial(sv, 1, 1, deg=1)
 
     parts = []
     if i == j:
@@ -367,12 +354,14 @@ def recursion_kernel(
     the module docstring).  ``kmax`` bounds the pole depth retained in rv,
     which must reach the pole depth of whatever K multiplies.
     """
-    drv = monomial(rv, 1, 1, deg=1)
-    terms = [zero_form((rv, sv), (1, 0))]
-    for k in range(kmax + 1):
-        term = _pairing_sum(ctx, i, j, k + 1, -k - 1, rv, sv)
-        terms.append((term * drv).scale(2 * (-1) ** (k + 1)))
-    num = sum_forms(terms).cap_hi(sv, 2 * kmax + 2)
+    # the zero piece holds the support bound in sv at 0: the kernel's window
+    # and every residue cap follow from it
+    pieces = [(1, zero_form((rv, sv), (1, 0)), None)] + [
+        (2 * (-1) ** (k + 1), ctx.memo(_dual_dlambda, i, k + 1, c, rv),
+         ctx.period_basis(j, -k - 1, c, sv))
+        for k, c in product(range(kmax + 1), range(1, ctx.data.n + 1))
+    ]
+    num = capped_sum_of_products(pieces, sv, 2 * kmax + 2)
 
     pj = ctx.memo(one_point_form, j, sv)
     if pj.coefficient((2,)) == 0:

@@ -17,6 +17,9 @@ bound is ``lo(f1) + lo(f2)``.  So the piece of multiplicity 2 has the window
 and the coefficients of the two twins' sum, and the kernel depth and the cap
 (which depend only on the pieces' bounds) do not change.  The one splitting
 that is its own twin (``n = 1`` and ``g1 = g / 2``) has multiplicity 1.
+The entry itself is never requested as a factor: it is the right factor of
+the splitting ``(g, full mask)``, whose twin ``(0, 0)`` sorts lower for every
+stable entry and is dropped as the one-point term, so neither is built.
 
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
@@ -234,13 +237,8 @@ class OmegaTable:
                     continue  # the same product, counted by its twin
                 left = tuple(p for p in positions if mask >> p & 1)
                 right = tuple(p for p in positions if not mask >> p & 1)
-                # a dropped one-point leg kills the term; decide before
-                # materializing anything (the full-complement factor is the
-                # entry itself and must not be requested)
                 if g1 == 0 and not left:
-                    continue
-                if g - g1 == 0 and not right:
-                    continue
+                    continue  # a dropped one-point leg kills the term
                 pieces.append((
                     1 if twin == (g1, mask) else 2,
                     self._factor(g1, left, branches, xs, j, y),

@@ -33,7 +33,10 @@ def rat_from_str(s) -> Fraction:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
-def vector_from_json(v) -> list[Fraction]:
+def vector_from_json(v, key: str) -> list[Fraction]:
+    """The JSON list ``v`` of "p/q" strings; ``key`` names it in the error."""
+    if not isinstance(v, list):
+        raise ValueError(f"{key} must be a list of 'p/q' strings, got {v!r}")
     return [rat_from_str(x) for x in v]
 
 
@@ -41,7 +44,10 @@ def matrix_to_json(m) -> list:
     return [[rat_to_str(x) for x in row] for row in m]
 
 
-def matrix_from_json(m) -> list[list[Fraction]]:
+def matrix_from_json(m, key: str) -> list[list[Fraction]]:
+    """The JSON list ``m`` of rows, each a list of "p/q" strings."""
+    if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
+        raise ValueError(f"{key} must be a list of rows of 'p/q' strings, got {m!r}")
     return [[rat_from_str(x) for x in row] for row in m]
 
 
@@ -79,17 +85,17 @@ def form_from_json(d: dict) -> MultiForm:
 
 def datum_from_json(cfg: dict) -> CanonicalData:
     return CanonicalData.make(
-        u=vector_from_json(cfg["u"]),
-        eta=matrix_from_json(cfg["eta"]),
-        psi=matrix_from_json(cfg["psi"]),
-        unit=vector_from_json(cfg["unit"]),
+        u=vector_from_json(cfg["u"], "u"),
+        eta=matrix_from_json(cfg["eta"], "eta"),
+        psi=matrix_from_json(cfg["psi"], "psi"),
+        unit=vector_from_json(cfg["unit"], "unit"),
     )
 
 
 def rmatrix_from_json(mats, exact: bool = False) -> RMatrix:
     if not isinstance(mats, list) or not mats:
         raise ValueError(f"R must be a nonempty list of matrices, got {mats!r}")
-    out = [matrix_from_json(m) for m in mats]
+    out = [matrix_from_json(m, f"R_{l}") for l, m in enumerate(mats)]
     n = len(out[0])
     if any(len(m) != n or any(len(row) != n for row in m) for m in out):
         raise ValueError(f"every R_l must be a square matrix of size {n}")

@@ -44,14 +44,15 @@ edges: :attr:`MultiForm.coeffs`, :meth:`MultiForm.coefficient` and
 :meth:`MultiForm.items` give reduced Fractions, built on each access.
 
 A branch residue reads only the ``v**-1`` slice of an integrand, and only
-the terms of its second factor up to some cap in ``v``.  Two functions serve
-it without building forms that would be summed and thrown away:
+the terms of its second factor up to some cap in ``v``; a mode sum of
+period products is certified up to a cap.  Two functions serve them
+without building forms that would be summed and thrown away:
 
 * :func:`capped_sum_of_products` builds a sum of products ``m * f1 * f2``
   and single forms only up to ``v <= top``, in one integer accumulator.
-  The caps shrink each factor's window and filter its terms; no capped
-  form, product or scaled form is built.  Its products and :func:`_mul`
-  share one product loop.
+  The caps shrink each factor's window in ``v`` and filter its terms; no
+  capped form, product or scaled form is built.  Its products and
+  :func:`_mul` share one product loop.
 * :func:`residue_of_product` gives ``(a * b).residue_half_loop(v)`` without
   forming ``a * b``, as a grouped contraction: each factor's terms are
   grouped by their exponents at ``v`` and at the slots both factors hold,
@@ -569,13 +570,12 @@ def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
     return MultiForm.from_numerators(vs, degs, out, a.den * b.den, lo, hi)
 
 
-def _capped(f: MultiForm, v: Var, top: int) -> tuple[int, tuple]:
-    """The slot of ``v`` in ``f`` and ``f.cap_hi(v, top).hi``."""
-    i = f.index_of(v)
+def _capped(f: MultiForm, i: int | None, top: int) -> tuple:
+    """``f.hi`` capped at ``top`` in slot ``i``; no cap when ``i`` is None."""
     hi = f.hi
-    if top < hi[i]:
+    if i is not None and top < hi[i]:
         hi = hi[:i] + (top,) + hi[i + 1 :]
-    return i, hi
+    return hi
 
 
 def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
@@ -585,26 +585,30 @@ def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
     ``(m, f, None)`` for the single form ``m * f``.  The result equals
     :func:`sum_forms` of the pieces with every factor capped first:
     ``f1.cap_hi(v, top - f2.lo_of(v))``, ``f2.cap_hi(v, top - f1.lo_of(v))``
-    and ``f.cap_hi(v, top)``.  A product term at ``v <= top`` combines only
-    terms inside those caps, so its coefficient is that of the full product.
-    No capped or partial form is built: each product's variables, degrees
-    and windows come from :func:`_product_frame` on the capped windows (with
-    its degree check and its refusal of several truncated shared variables),
-    the caps filter the factors' terms, the window of the sum is
-    ``sum_forms``' (``lo = min``, ``hi = min``), and every term is added
-    straight into one dict of integer numerators over the lcm of the pieces'
-    ``d1 * d2``, the multiplicity scaling the numerators.  A term outside
-    the common ``hi`` is dropped.  A single form is the product with the
-    exact constant 1, so every piece runs the one product loop.
+    and ``f.cap_hi(v, top)``, where a factor without ``v`` is exactly
+    constant in ``v`` (support bound 0, as in :func:`_product_frame`) and
+    is never capped; a piece in which no factor holds ``v`` is refused.  A
+    product term at ``v <= top`` combines only terms inside those caps, so
+    its coefficient is that of the full product.  No capped or partial form
+    is built: each product's variables, degrees and windows come from
+    :func:`_product_frame` on the capped windows (with its degree check and
+    its refusal of several truncated shared variables), the caps filter the
+    factors' terms, the window of the sum is ``sum_forms``' (``lo = min``,
+    ``hi = min``), and every term is added straight into one dict of integer
+    numerators over the lcm of the pieces' ``d1 * d2``, the multiplicity
+    scaling the numerators.  A term outside the common ``hi`` is dropped.  A
+    single form is the product with the exact constant 1, so every piece
+    runs the one product loop.
     """
     frames = []  # (vars, degs, lo, hi) of each piece
     products = []  # (m, d1 * d2, f1's terms, f2's terms) of each piece
     for m, a, b in pieces:
-        if b is None:
-            (ia, ha), b, ib, hb = _capped(a, v, top), _ONE, None, ()
-        else:
-            ia, ha = _capped(a, v, top - b.lo_of(v))
-            ib, hb = _capped(b, v, top - a.lo[ia])
+        b = _ONE if b is None else b
+        ia, ib = (f.vars.index(v) if v in f.vars else None for f in (a, b))
+        if ia is None and ib is None:
+            raise DegreeError(f"{v!r} not a variable of this form")
+        ha = _capped(a, ia, top - (0 if ib is None else b.lo[ib]))
+        hb = _capped(b, ib, top - (0 if ia is None else a.lo[ia]))
         vs, pa, pb, degs, lo, hi = _product_frame(a, b, ha, hb)
         frames.append((vs, degs, lo, hi))
         k = vs.index(v)

@@ -444,6 +444,10 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
             ["validate"],
             "invalid datum: symplectic-order-2 failed: defect[1,1] = -1\n",
         ),
+        # a JSON string is never read as a vector or a matrix row
+        (pair_config, {"u": "01"}, ["validate"], "config error: u must be a list"),
+        (pair_config, {"eta": ["10", "01"]}, ["validate"], "config error: eta must be a list"),
+        (airy_config, {"R": ["1"], "R_exact": True}, ["validate"], "config error: R_0 must"),
     ],
 )
 def test_bad_input_is_one_line_validation_error(
@@ -461,6 +465,10 @@ def test_bad_input_is_one_line_validation_error(
     [
         ({"R": [[["1/1"]]], "R_exact": True}, "datum and R-matrix have different sizes"),
         ({"unit": ["1/1", "0/1"]}, "unit pairing at branch 2 vanishes"),
+        (
+            {"N": 0, "u": [], "eta": [], "psi": [], "unit": []},
+            "shapes failed: N must be at least 1, got 0",
+        ),
     ],
 )
 def test_incompatible_datum_is_one_line_error_for_every_command(

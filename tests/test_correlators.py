@@ -181,6 +181,28 @@ def test_virasoro_reports_mismatch_on_corrupted_value():
     assert "sides differ at" in rep.failures()[0].detail
 
 
+@pytest.mark.parametrize("datum", ["airy", "rotated-pair"])
+def test_genus1_constraint_without_insertions(datum):
+    """The (1, 0) constraint, whose bracket is P_0 alone, holds on every
+    external branch, and fails where <tau_1>_1 is off by 1/7."""
+    if datum == "airy":
+        ctx = FormContext(airy_datum(), RMatrix.identity_r(1))
+    else:
+        rotated = CanonicalData.make(
+            u=[0, 1], eta=[[1, 0], [0, 1]], psi=[["3/5", "4/5"], ["-4/5", "3/5"]], unit=[1, 2]
+        )
+        ctx = FormContext(rotated, random_symplectic_r(2, 6, 11))
+    corr = extract_all(OmegaTable(ctx, bound=2))
+    # a fresh table: the context memo keys the assembled factors on the table
+    bad = CorrelatorTable(dict(corr.values), dict(corr.provenance))
+    bad.values[CorrelatorKey.make(1, [(1, 1)])] += Q(1, 7)
+    for ext in range(1, ctx.data.n + 1):
+        rep = virasoro_check(ctx, corr, 1, (), i_ext=ext)
+        assert rep.ok, (ext, rep.failures())
+        rep = virasoro_check(ctx, bad, 1, (), i_ext=ext)
+        assert not rep.ok and rep.failures()[0].detail.startswith("sides differ at (-4,)")
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_virasoro_single_branch_random_r(seed):
     ctx = FormContext(airy_datum(), random_symplectic_r(1, 8, seed))

@@ -1,10 +1,14 @@
 """Local expansions: frozen closed forms at N = 1 and structural properties."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from localrec.correlators import _constraint_weight
 from localrec.frobenius import (
+    CanonicalData,
     RMatrix,
     airy_datum,
     decoupled_datum,
@@ -21,6 +25,7 @@ from localrec.localforms import (
     recursion_kernel,
     two_point_form,
 )
+from localrec.serialize import dumps_canonical, form_to_json
 from localrec.series import MonodromyError, Var, WindowError, laurent
 
 Q = Fraction
@@ -245,3 +250,42 @@ def test_two_point_cross_symmetry(seed):
                     compared += 1
             if i != j:
                 assert compared >= 3  # the polynomial part is visible
+
+
+def _seed_data(name):
+    if name == "airy":
+        return airy_datum(), RMatrix.identity_r(1)
+    if name == "rotated-pair":
+        psi = [["3/5", "4/5"], ["-4/5", "3/5"]]
+        rotated = CanonicalData.make(u=[0, 1], eta=[[1, 0], [0, 1]], psi=psi, unit=[1, 2])
+        return rotated, random_symplectic_r(2, 6, 11)
+    if name == "decoupled-pair":
+        return decoupled_datum([0, 1]), random_symplectic_r(2, 10, 1)
+    return decoupled_datum([0, 1, 2]), random_symplectic_r(3, 5, 1)
+
+
+_SEED_DIGESTS = {
+    "airy": "c361524bf8be920af5acae87030f7099521ec68f54450166e5ee5bcfcfa8a9ab",
+    "rotated-pair": "2acbdb5be3c92ec42a900afbec27cb7f83d2dae43ff3e10792656d703efdb5dc",
+    "decoupled-pair": "e39162c1bf2ca7f2f246a3410678d27bdf357b2a7b751059a6601bcc572348ae",
+    "decoupled-triple": "e47b8de8f42542206b485bc3ff35e069c9579ffc34a6448e7402cfa7516cd0d6",
+}
+
+
+@pytest.mark.parametrize("name", list(_SEED_DIGESTS))
+def test_seed_kernel_and_constraint_weight_bytes_pinned(name):
+    """The mode sums, pinned byte for byte over every branch pair: the
+    two-point seed, the recursion kernel and the constraint weight, at
+    windows below and above the truncation order."""
+    ctx = FormContext(*_seed_data(name))
+    rows = []
+    for i, j in product(range(1, ctx.data.n + 1), repeat=2):
+        r, s, y = Var("r", i), Var("s", j), Var("y", j)
+        for s_hi in (0, 1, 4, 7, 10, 13):
+            rows.append(["two_point_form", i, j, s_hi, two_point_form(ctx, i, j, r, s, s_hi)])
+        for kmax in range(8):
+            rows.append(["recursion_kernel", i, j, kmax, recursion_kernel(ctx, i, j, r, s, kmax)])
+            w = _constraint_weight(ctx, i, j, r, y, kmax)
+            rows.append(["constraint_weight", i, j, kmax, w])
+    text = dumps_canonical([row[:-1] + [form_to_json(row[-1])] for row in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == _SEED_DIGESTS[name]

@@ -367,13 +367,22 @@ T = Var("t", 1)
 
 
 def _capped_fold(pieces, v, top):
-    """Reference bracket: every factor capped, multiplied, scaled, summed."""
+    """Reference bracket: every factor that holds v capped, then multiplied,
+    scaled and summed.  A factor without v has support bound 0 there; a
+    product without v is refused by ``index_of``."""
+
+    def cap(f, other):
+        if v not in f.vars:
+            return f
+        return f.cap_hi(v, top - (other.lo_of(v) if v in other.vars else 0))
+
     forms = []
     for m, a, b in pieces:
         if b is None:
             forms.append(a.cap_hi(v, top).scale(m))
         else:
-            capped = a.cap_hi(v, top - b.lo_of(v)) * b.cap_hi(v, top - a.lo_of(v))
+            capped = cap(a, b) * cap(b, a)
+            capped.index_of(v)
             forms.append(capped.scale(m))
     return sum_forms(forms)
 
@@ -382,13 +391,13 @@ def _capped_fold(pieces, v, top):
 def bracket_pieces(draw):
     """One to four pieces over (r, s, t) with shared degrees, capped in s.
 
-    A product piece splits the variables between two factors that both hold
-    s (r and t may sit in one factor or both, in any arrangement) and splits
-    each degree between them; a single-form piece holds every variable.
-    Windows are finite or INF on either side (a finite r or t window in both
-    factors makes the product refuse), multiplicities are 1 or 2, and
-    sometimes one piece is broken: s missing from a factor, a degree out of
-    range, degrees unlike the other pieces', or r at a second branch.
+    A product piece splits the variables between two factors (each of r, s
+    and t may sit in one factor or both, in any arrangement) and splits each
+    degree between them; a single-form piece holds every variable.  Windows
+    are finite or INF on either side (a finite r or t window in both factors
+    makes the product refuse), multiplicities are 1 or 2, and sometimes one
+    piece is broken: s in no factor, a degree out of range, degrees unlike
+    the other pieces', or r at a second branch.
     """
     degs = {R: draw(st.integers(-1, 2)), S: draw(st.integers(-1, 1))}
     degs[T] = draw(st.integers(0, 1))
@@ -416,9 +425,9 @@ def bracket_pieces(draw):
         if draw(st.integers(0, 3)) == 0:
             pieces.append((m, form((R, S, T), degs), None))
             continue
-        where = {v: draw(st.sampled_from(["a", "b", "ab"])) for v in (R, T)}
-        va = tuple(v for v in (R, S, T) if v == S or "a" in where[v])
-        vb = tuple(v for v in (R, S, T) if v == S or "b" in where[v])
+        where = {v: draw(st.sampled_from(["a", "b", "ab"])) for v in (R, S, T)}
+        va = tuple(v for v in (R, S, T) if "a" in where[v])
+        vb = tuple(v for v in (R, S, T) if "b" in where[v])
         da, db = {}, {}
         for v in (R, S, T):
             if v in va and v in vb:
@@ -434,9 +443,9 @@ def bracket_pieces(draw):
         k = draw(st.integers(0, len(pieces) - 1))
         m, a, b = pieces[k]
         if broken == "no-s":
-            b = laurent(R, {0: 1})
+            a, b = laurent(R, {0: 1}), draw(st.sampled_from([laurent(T, {0: 1}), None]))
         elif broken == "degree":
-            a, b = MultiForm(a.vars, [2] * len(a.vars), {}, a.lo, a.hi), d_unit(S)
+            a, b = MultiForm((R, S), (2, 2), {}, (0, 0), (INF, INF)), d_unit(S)
         elif broken == "unlike":
             unlike = (degs[R], degs[S], 1 - degs[T])
             a, b = MultiForm((R, S, T), unlike, {}, (0, 0, 0), (INF,) * 3), None
