@@ -294,6 +294,10 @@ def cmd_check(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_random_r(cfg: RunConfig, out: str | None) -> int:
+    rep = validate_canonical(cfg.datum)
+    if not rep.ok:
+        _fail("invalid datum", rep.failures()[0])
+        return EXIT_VALIDATION
     r = random_symplectic_r(cfg.datum.n, cfg.order, cfg.seed, cfg.coeff_bound)
     payload = {
         "N": cfg.datum.n,

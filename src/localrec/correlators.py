@@ -9,40 +9,27 @@ factors slot by slot,
 
     omega[jv](e) = sum over (k, a) of corr(k, a) * prod_m W_{jv[m]}(k_m, a_m; e_m),
 
-so every step of the extraction is a slotwise contraction (one linear map per
-slot, mode products) of one sparse tensor: the ordered tensor of solved
-values, indexed by insertion tuples in every slot order.  The solve walks
-the psi-degree vectors by decreasing total degree, where the system is
-triangular: it contracts the tensor against the weight coefficients at the
-leading exponents to predict what the deeper keys explain, and maps the
-remainder back to flat indices slot by slot through the inverse of psi.  An
-ordered branch tuple reads the stored entry of its sorted tuple through the
-slot permutation, without renaming the entry.  The solve is deliberately
-overdetermined: afterwards the tensor is contracted against the full weight
-series, and the result must reproduce every certified coefficient of every
-branch tuple.
+a slotwise contraction (one linear map per slot, mode products) of the
+ordered tensor of correlators, indexed by insertion tuples in every slot
+order.  So its inverse is slotwise too.  At the leading exponents
+e = -2k' - 2 with 0 <= k' <= 3g - 3 + n one slot's map is the matrix
+A[(j, k'), (k, a)] = W_j(k, a; -2k' - 2), block triangular in k with the
+invertible diagonal blocks -2 (2k+1)!! psi[a][j].  The solve contracts the
+stored coefficients at those exponents, over every ordered branch tuple,
+against the inverse of A in every slot: one ``_mode_products`` call on
+integer numerators, kept at sorted insertion tuples only.  An ordered branch
+tuple reads the stored entry of its sorted tuple through the slot
+permutation, without renaming the entry.
 
-The solve skips work whose outcome is known, without changing a value or a
-message.  The degree vectors past the tameness bound (total degree above
-3g - 3 + n) come first, and any nonzero value there is an error, so the
-tensor is still empty while they run: the prediction is empty, the inverse
-of psi is invertible, and such a step passes exactly when every ordered
-branch tuple's coefficient at its exponents is 0.  That is decided by one
-scan of each stored entry's terms: an ordered tuple reads its sorted entry at
-exponents that do not increase along a block of equal branches, so the
-vectors with a nonzero read are those of the stored terms past the bound that
-have this shape.  A nonzero read runs the step, which names the offending
-key.  Only a vector whose exponents may lie above some slot's window has its
-tuples read one by one, in the order the step reads them, so an uncertified
-coefficient fails as the step would.  At the tame vectors the prediction
-contracts the tensor stored as a trie, keyed slot by slot in the order the
-slots are mapped, so a key whose weight has no term at the leading exponent
-drops its whole subtrie at once.  With identity R every weight is one
-monomial and every prediction drops to nothing.  Subtries that land on the
-same images are summed and their cancelled sums dropped before the next
-slot, as the flat contraction merges its partial sums, so the trie maps the
-same keys at the same exponents: the same values, and the same window
-failure, whose text names the exponent alone.
+Keys past the tameness bound (total degree above 3g - 3 + n) must come out
+zero.  A nonzero one is named by the first key in the order (total degree
+descending, degree vector, flat indices), the key a triangular solve by
+decreasing total degree meets first.  When some slot's window ends below
+-2, the degree vectors up to that key are read in that order first, so an
+uncertified coefficient fails as that solve would fail on it.  The solve is
+deliberately overdetermined: afterwards the tensor is contracted against the
+full weight series, and the result must reproduce every certified
+coefficient of every branch tuple.
 
 The residual is formed at the sorted branch tuples only.  Every ordered
 tuple ``jv`` is a slot permutation of its sorted one: ``omega[jv]`` is the
@@ -55,7 +42,7 @@ Within a sorted tuple the residual is compared at block-sorted exponents
 only.  Slots m and m + 1 are tied when they share a branch and the window
 they are compared on, the meet of the entry's ``hi`` and the reassembly's;
 slot 0, the pivot of the computation, usually sees further and stays apart.
-The prediction is symmetric under every exchange of tied slots, for the
+The reassembly is symmetric under every exchange of tied slots, for the
 reason above.  The entry is symmetric under them, wherever both arrangements
 are certified, when the orbit verdict of ``recursion.symmetry_check`` passes
 on it, and tied slots share their window, so an exponent tuple and its sort
@@ -78,15 +65,13 @@ compares against the correlator-level left side.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import lcm, prod
+from math import lcm
 
-from .frobenius import double_factorial
-from .linalg import mat_inv, transpose
+from .linalg import mat_inv
 from .localforms import FormContext, _dual_dlambda, period_pairing, propagator_p0
 from .recursion import (
     ConsistencyError,
@@ -205,61 +190,6 @@ def _mode_products(tensor: dict, maps, ties=()) -> dict:
     return tensor
 
 
-def _trie_insert(trie: dict, idx: tuple, value) -> None:
-    """Store ``value`` at ``idx``, keyed slot by slot, last slot first."""
-    for key in reversed(idx[1:]):
-        trie = trie.setdefault(key, {})
-    trie[idx[0]] = value
-
-
-def _add_scaled(dst, src, w, depth: int):
-    """``dst + w * src`` for tries of ``depth`` levels (numbers at depth 0)."""
-    if not depth:
-        return dst + w * src
-    for key, sub in src.items():
-        dst[key] = _add_scaled(dst.get(key, {} if depth > 1 else 0), sub, w, depth - 1)
-    return dst
-
-
-def _pruned(trie, depth: int):
-    """The trie without its zero values and the branches left empty."""
-    if not depth:
-        return trie
-    return {key: s for key, sub in trie.items() if (s := _pruned(sub, depth - 1))}
-
-
-def _trie_mode_products(trie: dict, n: int, image) -> dict:
-    """:func:`_mode_products` of a tensor stored as a trie (see
-    :func:`_trie_insert`), with ``image(m, index)`` the map of slot m.
-
-    Each level maps one slot, the last first, as ``_mode_products`` does:
-    the solve lists psi degrees in ascending order, so that slot prunes the
-    most keys.  The partial tensor at a tuple of images of the mapped slots
-    is a sum of scaled subtries.  A key is mapped once for its whole
-    subtrie, and a key with an empty image is never descended into.
-    Subtries that land on the same images are added up and their cancelled
-    sums dropped before the next level, so exactly the indices
-    ``_mode_products`` maps are mapped here.  Returns the contracted tensor,
-    keyed by image tuples.
-    """
-    level = {(): [(trie, 1)]}
-    for m in reversed(range(n)):
-        out = defaultdict(list)
-        for images, terms in level.items():
-            if len(terms) == 1:
-                ((node, c),) = terms
-            else:
-                node, c = {}, 1
-                for sub, w in terms:
-                    _add_scaled(node, sub, w, m + 1)
-                node = _pruned(node, m + 1)
-            for key, child in node.items():
-                for new, w in image(m, key).items():
-                    out[(new,) + images].append((child, c * w))
-        level = out
-    return {at: v for at, terms in level.items() if (v := sum(x * w for x, w in terms))}
-
-
 def _ordered_indices(n: int, flat, budget: int) -> list[tuple[Insertion, ...]]:
     """Every ordered n-tuple of insertions with total psi degree <= budget."""
     out: list[tuple[tuple[Insertion, ...], int]] = [((), 0)]
@@ -278,11 +208,11 @@ def extract_correlators(
 ) -> CorrelatorTable:
     """Solve the coefficient-matching system for all (g, n) correlators.
 
-    Keys are processed by decreasing total psi degree so that each leading
-    exponent tuple only sees already-solved deeper keys.  Keys beyond the
-    tameness bound must come out zero, and the fully reassembled expansion
-    must match the computed table entry on its certified window; both are
-    hard errors otherwise.
+    The stored coefficients at the leading exponents are mapped to
+    correlators by the inverse of the slot map, slot by slot (module
+    docstring).  Keys beyond the tameness bound must come out zero, and the
+    fully reassembled expansion must match the computed table entry on its
+    certified window; both are hard errors otherwise.
     """
     ctx = table.ctx
     flat = range(1, ctx.data.n + 1)
@@ -292,103 +222,85 @@ def extract_correlators(
         raise ConsistencyError(f"({g},{n}) is unstable")
     source = f"omega({g},{n})"
 
-    inv_psi_t = transpose(mat_inv(ctx.data.psi))
-    psi_inverse = {
-        j: {a: c for a in flat if (c := inv_psi_t[a - 1][j - 1])} for j in flat
+    def weight(j: int, ka: Insertion) -> MultiForm:
+        return ctx.memo(insertion_weight, j, *ka, Var("w", j))
+
+    # the slot map, rows (j, k') at exponent -2k' - 2 and columns (k, a), and
+    # its inverse as integers over one denominator
+    rows = list(product(flat, range(kslot + 1)))
+    cols = list(product(range(kslot + 1), flat))
+    inverse = mat_inv(
+        [[weight(j, ka).coefficient((-2 * k - 2,)) for ka in cols] for j, k in rows]
+    )
+    iden = lcm(*(c.denominator for line in inverse for c in line))
+    image = {
+        r: {ka: c.numerator * (iden // c.denominator) for ka, c in zip(cols, col) if c}
+        for r, col in zip(rows, zip(*inverse))
     }
-    jvecs = list(product(flat, repeat=n))
+
     # every ordered branch tuple reads the stored entry of its sorted tuple
     # through the slot permutation of OmegaTable.omega
     forms = {jv: table.omega(g, jv) for jv in combinations_with_replacement(flat, n)}
     reads = [
-        (forms[tuple(sorted(jv))], tuple(sorted(range(n), key=jv.__getitem__)))
-        for jv in jvecs
+        (tuple(sorted(jv)), tuple(sorted(range(n), key=jv.__getitem__)))
+        for jv in product(flat, repeat=n)
     ]
-
-    def weight(j: int, ka: Insertion) -> MultiForm:
-        return ctx.memo(insertion_weight, j, *ka, Var("w", j))
-
-    @cache
-    def weights_at(ka: Insertion, e: int) -> dict[int, Rat]:
-        """Image of one insertion in the solve: its weight at e, per branch."""
-        return {j: c for j in flat if (c := weight(j, ka).coefficient((e,)))}
-
-    # the ordered tensor: every solved nonzero value under each of its slot
-    # orders, filled in as keys are solved, flat and as a trie
-    tensor: dict[tuple[Insertion, ...], Rat] = {}
-    trie: dict = {}
-    orders = defaultdict(list)
-    for idx in _ordered_indices(n, flat, kslot):
-        orders[tuple(sorted(k for k, _ in idx))].append(idx)
-
-    # the direct zero test (module docstring): the degree vectors past the
-    # tameness bound where some ordered tuple reads a stored term, from one
-    # scan of each entry; a tuple reads its sorted entry at exponents that do
-    # not increase along a block of equal branches
-    nonzero = set()
+    # the stored numerators at the leading exponents, keyed by (branch, k')
+    # per slot, over one denominator
+    depth = {-2 * k - 2: k for k in range(kslot + 1)}
+    sden = lcm(*(f.den for f in forms.values()))
+    leading = {jv: [] for jv in forms}
     for jv, f in forms.items():
-        blocks = [m for m in range(n - 1) if jv[m] == jv[m + 1]]
-        for e in f.nums:
-            # all poles, with psi degrees summing past kslot
-            if max(e) > -2 or sum(e) >= -2 * (n + kslot):
-                continue
-            ks = tuple(sorted((-2 - x) // 2 for x in e))
-            if (
-                ks[-1] <= kslot
-                and all(x % 2 == 0 for x in e)
-                and all(e[m] >= e[m + 1] for m in blocks)
-            ):
-                nonzero.add(ks)
-    floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
+        for e, c in f.nums.items():
+            if None not in (ks := tuple(map(depth.get, e))):
+                leading[jv].append((tuple(zip(jv, ks)), c * (sden // f.den)))
+    stored = {}
+    for jv, o in reads:
+        back = sorted(range(n), key=o.__getitem__)  # the stored slot each slot reads
+        for key, c in leading[jv]:
+            stored[tuple(key[t] for t in back)] = c
+    values = {
+        idx: Fraction(c, sden * iden**n)
+        for idx, c in _mode_products(
+            stored, [image.__getitem__] * n, set(range(n - 1))
+        ).items()
+    }
 
-    kvecs = sorted(
-        combinations_with_replacement(range(kslot + 1), n), key=lambda kv: (-sum(kv), kv)
-    )
-    for kvec in kvecs:
-        exps = tuple(-2 * k - 2 for k in kvec)
-        beyond = sum(kvec) > kslot
-        try:
-            if beyond and kvec not in nonzero:
-                if max(exps) > floor:  # a read may be uncertified: fail as the step
-                    for f, o in reads:
-                        f.coefficient(exps, o)
-                continue  # nothing to solve
-            predicted = _trie_mode_products(
-                trie, n, lambda m, ka: weights_at(ka, exps[m])
-            )
-            resid = {
-                jv: f.coefficient(exps, o) - predicted.get(jv, 0)
-                for jv, (f, o) in zip(jvecs, reads)
-            }
-        except WindowError as exc:
-            raise TruncationOrderError(
-                f"extraction at ({g},{n}) psi-degrees {kvec} not certified: {exc}"
-            ) from exc
-        values = _mode_products(resid, [psi_inverse.__getitem__] * n)
-        scale = prod(-2 * double_factorial(2 * k + 1) for k in kvec)
-        staged: dict[tuple[Insertion, ...], Rat] = {}
-        for avec in product(flat, repeat=n):
-            val = values.get(avec, Rat(0)) / scale
-            pairs = tuple(sorted(zip(kvec, avec)))
-            if pairs in staged:
-                if staged[pairs] != val:
-                    raise ConsistencyError(
-                        f"extraction inconsistent at {pairs}: {staged[pairs]} vs {val}"
-                    )
-            else:
-                staged[pairs] = val
-        for pairs, val in staged.items():
-            if beyond:
-                if val != 0:
-                    raise ConsistencyError(
-                        f"nonzero correlator {pairs} beyond the tameness bound: {val}"
-                    )
-            else:
-                out.put(CorrelatorKey(g, pairs), val, source)
-        for idx in orders.get(kvec, ()):
-            if val := staged[tuple(sorted(idx))]:
-                tensor[idx] = val
-                _trie_insert(trie, idx, val)
+    def met(idx: tuple[Insertion, ...]):
+        """When the triangular solve meets a key: (-total degree, k's, a's)."""
+        ks, avec = zip(*idx)
+        return -sum(ks), ks, avec
+
+    bad = min((idx for idx in values if -met(idx)[0] > kslot), key=met, default=None)
+    floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
+    if floor < -2:  # a read may be uncertified: read in the triangular order
+        kvecs = combinations_with_replacement(range(kslot + 1), n)
+        for kvec in sorted(kvecs, key=lambda kv: (-sum(kv), kv)):
+            if bad is not None and (-sum(kvec), kvec) > met(bad)[:2]:
+                break
+            exps = tuple(-2 * k - 2 for k in kvec)
+            if max(exps) > floor:
+                try:
+                    for jv, o in reads:
+                        forms[jv].coefficient(exps, o)
+                except WindowError as exc:
+                    raise TruncationOrderError(
+                        f"extraction at ({g},{n}) psi-degrees {kvec} "
+                        f"not certified: {exc}"
+                    ) from exc
+    if bad is not None:
+        raise ConsistencyError(
+            f"nonzero correlator {bad} beyond the tameness bound: {values[bad]}"
+        )
+    for idx in combinations_with_replacement(cols, n):
+        if -met(idx)[0] <= kslot:
+            out.put(CorrelatorKey(g, idx), values.get(idx, Rat(0)), source)
+    # the ordered tensor: every solved nonzero value under each of its slot orders
+    tensor = {
+        idx: v
+        for idx in _ordered_indices(n, flat, kslot)
+        if (v := values.get(tuple(sorted(idx))))
+    }
 
     # overdetermined residual: every certified coefficient of every branch
     # tuple must be explained, which the sorted branch tuples already show

@@ -448,6 +448,12 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
         (pair_config, {"u": "01"}, ["validate"], "config error: u must be a list"),
         (pair_config, {"eta": ["10", "01"]}, ["validate"], "config error: eta must be a list"),
         (airy_config, {"R": ["1"], "R_exact": True}, ["validate"], "config error: R_0 must"),
+        (
+            pair_config,
+            {"N": 0, "u": [], "eta": [], "psi": [], "unit": []},
+            ["random-r"],
+            "invalid datum: shapes failed: N must be at least 1, got 0\n",
+        ),
     ],
 )
 def test_bad_input_is_one_line_validation_error(

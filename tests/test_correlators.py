@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -11,9 +10,6 @@ import pytest
 from localrec.correlators import (
     CorrelatorKey,
     CorrelatorTable,
-    _mode_products,
-    _trie_insert,
-    _trie_mode_products,
     extract_all,
     extract_correlators,
     insertion_reconstruct_check,
@@ -337,9 +333,9 @@ def random_pair_table(bound=2):
     return OmegaTable(ctx, bound=bound)
 
 
-# The failure texts and values below were recorded before the solve skipped
-# the degree vectors past the tameness bound and pruned its prediction; both
-# shortcuts must leave them byte-identical.
+# The failure texts and values below were recorded with the triangular solve,
+# one step per psi-degree vector by decreasing total degree; the slot inverse
+# must leave them byte-identical.
 
 
 @pytest.mark.parametrize(
@@ -366,6 +362,22 @@ def test_beyond_tameness_failure_text(exps, message):
     with pytest.raises(ConsistencyError) as info:
         extract_correlators(table, 0, 4)
     assert str(info.value) == message
+
+
+def test_beyond_tameness_names_the_first_degree_vector():
+    # two nonzero keys of total degree 3 in (0,5): the one with the lower
+    # degree vector is named, though the other has the lower flat indices
+    ctx = FormContext(decoupled_datum([0, 1]), RMatrix.identity_r(2))
+    table = OmegaTable(ctx, bound=3)
+    key = (0, (1, 1, 2, 2, 2))
+    form = _perturbed(table.omega(*key), (-4, -6, -2, -2, -2), 1)
+    table._store[key] = _perturbed(form, (-2, -2, -4, -4, -4), 1)
+    with pytest.raises(ConsistencyError) as info:
+        extract_correlators(table, 0, 5)
+    assert str(info.value) == (
+        "nonzero correlator ((0, 2), (0, 2), (0, 2), (1, 1), (2, 1)) "
+        "beyond the tameness bound: -1/1440"
+    )
 
 
 @pytest.mark.parametrize(
@@ -397,50 +409,162 @@ def test_uncertified_solve_coefficient_failure_text(slot, message):
     assert str(info.value) == message
 
 
-def test_extract_random_r_pair_values_pinned():
-    # R-corrections give every weight several terms, so four of the nine
-    # solve steps predict a nonzero part from deeper keys
-    corr = extract_all(random_pair_table())
+# a +1 planted at a degree vector past the tameness bound of (0,4), and a
+# stored slot capped at -3: the solve names whichever defect the triangular
+# solve meets first
+TWO_DEFECTS = [
+    (
+        "airy",
+        (-2, -4, -4, -4),
+        1,
+        "nonzero correlator ((0, 1), (1, 1), (1, 1), (1, 1)) "
+        "beyond the tameness bound: 1/432",
+    ),
+    (
+        "airy",
+        (-2, -4, -4, -4),
+        2,
+        "nonzero correlator ((0, 1), (1, 1), (1, 1), (1, 1)) "
+        "beyond the tameness bound: 1/432",
+    ),
+    (
+        "airy",
+        (-2, -2, -4, -4),
+        1,
+        "extraction at (0,4) psi-degrees (0, 0, 1, 1) not certified: "
+        "coefficient at (-2, -2, -4, -4) not certified",
+    ),
+    (
+        "airy",
+        (-2, -2, -4, -4),
+        2,
+        "nonzero correlator ((0, 1), (0, 1), (1, 1), (1, 1)) "
+        "beyond the tameness bound: 1/144",
+    ),
+    (
+        "airy",
+        (-4, -4, -4, -4),
+        1,
+        "nonzero correlator ((1, 1), (1, 1), (1, 1), (1, 1)) "
+        "beyond the tameness bound: 1/1296",
+    ),
+    (
+        "airy",
+        (-4, -4, -4, -4),
+        2,
+        "nonzero correlator ((1, 1), (1, 1), (1, 1), (1, 1)) "
+        "beyond the tameness bound: 1/1296",
+    ),
+    (
+        "pair",
+        (-2, -4, -4, -4),
+        1,
+        "nonzero correlator ((0, 1), (1, 1), (1, 2), (1, 2)) "
+        "beyond the tameness bound: 1/432",
+    ),
+    (
+        "pair",
+        (-2, -4, -4, -4),
+        2,
+        "extraction at (0,4) psi-degrees (0, 1, 1, 1) not certified: "
+        "coefficient at (-2, -4, -4, -4) not certified",
+    ),
+    (
+        "pair",
+        (-2, -2, -4, -4),
+        1,
+        "extraction at (0,4) psi-degrees (0, 0, 1, 1) not certified: "
+        "coefficient at (-2, -2, -4, -4) not certified",
+    ),
+    (
+        "pair",
+        (-2, -2, -4, -4),
+        2,
+        "extraction at (0,4) psi-degrees (0, 1, 1, 1) not certified: "
+        "coefficient at (-2, -4, -4, -4) not certified",
+    ),
+    (
+        "pair",
+        (-4, -4, -4, -4),
+        1,
+        "nonzero correlator ((1, 1), (1, 1), (1, 2), (1, 2)) "
+        "beyond the tameness bound: 1/1296",
+    ),
+    (
+        "pair",
+        (-4, -4, -4, -4),
+        2,
+        "nonzero correlator ((1, 1), (1, 1), (1, 2), (1, 2)) "
+        "beyond the tameness bound: 1/1296",
+    ),
+]
+
+
+@pytest.mark.parametrize("datum, exps, slot, message", TWO_DEFECTS)
+def test_two_defects_name_the_first_one_met(datum, exps, slot, message):
+    if datum == "airy":
+        table, key = airy_table(bound=2), (0, (1, 1, 1, 1))
+    else:
+        table, key = random_pair_table(), (0, (1, 1, 2, 2))
+    form = _perturbed(table.omega(*key), exps, 1)
+    table._store[key] = form.cap_hi(form.vars[slot], -3)
+    with pytest.raises((ConsistencyError, TruncationOrderError)) as info:
+        extract_correlators(table, 0, 4)
+    assert str(info.value) == message
+
+
+def _values_digest(table) -> tuple[int, str]:
+    corr = extract_all(table)
     rows = [
         [key.g, [list(p) for p in key.insertions], str(value), corr.provenance[key]]
         for key, value in corr.items()
     ]
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert len(rows) == 35
-    assert digest == "d4c5bb380691bac160baa30100316f99281deb53754f16a3c43766b3f3d87b83"
+    return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_trie_contraction_is_the_flat_one(seed):
-    # values, and the keys mapped at each slot, agree with _mode_products;
-    # the small integer weights make partial sums cancel often
-    rng = random.Random(seed)
-    n = rng.randint(1, 4)
-    keys = range(4)
-    tensor = {
-        idx: rng.choice([-2, -1, 1, 2])
-        for idx in product(keys, repeat=n)
-        if rng.random() < 0.5
-    }
-    images = [
-        {key: {j: w for j in (1, 2) if (w := rng.choice([0, 0, -1, 1]))} for key in keys}
-        for _ in range(n)
-    ]
-    trie: dict = {}
-    for idx, value in tensor.items():
-        _trie_insert(trie, idx, value)
-    mapped_flat, mapped_trie = set(), set()
+def test_extract_random_r_pair_values_pinned():
+    # R-corrections give every weight several terms, so the slot inverse
+    # has entries off its diagonal blocks
+    assert _values_digest(random_pair_table()) == (
+        35,
+        "d4c5bb380691bac160baa30100316f99281deb53754f16a3c43766b3f3d87b83",
+    )
 
-    def flat_map(m):
-        return lambda key: mapped_flat.add((m, key)) or images[m][key]
 
-    def trie_map(m, key):
-        mapped_trie.add((m, key))
-        return images[m][key]
+ROTATED_PAIR = CanonicalData.make(
+    u=[0, 1], eta=[[1, 0], [0, 1]], psi=[["3/5", "4/5"], ["-4/5", "3/5"]], unit=[1, 2]
+)
+ROTATED_TRIPLE = CanonicalData.make(  # the datum of the three-branch CI check
+    u=[0, 1, 3],
+    eta=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    psi=[["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"], ["2/3", "-2/3", "1/3"]],
+    unit=["5/3", "1/3", "1/3"],
+)
 
-    flat = _mode_products(tensor, [flat_map(m) for m in range(n)])
-    assert _trie_mode_products(trie, n, trie_map) == flat
-    assert mapped_trie == mapped_flat
+
+@pytest.mark.parametrize(
+    "datum, seed, rows, digest",
+    [
+        (
+            ROTATED_PAIR,
+            11,
+            35,
+            "21536b3f4754fb6b2b9756f96ed35dfb9b5c2fcd2b5b7506e996f21c7ffcd4e8",
+        ),
+        (
+            ROTATED_TRIPLE,
+            1,
+            91,
+            "46288c523b8e98ae54ceaf6920e5a70bbe0d8154c525cb3a0c9df245057e8c9d",
+        ),
+    ],
+    ids=["rotated-pair", "rotated-triple"],
+)
+def test_extract_rotated_random_r_values_pinned(datum, seed, rows, digest):
+    # psi is not diagonal, so every diagonal block of the slot inverse mixes
+    # the branches
+    ctx = FormContext(datum, random_symplectic_r(datum.n, 6, seed))
+    assert _values_digest(OmegaTable(ctx, bound=2)) == (rows, digest)
 
 
 def identity_r_oracle(datum: CanonicalData, g: int, insertions) -> Fraction:
