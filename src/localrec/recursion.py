@@ -1,12 +1,27 @@
 """The residue recursion: assembling the n-point form table.
 
 Entries are memoized under sorted branch tuples (the raw keyspace is
-factorially redundant by symmetry) and retrieved with the permutation applied
-on the fly.  Each stable entry ``omega_{g,n}`` is produced by summing, over
+factorially redundant by symmetry) and retrieved through the sorting
+permutation.  Each stable entry ``omega_{g,n}`` is produced by summing, over
 the branch points, the half-loop residue of the kernel against a bracket made
 of one loop term and the splitting products, with the two coinciding-argument
 conventions hard-coded: a dropped one-point term and the stored diagonal
 propagator for the residue-variable pair.
+
+Children are read in place: :meth:`OmegaTable.omega` renames the stored
+entry, but the bracket takes each child entry and each two-point seed as the
+stored form under new slot names, kept in the stored slot order
+(``series._relabelled``), so no term is copied.  The functions that consume
+them read slots by position, and every form they build goes through
+``MultiForm.from_numerators``, so a relabelled form never reaches the store
+or a caller.
+
+One normalization per entry: each branch point's residue is a raw slice
+(``series.residue_slice``: numerators, denominator and window).
+``_compute`` sums the slices in one integer accumulator under the sum rule
+(``series.sum_raw``: ``lo = min``, ``hi = min``, a term outside the common
+``hi`` dropped), and ``_finalize`` drops the zero terms, checks the pole bound
+and evenness, raises the support bound to the pole bound and normalizes once.
 
 The twin rule: the splitting ``(g1, mask)`` and its twin ``(g - g1, ~mask)``
 give the same two factors in swapped order, so the bracket holds one product
@@ -24,23 +39,27 @@ stable entry and is dropped as the one-point term, so neither is built.
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
 bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The bracket is
-handed to :func:`capped_residue` as a list of pieces, ``(m, f1, f2)`` for
-``m * f1 * f2`` and ``(m, f, None)`` for ``m * f``.  The kernel's pole depth
-follows from the pieces' support bounds in y, so it is fetched before the
-bracket is built.  The cap is a filter: ``series.capped_sum_of_products``
+handed to :func:`capped_slice` as a list of pieces, ``(m, f1, f2)`` for
+``m * f1 * f2`` and ``(m, f, None)`` for ``m * f``, and the loop child.  The
+kernel's pole depth follows from their support bounds in y, so it is fetched
+before the bracket is built.  The cap is a filter: ``series.capped_sum_of_products``
 caps f1 at ``ycap - lo(f2)``, f2 at ``ycap - lo(f1)`` and a single form at
 ycap, by shrinking their windows and dropping their terms above the caps,
 and sums the bracket in one accumulator.  A product term at y <= ycap only
 combines leg terms inside those caps, so every coefficient the residue
 reads is unchanged.  The loop piece is P_0 in y for the (1, 1) entry and
-otherwise the whole loop child merged onto y: a merged term at y <= ycap
-combines only terms at ``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``,
-so filtering the merged form at ycap gives what capping both slots before
-the merge would.  Capping only narrows a certified window: the residue still refuses
-when y^-1 is not certified, and the windows of the other slots stay those
-of the full bracket.  The constraint checker in ``correlators`` hands its
-own pieces and weight to the same helper.  The residue is
-``series.residue_of_product``, which forms only the y^-1 slice of
+otherwise the loop child merged onto y, built only up to the cap: its
+support bound ``lo(ya) + lo(yb)`` joins the pieces' in the kernel depth,
+and once the kernel is fetched ``merge_diagonal`` merges the child with
+``top = ycap``, capping the merged window there and skipping every term
+above it.  A merged term at y <= ycap combines only terms at
+``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``, so the merge to the cap
+gives what capping both slots before the merge would.  Capping only narrows
+a certified window: the residue still refuses when y^-1 is not certified,
+and the windows of the other slots stay those of the full bracket.  The
+constraint checker in ``correlators`` hands its own pieces and weight to
+:func:`capped_residue`, without a loop child.  The residue is
+``series.residue_slice``, which forms only the y^-1 slice of
 ``kernel * bracket`` and checks single valuedness on the two factors: the
 kernel and the capped bracket must each have a definite reflection parity
 in y, of odd sum, so every bracket term up to the cap is checked whether
@@ -70,6 +89,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
 from math import comb, prod
 
@@ -82,12 +102,14 @@ from .localforms import (
 from .report import Report
 from .series import (
     MultiForm,
+    RawForm,
     SeriesError,
     Var,
+    _relabelled,
     agreement_mismatch,
     capped_sum_of_products,
-    residue_of_product,
-    sum_forms,
+    residue_slice,
+    sum_raw,
 )
 
 
@@ -122,11 +144,27 @@ def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     the residue reads is that of the full bracket (the cap rule in the
     module docstring), and only the y^-1 slice of the product is formed.
     """
-    depth = max(
-        -min(f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces), 0
-    )
-    w = weight(max(depth // 2, (p - 2) // 2, 0))
-    return residue_of_product(w, capped_sum_of_products(pieces, y, -1 - w.lo_of(y)), y)
+    return MultiForm.from_numerators(*capped_slice(y, p, pieces, weight))
+
+
+def capped_slice(y: Var, p: int, pieces, weight, loop=None) -> RawForm:
+    """The residue of :func:`capped_residue`, not normalized.
+
+    ``loop`` is None or ``(child, ya, yb)``: then the bracket holds, before
+    the pieces, the loop piece ``child`` merged from ``ya`` and ``yb`` onto
+    y.  Its support bound in y, ``lo(ya) + lo(yb)``, joins the pieces' in
+    the kernel depth, and it is merged only up to the cap once the kernel
+    is fetched.
+    """
+    bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
+    if loop is not None:
+        child, ya, yb = loop
+        bounds.append(child.lo_of(ya) + child.lo_of(yb))
+    w = weight(max(-min(bounds) // 2, (p - 2) // 2, 0))
+    top = -1 - w.lo_of(y)
+    if loop is not None:
+        pieces = [(1, child.merge_diagonal(ya, yb, y, top), None)] + pieces
+    return residue_slice(w, capped_sum_of_products(pieces, y, top), y)
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
@@ -169,6 +207,20 @@ class OmegaTable:
         tuple and renamed through the sorting permutation.
         """
         branches = tuple(branches)
+        if vars is None:
+            vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
+        stored, names = self._stored(g, branches, vars)
+        return stored.rename({f"x{slot}": v for slot, v in enumerate(names)})
+
+    def _child(self, g: int, branches, vars) -> MultiForm:
+        """The stored entry read in place, its slots named by ``vars``
+        (``series._relabelled``): no term is copied."""
+        return _relabelled(*self._stored(g, tuple(branches), vars))
+
+    def _stored(self, g: int, branches: tuple, vars) -> tuple[MultiForm, tuple]:
+        """The stored entry for ``branches`` and the name of each of its
+        slots: slot ``x{s}`` holds the leg named ``vars[order[s]]``, where
+        ``order`` sorts the branches."""
         n = len(branches)
         if 2 * g - 2 + n <= 0:
             raise ConsistencyError(f"({g},{n}) is not a stable entry")
@@ -176,15 +228,11 @@ class OmegaTable:
             raise ConsistencyError(
                 f"complexity {2 * g - 2 + n} beyond the table bound {self.bound}"
             )
-        if vars is None:
-            vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
         order = sorted(range(n), key=lambda i: branches[i])
         key = (g, tuple(branches[i] for i in order))
         if key not in self._store:
             self._store[key] = self._compute(g, key[1])
-        stored = self._store[key]
-        mapping = {f"x{slot}": vars[order[slot]] for slot in range(n)}
-        return stored.rename(mapping)
+        return self._store[key], tuple(vars[i] for i in order)
 
     def orbit_symmetric(self, g: int, branches: tuple[int, ...]) -> bool:
         """The orbit verdict of :func:`symmetry_check` on the stored entry at
@@ -199,35 +247,36 @@ class OmegaTable:
     # -- the recursion ------------------------------------------------------
 
     def _factor(self, g1: int, positions, branches, xs, j: int, y: Var):
-        """One splitting factor with first leg at the residue variable."""
+        """One splitting factor with first leg at the residue variable, read
+        in place."""
         if g1 == 0 and len(positions) == 1:  # unstable (0, 2): the two-point seed
             (m,) = positions
             i = branches[m]
-            a, b = Var("a", i), Var("b", j)
-            seed = self.ctx.memo(two_point_form, i, j, a, b, self.budget)
-            return seed.rename({"a": xs[m], "b": y})
+            seed = self.ctx.memo(two_point_form, i, j, Var("a", i), Var("b", j), self.budget)
+            return _relabelled(seed, (xs[m], y))  # slots (a, b)
         sub_branches = (j,) + tuple(branches[m] for m in positions)
         sub_vars = (y,) + tuple(xs[m] for m in positions)
-        return self.omega(g1, sub_branches, sub_vars)
+        return self._child(g1, sub_branches, sub_vars)
 
     def _bracket(self, g: int, branches, xs, j: int, y: Var):
-        """The bracket as pieces for :func:`capped_residue`.
+        """The bracket for :func:`capped_slice`: its pieces and its loop.
 
-        The loop piece comes first: none in genus 0, P_0 in y for the (1, 1)
-        entry, and otherwise the loop child in ``ya``, ``yb`` merged onto y.
-        Then one product piece per unordered splitting, each factor with a
-        leg at y: the twin that sorts lower stands for both, with
-        multiplicity 2 (the twin rule in the module docstring), and a
+        The loop is None in genus 0 and for the (1, 1) entry, whose loop
+        piece P_0 in y leads the pieces; otherwise it is the loop child with
+        legs ``ya``, ``yb``, which :func:`capped_slice` merges onto y up to
+        the cap.  Then one product piece per unordered splitting, each
+        factor with a leg at y: the twin that sorts lower stands for both,
+        with multiplicity 2 (the twin rule in the module docstring), and a
         self-paired splitting stands for itself.
         """
         n_rest = len(branches)
-        pieces = []
+        pieces, loop = [], None
         if g == 1 and n_rest == 0:
             pieces.append((1, self.ctx.memo(propagator_p0, j, y), None))
         elif g >= 1:
             ya, yb = Var("ya", j), Var("yb", j)
-            loop = self.omega(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
-            pieces.append((1, loop.merge_diagonal(ya, yb, y), None))
+            child = self._child(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
+            loop = (child, ya, yb)
         positions = tuple(range(n_rest))
         full = (1 << n_rest) - 1
         for g1 in range(0, g + 1):
@@ -244,15 +293,17 @@ class OmegaTable:
                     self._factor(g1, left, branches, xs, j, y),
                     self._factor(g - g1, right, branches, xs, j, y),
                 ))
-        return pieces
+        return pieces, loop
 
-    def _residue_at(self, g, rest, xs, x0, j0, j) -> MultiForm:
+    def _residue_at(self, g, rest, xs, x0, j0, j) -> RawForm:
         y = Var("y", j)
-        return capped_residue(
+        pieces, loop = self._bracket(g, rest, xs, j, y)
+        return capped_slice(
             y,
             pole_bound(g, len(rest) + 1),
-            self._bracket(g, rest, xs, j, y),
+            pieces,
             lambda kmax: self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax),
+            loop,
         )
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
@@ -268,15 +319,19 @@ class OmegaTable:
         j0, rest = branches[0], branches[1:]
         x0 = Var("x0", j0)
         xs = tuple(Var(f"x{i + 1}", b) for i, b in enumerate(rest))
-        total = sum_forms(
+        total = sum_raw(
             self._residue_at(g, rest, xs, x0, j0, j)
             for j in range(1, self.ctx.data.n + 1)
         )
         return self._finalize(g, n, total)
 
-    def _finalize(self, g: int, n: int, form: MultiForm) -> MultiForm:
+    def _finalize(self, g: int, n: int, raw: RawForm) -> MultiForm:
+        """The entry from the summed branch residues, normalized once.
+
+        Zero terms are dropped, the pole bound and evenness are checked on
+        the rest, and the support bound is raised to the pole bound."""
         p = pole_bound(g, n)
-        bad = [e for e in form.nums if min(e) < -p or any(map(_odd, e))]
+        bad = [e for e, c in raw.nums.items() if c and (min(e) < -p or any(map(_odd, e)))]
         if bad:
             e = min(bad)
             if min(e) < -p:
@@ -284,12 +339,11 @@ class OmegaTable:
                     f"pole bound {p} violated at {e} in a ({g},{n}) entry"
                 )
             raise ConsistencyError(
-                f"odd exponent tuple {e} -> {form.coefficient(e)} in a ({g},{n}) entry"
+                f"odd exponent tuple {e} -> {Fraction(raw.nums[e], raw.den)} "
+                f"in a ({g},{n}) entry"
             )
-        lo = [max(x, -p) for x in form.lo]
-        form = MultiForm.from_numerators(
-            form.vars, form.degs, form.nums, form.den, lo, form.hi
-        )
+        lo = [max(x, -p) for x in raw.lo]
+        form = MultiForm.from_numerators(raw.vars, raw.degs, raw.nums, raw.den, lo, raw.hi)
         hi_need = self.hi_target(g, n)
         for v, h in zip(form.vars, form.hi):
             if h < hi_need:

@@ -29,7 +29,9 @@ long as at most one variable is finitely windowed in both factors at once
 The sentinel ``INF`` marks an unbounded side (``hi = INF``: exact in that
 direction; ``lo = -INF``: no support bound).  Bound sums saturate at +-INF,
 an exact factor spreads no unknown coefficient (its term of the hi rule is
-INF), and ``INF + -INF`` is refused.
+INF), and ``INF + -INF`` is refused.  So is a sum of finite bounds that
+reaches +-INF, and :meth:`MultiForm.from_numerators` refuses an exponent of
+magnitude ``INF`` or more, so no real bound or exponent reads as a sentinel.
 
 Stored representation: a form holds integer numerators ``nums`` (exponent
 tuple -> nonzero int) over one denominator ``den > 0``, kept canonical with
@@ -64,7 +66,20 @@ without building forms that would be summed and thrown away:
   (each of definite reflection parity in ``v``, the parities summing to
   odd), which implies the residue's check on every product term;
   :meth:`MultiForm.residue_half_loop` is the case of a constant second
-  factor.
+  factor.  :func:`residue_slice` gives the same slice as a
+  :class:`RawForm`, not normalized, and :func:`sum_raw` sums such slices
+  under the sum rule, so that a sum of residues is normalized once.
+
+Relabelled operands: :func:`_relabelled` names a form's slots anew without
+copying a term, keeping the stored slot order, so its variables need not be
+sorted.  :func:`_product_frame` and :func:`_lifted_terms`, and through them
+:func:`capped_sum_of_products`, :func:`residue_of_product` and
+:meth:`MultiForm.merge_diagonal`, read slots by position and accept it as
+they accept a renamed form; each builds its result through
+:meth:`MultiForm.from_numerators`, which sorts the variables, so the result
+equals the one for the renamed operand and the exponents are permuted once,
+where the result's terms are built.  No other operation may be handed a
+relabelled form.
 
 All values are immutable after construction and all operations are pure, so
 forms may be shared freely across threads.
@@ -76,7 +91,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, le
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Rat = Fraction
 
@@ -133,14 +148,21 @@ class Var:
 
 
 def _wadd(a: int, b: int) -> int:
-    """Add window bounds; the sentinels +-INF absorb every finite bound."""
+    """Add window bounds; the sentinels +-INF absorb every finite bound.
+
+    A sum of finite bounds that reaches a sentinel is refused: it would
+    read as "certified at every exponent".
+    """
     if a >= INF or b >= INF:
         if a <= -INF or b <= -INF:
             raise SeriesError("window bounds INF and -INF do not add")
         return INF
     if a <= -INF or b <= -INF:
         return -INF
-    return a + b
+    s = a + b
+    if -INF < s < INF:
+        return s
+    raise SeriesError(f"window bounds {a} and {b} add up to the sentinel INF")
 
 
 def _product_window(la: int, ha: int, lb: int, hb: int) -> tuple[int, int]:
@@ -233,9 +255,14 @@ class MultiForm:
         else:
             permute = itemgetter(*order)
             clean = {permute(e): c for e, c in nums.items() if c}
-        # every term inside the window, checked one variable at a time
+        # every term inside the window and off the sentinels, checked one
+        # variable at a time
         for col, l, h in zip(zip(*clean), lo, hi):
-            if min(col) < l or max(col) > h:
+            low, high = min(col), max(col)
+            if low <= -INF or high >= INF:
+                e = min(e for e in clean if any(abs(x) >= INF for x in e))
+                raise SeriesError(f"exponent {e} reaches the window sentinel INF")
+            if low < l or high > h:
                 e = min(e for e in clean if not _inside(e, lo, hi))
                 raise WindowError(f"exponent {e} outside window")
         g = gcd(den, *clean.values())
@@ -420,34 +447,76 @@ class MultiForm:
             self.hi,
         )
 
-    def merge_diagonal(self, v1: Var, v2: Var, target: Var) -> "MultiForm":
+    def merge_diagonal(
+        self, v1: Var, v2: Var, target: Var, top: int | None = None
+    ) -> "MultiForm":
         """Evaluate two variables on the diagonal: substitute both by ``target``.
 
         Exponents and degrees add; the window follows the multiplication rule
-        since the merged coefficient is a convolution of the two slots.
+        since the merged coefficient is a convolution of the two slots.  With
+        ``top``, the merged window is capped there and no term above it is
+        built: the result is ``merge_diagonal(v1, v2, target).cap_hi(target, top)``.
         """
         i1, i2 = self.index_of(v1), self.index_of(v2)
         if v1.branch != v2.branch:
             raise DegreeError("diagonal merge requires variables at the same branch")
-        keep = [j for j in range(len(self.vars)) if j not in (i1, i2)]
-        new_vars = tuple(self.vars[j] for j in keep) + (target,)
-        new_degs = tuple(self.degs[j] for j in keep) + (self.degs[i1] + self.degs[i2],)
+        n = len(self.vars)
         lo_m, hi_m = _product_window(self.lo[i1], self.hi[i1], self.lo[i2], self.hi[i2])
-        lo = tuple(self.lo[j] for j in keep) + (lo_m,)
-        hi = tuple(self.hi[j] for j in keep) + (hi_m,)
+        if top is not None:
+            hi_m = min(hi_m, top)
+        # slot n of a widened tuple (e + (merged exponent,)) is the merged slot
+        slots = sorted(
+            (j for j in range(n + 1) if j not in (i1, i2)),
+            key=lambda j: (target if j == n else self.vars[j]).key,
+        )
+        vs, dg = self.vars + (target,), self.degs + (self.degs[i1] + self.degs[i2],)
+        lo, hi = self.lo + (lo_m,), self.hi + (hi_m,)
+        pick = _picker(slots)
         out: dict[tuple, int] = {}
         get = out.get
         for e, c in self.nums.items():
             m = e[i1] + e[i2]
             if m > hi_m:
                 continue
-            key = tuple(e[j] for j in keep) + (m,)
+            key = pick(e + (m,))
             out[key] = get(key, 0) + c
-        return MultiForm.from_numerators(new_vars, new_degs, out, self.den, lo, hi)
+        return MultiForm.from_numerators(
+            pick(vs), pick(dg), out, self.den, pick(lo), pick(hi)
+        )
 
 
 #: The exact constant 1: no variables, one term.
 _ONE = MultiForm.from_numerators((), (), {(): 1}, 1, (), ())
+
+
+class RawForm(NamedTuple):
+    """A form's fields before normalization: numerators that may hold zeros
+    and share a factor with ``den``, and terms not yet checked against the
+    window.  ``MultiForm.from_numerators(*raw)`` is the form."""
+
+    vars: tuple
+    degs: tuple
+    nums: dict
+    den: int
+    lo: tuple
+    hi: tuple
+
+
+def _relabelled(f: MultiForm, vars: Iterable[Var]) -> MultiForm:
+    """``f`` with its slots named ``vars``, kept in ``f``'s own slot order.
+
+    No term is copied and nothing is checked: the result shares ``f``'s
+    numerators, degrees and windows, so its variables need not be sorted.
+    It is an operand only, for the functions that read slots by position
+    (:func:`_product_frame`, :func:`_lifted_terms`,
+    :func:`capped_sum_of_products`, :func:`residue_of_product` and
+    :meth:`MultiForm.merge_diagonal`); each builds its result through
+    :meth:`MultiForm.from_numerators`, which sorts the variables.  It equals
+    ``f.rename(...)`` up to that order.
+    """
+    r = object.__new__(MultiForm)
+    r.vars, r.degs, r.lo, r.hi, r.nums, r.den = tuple(vars), f.degs, f.lo, f.hi, f.nums, f.den
+    return r
 
 
 def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
@@ -456,6 +525,16 @@ def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
     Equal to the left fold of ``+``: ``lo = min`` and ``hi = min`` over all
     summands, and a term counts only where every summand is certified.  The
     numerators are summed over the lcm of the summands' denominators.
+    """
+    return MultiForm.from_numerators(*sum_raw(forms))
+
+
+def sum_raw(forms) -> RawForm:
+    """The sum of :func:`sum_forms`, not normalized.
+
+    The summands may be forms or :class:`RawForm` s, which are read as the
+    forms they give: a zero numerator adds nothing and the denominators'
+    lcm is taken as they stand.
     """
     forms = list(forms)
     if not forms:
@@ -475,7 +554,7 @@ def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
         for e, c in f.nums.items():
             if inside or all(map(le, e, hi)):
                 out[e] = get(e, 0) + c * m
-    return MultiForm.from_numerators(first.vars, first.degs, out, den, lo, hi)
+    return RawForm(first.vars, first.degs, out, den, lo, hi)
 
 
 def common_denominator(values: Mapping) -> tuple[int, dict]:
@@ -636,6 +715,14 @@ def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
 def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
     """``(a * b).residue_half_loop(v)``, forming only the product's slice at v^-1.
 
+    It is :func:`residue_slice`, normalized.
+    """
+    return MultiForm.from_numerators(*residue_slice(a, b, v))
+
+
+def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
+    """The slice of :func:`residue_of_product`, not normalized.
+
     The variables, degrees and windows are those of ``a * b`` (the same
     helper), and the residue's degree and window rules are checked on them.
     Single valuedness is checked on the factors: each must have a definite
@@ -711,7 +798,7 @@ def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
                     for eb, cb in tb:
                         key = left + eb if place is None else place(left + eb)
                         out[key] = get(key, 0) + ca * cb
-    return MultiForm.from_numerators(
+    return RawForm(
         tuple(vs[j] for j in keep),
         tuple(degs[j] for j in keep),
         out,

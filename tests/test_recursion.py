@@ -1,5 +1,6 @@
 """Recursion engine: frozen one-branch values, symmetry, decoupling, windows."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -16,6 +17,7 @@ from localrec.frobenius import (
 )
 from localrec.linalg import identity, zeros
 from localrec.localforms import FormContext
+from localrec.serialize import dumps_canonical, form_to_json
 from localrec.recursion import (
     ConsistencyError,
     OmegaTable,
@@ -480,3 +482,36 @@ def test_block_sorted_residual_gives_the_full_verdict(monkeypatch, make):
     # block-sorted residual finds it and the full one words the failure
     if any(label == "added-above" for label, _, _ in outcomes):
         assert ("added-above", False, True) in outcomes
+
+
+def _pinned_table(name):
+    if name == "airy-b6":
+        return OmegaTable(FormContext(airy_datum(), RMatrix.identity_r(1)), bound=6)
+    if name == "decoupled-N2-L10-b3":  # the R of pair-b3-omega's workload seed 1
+        ctx = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 10, 106))
+        return OmegaTable(ctx, bound=3)
+    if name == "rotated-N2-L6-b2":
+        return OmegaTable(FormContext(ROTATED_PAIR, random_symplectic_r(2, 6, 11)), bound=2)
+    ctx = FormContext(decoupled_datum([0, 1, 2]), random_symplectic_r(3, 6, 1))
+    return OmegaTable(ctx, bound=2)
+
+
+_STORE_DIGESTS = {
+    "airy-b6": "d9bdd27ed6bf7f6dc719a9254dd42171cd192ad38ed49af991c4c1552781d124",
+    "decoupled-N2-L10-b3": "3aef235990818d19f5e59a555b007920b4e09b58a64ba79a9a5a2231bd911571",
+    "rotated-N2-L6-b2": "cfb5aff875d1d42e608d362c82e9832238711473ce484b35670382fc6f24eca6",
+    "decoupled-N3-L6-b2": "7716d3a5163672acbbdc1a16fcd5040762bb0e214dc9c07bc787fb1de60bc198",
+}
+
+
+@pytest.mark.parametrize("name", list(_STORE_DIGESTS))
+def test_every_stored_entry_is_pinned(name):
+    """Every stored entry of the full table, byte for byte: the canonical
+    JSON of the store, sorted by key, hashed."""
+    t = _pinned_table(name)
+    for g, n in stable_entries(t.bound):
+        for branches in combinations_with_replacement(range(1, t.ctx.data.n + 1), n):
+            t.omega(g, branches)
+    rows = [[g, list(b), form_to_json(f)] for (g, b), f in sorted(t._store.items())]
+    text = dumps_canonical(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == _STORE_DIGESTS[name]

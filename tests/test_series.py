@@ -1,7 +1,7 @@
 """Exact Laurent-form algebra: frozen examples and algebraic properties."""
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 
 import pytest
@@ -15,6 +15,8 @@ from localrec.series import (
     MultiForm,
     Var,
     WindowError,
+    _relabelled,
+    _wadd,
     agreement_mismatch,
     SeriesError,
     capped_sum_of_products,
@@ -753,3 +755,183 @@ def test_agreement_mismatch_is_the_first_fraction_mismatch(pair):
         assert type(got[1]) is Fraction and type(got[2]) is Fraction
     swapped = agreement_mismatch(b, a)
     assert swapped == (None if got is None else (got[0], got[2], got[1]))
+
+
+def _both_ways(f, mapping):
+    """``f`` renamed through ``mapping`` and ``f`` relabelled in place."""
+    return f.rename(mapping), _relabelled(f, (mapping.get(v.name, v) for v in f.vars))
+
+
+def _same_outcome(run, renamed, relabelled):
+    """``run`` on both operands ends alike: one form, or one refusal."""
+    try:
+        want = run(*renamed)
+    except SeriesError as exc:
+        with pytest.raises(type(exc)) as got:
+            run(*relabelled)
+        assert str(got.value) == str(exc)
+        return
+    got = run(*relabelled)
+    assert got == want and got.vars == tuple(sorted(got.vars))
+    _assert_canonical(got)
+
+
+@st.composite
+def merge_sources(draw):
+    """A form in two to four of r, s, x0, x1 (each at branch 1), two of its
+    variables to merge, a target that may sort anywhere among the rest, a
+    cap, and a renaming of its variables that reorders its slots."""
+    vs = draw(st.lists(st.sampled_from([R, S, X0, X1]), min_size=2, max_size=4, unique=True))
+    v1, v2 = draw(st.permutations(vs))[:2]
+    rest = [v for v in vs if v not in (v1, v2)]
+    target = draw(st.sampled_from([v for v in (Var("a", 1), T, Var("x5", 1)) if v not in rest]))
+    d1 = draw(st.integers(-1, 2))
+    degs = {v: draw(st.integers(-1, 2)) for v in vs}
+    degs[v1], degs[v2] = d1, draw(st.integers(max(-1, -1 - d1), min(2, 2 - d1)))
+    lo = {v: draw(st.sampled_from([-INF, -4, -2])) for v in vs}
+    hi = {v: draw(st.sampled_from([INF, INF, -1, 2, 5])) for v in vs}
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 7))):
+        e = tuple(draw(st.integers(max(lo[v], -4), min(hi[v], 5))) for v in vs)
+        coeffs[e] = draw(st.sampled_from([-2, -1, 1, 2, Fraction(1, 3), -Fraction(1, 3)]))
+    f = MultiForm(vs, [degs[v] for v in vs], coeffs, [lo[v] for v in vs], [hi[v] for v in vs])
+    names = [v.name for v in f.vars]
+    shuffled = draw(st.permutations(names))
+    mapping = {a: Var(b, 1) for a, b in zip(names, shuffled)}
+    return f, v1, v2, target, draw(st.integers(-9, 9)), mapping
+
+
+@given(merge_sources())
+@settings(max_examples=200, deadline=None)
+def test_merge_diagonal_to_a_cap_is_the_capped_merge(drawn):
+    f, v1, v2, t, top, mapping = drawn
+    capped = f.merge_diagonal(v1, v2, t, top)
+    assert capped == f.merge_diagonal(v1, v2, t).cap_hi(t, top)
+    _assert_canonical(capped)
+    # read in place under new names, the merge is the merge of the renamed form
+    w1, w2 = (mapping[v.name] for v in (v1, v2))
+    if t.name in {w.name for w in mapping.values()} - {w1.name, w2.name}:
+        return  # the target would clash with a renamed variable
+    renamed, relabelled = _both_ways(f, mapping)
+    _same_outcome(lambda g: g.merge_diagonal(w1, w2, t, top), (renamed,), (relabelled,))
+
+
+_RENAMINGS = [
+    {"r": T, "s": R, "t": S},
+    {"r": S, "s": T, "t": R},
+    {"r": Var("u", 1), "t": Var("a", 1)},
+    {"s": Var("q", 1)},
+]
+
+
+@given(bracket_pieces(), st.sampled_from(_RENAMINGS), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_capped_sum_of_products_reads_relabelled_operands(drawn, mapping, which):
+    """Relabelled factors (slots in the stored order, names not sorted) give
+    the form that the renamed factors give; ``which`` picks the first, the
+    second, both or neither factor of every piece to read in place."""
+    pieces, top = drawn
+    v = mapping.get(S.name, S)
+    renamed, relabelled = [], []
+    for m, a, b in pieces:
+        ways = [(None, None) if f is None else _both_ways(f, mapping) for f in (a, b)]
+        renamed.append((m, ways[0][0], ways[1][0]))
+        relabelled.append((
+            m,
+            ways[0][1] if which & 1 else ways[0][0],
+            ways[1][1] if which & 2 and b is not None else ways[1][0],
+        ))
+    run = lambda *ps: capped_sum_of_products(ps, v, top)  # noqa: E731
+    _same_outcome(run, renamed, relabelled)
+
+
+_RESIDUE_RENAMINGS = [
+    {"r": X2, "x2": R},
+    {"s": Var("a", 1), "x0": Var("z", 1)},
+    {"r": X1, "x0": S, "s": X0, "x1": R},
+    {"x0": X2, "x1": X0, "x2": X1},
+]
+
+
+@given(residue_factors(), st.sampled_from(_RESIDUE_RENAMINGS), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_residue_of_product_reads_relabelled_operands(factors, mapping, which):
+    a, b = factors
+    v = mapping.get(S.name, S)
+    (ra, la), (rb, lb) = _both_ways(a, mapping), _both_ways(b, mapping)
+    relabelled = (la if which & 1 else ra, lb if which & 2 else rb)
+    _same_outcome(lambda f, g: residue_of_product(f, g, v), (ra, rb), relabelled)
+
+
+def test_relabelled_form_shares_the_terms():
+    f = MultiForm((R, S), (1, 0), {(-2, 3): 7}, (-2, 0), (INF, 5))
+    g = _relabelled(f, (T, Var("a", 1)))
+    assert g.nums is f.nums and g.vars == (T, Var("a", 1)) and g.hi == f.hi
+
+
+def test_window_sentinel_collisions_are_refused():
+    """A finite bound sum or an exponent that reaches +-INF would read as a
+    sentinel; both are refused with one line, and INF still serializes as
+    null."""
+    from localrec.serialize import form_to_json
+
+    assert _wadd(INF - 2, 1) == INF - 1 and _wadd(2 - INF, -1) == 1 - INF
+    for a, b in [(INF - 1, 1), (1 - INF, -1), (INF // 2 + 1, INF // 2)]:
+        with pytest.raises(SeriesError) as exc:
+            _wadd(a, b)
+        assert str(exc.value) == f"window bounds {a} and {b} add up to the sentinel INF"
+    with pytest.raises(SeriesError) as exc:
+        laurent(S, {4: 1}) * MultiForm((S,), (0,), {(0,): 1}, (0,), (INF - 3,))
+    assert str(exc.value) == "window bounds 999999997 and 4 add up to the sentinel INF"
+    for e in (INF, -INF, INF + 5):
+        with pytest.raises(SeriesError) as exc:
+            MultiForm.from_numerators(
+                (R, S), (0, 0), {(0, 1): 1, (0, e): 2}, 1, (-INF, -INF), (INF, INF)
+            )
+        assert str(exc.value) == f"exponent {(0, e)} reaches the window sentinel INF"
+    edge = MultiForm((S,), (0,), {(1 - INF,): 1, (INF - 1,): 1}, (-INF,), (INF,))
+    assert form_to_json(edge)["window"] == {"lo": [None], "hi": [None]}
+
+
+@cache
+def _rotated_table():
+    """Rotated N=2 at L=6, bound 2, built once: its entries mix branch
+    orders, so stored and retrieved slot orders differ."""
+    from localrec.frobenius import CanonicalData, random_symplectic_r
+    from localrec.localforms import FormContext
+    from localrec.recursion import OmegaTable
+
+    psi = [["3/5", "4/5"], ["-4/5", "3/5"]]
+    datum = CanonicalData.make(u=[0, 1], eta=[[1, 0], [0, 1]], psi=psi, unit=[1, 2])
+    return OmegaTable(FormContext(datum, random_symplectic_r(2, 6, 11)), bound=2)
+
+
+@given(
+    st.sampled_from([(0, 3), (1, 1), (0, 4), (1, 2)]).flatmap(
+        lambda gn: st.tuples(
+            st.just(gn[0]),
+            st.lists(st.integers(1, 2), min_size=gn[1], max_size=gn[1]),
+            st.lists(
+                st.sampled_from(["x0", "x1", "x2", "x10", "a", "y", "ya", "z3"]),
+                min_size=gn[1],
+                max_size=gn[1],
+                unique=True,
+            ),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_table_entries_keep_their_variables_sorted(drawn):
+    """Whatever the branch order and the slot names asked for, ``omega``
+    returns a form with its variables sorted by ``Var.key``, equal to the
+    stored entry renamed, and every stored entry is sorted too."""
+    g, branches, names = drawn
+    table = _rotated_table()
+    vs = tuple(Var(name, b) for name, b in zip(names, branches))
+    got = table.omega(g, branches, vs)
+    assert got.vars == tuple(sorted(vs))
+    stored = table._store[g, tuple(sorted(branches))]
+    order = sorted(range(len(branches)), key=lambda i: branches[i])
+    assert got == stored.rename({f"x{s}": vs[i] for s, i in enumerate(order)})
+    for form in table._store.values():
+        assert form.vars == tuple(sorted(form.vars))
