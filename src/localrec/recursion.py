@@ -36,6 +36,46 @@ The entry itself is never requested as a factor: it is the right factor of
 the splitting ``(g, full mask)``, whose twin ``(0, 0)`` sorts lower for every
 stable entry and is dropped as the one-point term, so neither is built.
 
+The tie rule: in the residue at branch j, the rest legs at the largest
+branch N are tied when there are two or more; the sorted branches end with
+them.
+* *No tied leg reaches a child's slot 0.*  A child's legs are y (or ``ya``
+  and ``yb`` for the loop child) followed by rest legs in order, and the
+  stored entry sorts them stably, so y, at branch j <= N, sorts before every
+  leg at N.  An entry is therefore symmetric over its legs at N other than
+  slot 0 by construction: its bracket sums over every splitting of the rest
+  legs, and each child is, by induction, symmetric over its share of them.
+  So every child, seed and loop piece is symmetric over its share of the
+  tied legs, and this does not use the exchange of slot 0 with the other
+  slots, which :func:`symmetry_check` certifies.
+* *One piece per orbit.*  The splitting ``(g1, mask, c)`` gives its left
+  factor genus g1, the untied legs in ``mask`` and the first c tied legs,
+  and stands for the sum over every choice of c tied legs.
+  ``series.capped_sum_of_products`` sums that orbit at block-sorted
+  exponents: two factor terms whose tied exponents λ and μ are
+  non-decreasing add ``m * c1 * c2 * prod_v C(m_ν(v), m_λ(v))`` at the
+  sorted union ν, the multiplicity being the number of choices that give
+  λ to the left factor at any one arrangement of ν.
+* *The tied window is the block minimum.*  Over the orbit, a tied slot
+  takes the window of the left factor's share when it is dealt there and
+  the right one's otherwise.  Each factor has one window across its share
+  (the symmetry above, checked: else a ``ConsistencyError`` names the entry
+  and the slots), so the minimum over the orbit is the minimum over the
+  piece's block at every tied slot.
+* *The twin rule over (mask, c).*  The orbit of ``(g - g1, ~mask, m - c)``,
+  with m the number of tied legs, is the orbit of ``(g1, mask, c)`` with
+  the factors swapped, so the twin that sorts lower stands for both with
+  multiplicity 2; a splitting is its own twin only with no untied leg,
+  ``2 g1 = g`` and ``2 c = m``.
+* *The expansion.*  The kernel holds no tied leg, so the residue of the
+  block-sorted bracket is block-sorted, and :func:`capped_slice` writes
+  each of its terms out at every distinct arrangement of its tied
+  exponents (``series.expand_tied``) before the branch residues are summed.
+  ``_finalize``, the store and every reader see the full entry.
+
+A block of fewer than two legs is the empty tie, which leaves the twin
+rule's bracket.  The constraint checker's pieces are never tied.
+
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
 bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The bracket is
@@ -90,8 +130,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import comb, prod
+from operator import or_
 
 from .localforms import (
     FormContext,
@@ -101,6 +143,7 @@ from .localforms import (
 )
 from .report import Report
 from .series import (
+    ConsistencyError,
     MultiForm,
     RawForm,
     SeriesError,
@@ -108,6 +151,7 @@ from .series import (
     _relabelled,
     agreement_mismatch,
     capped_sum_of_products,
+    expand_tied,
     residue_slice,
     sum_raw,
 )
@@ -119,10 +163,6 @@ class TruncationOrderError(SeriesError):
     def __init__(self, message: str, min_order: int | None = None):
         super().__init__(message)
         self.min_order = min_order
-
-
-class ConsistencyError(SeriesError):
-    """A computed object violates a structural invariant (a math bug)."""
 
 
 _odd = (2).__rmod__  # x -> x % 2
@@ -147,14 +187,16 @@ def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     return MultiForm.from_numerators(*capped_slice(y, p, pieces, weight))
 
 
-def capped_slice(y: Var, p: int, pieces, weight, loop=None) -> RawForm:
+def capped_slice(y: Var, p: int, pieces, weight, loop=None, tied=()) -> RawForm:
     """The residue of :func:`capped_residue`, not normalized.
 
     ``loop`` is None or ``(child, ya, yb)``: then the bracket holds, before
     the pieces, the loop piece ``child`` merged from ``ya`` and ``yb`` onto
     y.  Its support bound in y, ``lo(ya) + lo(yb)``, joins the pieces' in
     the kernel depth, and it is merged only up to the cap once the kernel
-    is fetched.
+    is fetched.  With ``tied`` (the tie rule in the module docstring), each
+    piece stands for its orbit over the tied slots, the bracket and its
+    residue are block-sorted, and the residue is written out in full.
     """
     bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
     if loop is not None:
@@ -164,7 +206,8 @@ def capped_slice(y: Var, p: int, pieces, weight, loop=None) -> RawForm:
     top = -1 - w.lo_of(y)
     if loop is not None:
         pieces = [(1, child.merge_diagonal(ya, yb, y, top), None)] + pieces
-    return residue_slice(w, capped_sum_of_products(pieces, y, top), y)
+    raw = residue_slice(w, capped_sum_of_products(pieces, y, top, tied), y)
+    return expand_tied(raw, tied) if tied else raw
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
@@ -259,14 +302,19 @@ class OmegaTable:
         return self._child(g1, sub_branches, sub_vars)
 
     def _bracket(self, g: int, branches, xs, j: int, y: Var):
-        """The bracket for :func:`capped_slice`: its pieces and its loop.
+        """The bracket for :func:`capped_slice`: its pieces, its loop and its
+        tied slots.
 
         The loop is None in genus 0 and for the (1, 1) entry, whose loop
         piece P_0 in y leads the pieces; otherwise it is the loop child with
         legs ``ya``, ``yb``, which :func:`capped_slice` merges onto y up to
-        the cap.  Then one product piece per unordered splitting, each
-        factor with a leg at y: the twin that sorts lower stands for both,
-        with multiplicity 2 (the twin rule in the module docstring), and a
+        the cap.  The tied slots are the legs at the largest branch when
+        there are two or more, else none.  Then one product piece per
+        unordered splitting ``(g1, mask, c)``, each factor with a leg at y:
+        the left factor takes genus g1, the untied legs in ``mask`` and the
+        first c tied legs, and the piece stands for every choice of c tied
+        legs (the tie rule in the module docstring).  The twin that sorts
+        lower stands for both, with multiplicity 2 (the twin rule), and a
         self-paired splitting stands for itself.
         """
         n_rest = len(branches)
@@ -277,34 +325,43 @@ class OmegaTable:
             ya, yb = Var("ya", j), Var("yb", j)
             child = self._child(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
             loop = (child, ya, yb)
-        positions = tuple(range(n_rest))
-        full = (1 << n_rest) - 1
+        m = branches.count(self.ctx.data.n)  # the sorted branches end with them
+        if m < 2:
+            m = 0
+        u = n_rest - m
+        untied, tied = tuple(range(u)), tuple(range(u, n_rest))
+        full = (1 << u) - 1
         for g1 in range(0, g + 1):
-            for mask in range(1 << n_rest):
-                twin = (g - g1, full ^ mask)
-                if twin < (g1, mask):
-                    continue  # the same product, counted by its twin
-                left = tuple(p for p in positions if mask >> p & 1)
-                right = tuple(p for p in positions if not mask >> p & 1)
-                if g1 == 0 and not left:
-                    continue  # a dropped one-point leg kills the term
-                pieces.append((
-                    1 if twin == (g1, mask) else 2,
-                    self._factor(g1, left, branches, xs, j, y),
-                    self._factor(g - g1, right, branches, xs, j, y),
-                ))
-        return pieces, loop
+            for mask in range(1 << u):
+                for c in range(m + 1):
+                    twin = (g - g1, full ^ mask, m - c)
+                    if twin < (g1, mask, c):
+                        continue  # the same products, counted by its twin
+                    left = tuple(p for p in untied if mask >> p & 1) + tied[:c]
+                    right = tuple(p for p in untied if not mask >> p & 1) + tied[c:]
+                    if g1 == 0 and not left:
+                        continue  # a dropped one-point leg kills the term
+                    pieces.append((
+                        1 if twin == (g1, mask, c) else 2,
+                        self._factor(g1, left, branches, xs, j, y),
+                        self._factor(g - g1, right, branches, xs, j, y),
+                    ))
+        return pieces, loop, tuple(xs[p] for p in tied)
 
     def _residue_at(self, g, rest, xs, x0, j0, j) -> RawForm:
         y = Var("y", j)
-        pieces, loop = self._bracket(g, rest, xs, j, y)
-        return capped_slice(
-            y,
-            pole_bound(g, len(rest) + 1),
-            pieces,
-            lambda kmax: self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax),
-            loop,
-        )
+        pieces, loop, tied = self._bracket(g, rest, xs, j, y)
+        try:
+            return capped_slice(
+                y,
+                pole_bound(g, len(rest) + 1),
+                pieces,
+                lambda kmax: self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax),
+                loop,
+                tied,
+            )
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"({g},{(j0,) + tuple(rest)}) entry: {exc}") from None
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
         n = len(branches)
@@ -331,9 +388,9 @@ class OmegaTable:
         Zero terms are dropped, the pole bound and evenness are checked on
         the rest, and the support bound is raised to the pole bound."""
         p = pole_bound(g, n)
-        bad = [e for e, c in raw.nums.items() if c and (min(e) < -p or any(map(_odd, e)))]
-        if bad:
-            e = min(bad)
+        deep, odd = _pole_and_parity_faults(raw.nums, p)
+        if deep or odd:
+            e = min(deep + odd)
             if min(e) < -p:
                 raise ConsistencyError(
                     f"pole bound {p} violated at {e} in a ({g},{n}) entry"
@@ -360,6 +417,22 @@ class OmegaTable:
         (the order rule in the module docstring)."""
         half = self.budget // 2
         return half if (g, n) == (1, 1) else 2 * half
+
+
+def _pole_and_parity_faults(nums, p: int) -> tuple[list, list]:
+    """The exponent tuples of the nonzero terms of ``nums`` below the pole
+    bound ``p``, and those with an odd exponent, each sorted.
+
+    Each list is collected only after a scan of the columns finds a fault:
+    a column whose minimum lies below -p, or whose entries OR to an odd
+    number (which some entry is exactly then)."""
+    cols = list(zip(*nums))
+    deep = odd = []
+    if any(min(col) < -p for col in cols):
+        deep = sorted(e for e, c in nums.items() if c and min(e) < -p)
+    if any(reduce(or_, col) & 1 for col in cols):
+        odd = sorted(e for e, c in nums.items() if c and any(map(_odd, e)))
+    return deep, odd
 
 
 def _arrangements(exps, his) -> int:
@@ -440,13 +513,12 @@ def symmetry_check(table: OmegaTable, g: int, branches) -> Report:
     rep.add(name, bad is None, "" if bad is None else f"asymmetric at {bad}")
 
     p = pole_bound(g, n)
-    parity_bad = sorted(e for e in form.nums if any(map(_odd, e)))
+    depth_bad, parity_bad = _pole_and_parity_faults(form.nums, p)
     rep.add(
         f"parity-({g},{branches})",
         not parity_bad,
         "" if not parity_bad else f"odd exponents at {parity_bad[0]}",
     )
-    depth_bad = sorted(e for e in form.nums if min(e) < -p)
     rep.add(
         f"pole-bound-({g},{branches})",
         not depth_bad,

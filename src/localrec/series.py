@@ -54,7 +54,14 @@ without building forms that would be summed and thrown away:
   and single forms only up to ``v <= top``, in one integer accumulator.
   The caps shrink each factor's window in ``v`` and filter its terms; no
   capped form, product or scaled form is built.  Its products and
-  :func:`_mul` share one product loop.
+  :func:`_mul` share one product loop.  With a tied block of variables,
+  each piece stands for its orbit over the ways to deal the block to its
+  two factors, whose terms are symmetric over their shares: only terms
+  non-decreasing on their share are paired, the accumulator holds
+  block-sorted exponents only, each pair weighted by the product rule of
+  augmented monomial symmetric functions, and each tied slot's window is
+  the minimum over the block.  :func:`expand_tied` writes a block-sorted
+  form out at every distinct arrangement.
 * :func:`residue_of_product` gives ``(a * b).residue_half_loop(v)`` without
   forming ``a * b``, as a grouped contraction: each factor's terms are
   grouped by their exponents at ``v`` and at the slots both factors hold,
@@ -88,7 +95,7 @@ forms may be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, itemgetter, le
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -113,6 +120,10 @@ class DegreeError(SeriesError):
 
 class MonodromyError(SeriesError):
     """An integrand fed to a branch residue is not single valued."""
+
+
+class ConsistencyError(SeriesError):
+    """A computed object violates a structural invariant (a math bug)."""
 
 
 class Var:
@@ -657,7 +668,51 @@ def _capped(f: MultiForm, i: int | None, top: int) -> tuple:
     return hi
 
 
-def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
+def _by_share(terms, share) -> dict:
+    """The terms whose exponents are non-decreasing on the slots ``share``,
+    grouped by those exponents."""
+    at = _picker(share)
+    groups: dict[tuple, list] = {}
+    for e, c in terms:
+        s = at(e)
+        if all(map(le, s, s[1:])):
+            groups.setdefault(s, []).append((e, c))
+    return groups
+
+
+def _add_tied_products(out: dict, m: int, a_terms, b_terms, hi: tuple, block, shares) -> None:
+    """:func:`_add_products` for factors symmetric over their ``shares`` of
+    the tied ``block`` of slots: only terms non-decreasing on their share
+    meet, and a pair adds at its exponents with the block sorted, weighted
+    by the number of ways to split that sorted block into the two shares."""
+    t0, t1 = block
+    top = hi[t0]  # one window across the block
+    get = out.get
+    b_groups = _by_share(b_terms, shares[1]).items()
+    for lam, ta in _by_share(a_terms, shares[0]).items():
+        for mu, tb in b_groups:
+            nu = tuple(sorted(lam + mu))
+            if nu[-1] > top:
+                continue
+            w = m * prod(comb(nu.count(x), lam.count(x)) for x in set(lam))
+            for ea, ca in ta:
+                ca *= w
+                for eb, cb in tb:
+                    e = tuple(map(add, ea, eb))
+                    if all(map(le, e, hi)):
+                        key = e[:t0] + nu + e[t1:]
+                        out[key] = get(key, 0) + ca * cb
+
+
+def _tied_block(vs: tuple, tied: tuple) -> tuple[int, int]:
+    """The slots ``[t0, t1)`` of ``vs`` that hold the ``tied`` variables, in order."""
+    t0 = vs.index(tied[0]) if tied[0] in vs else None
+    if t0 is None or vs[t0 : t0 + len(tied)] != tied:
+        raise DegreeError(f"tied variables {[t.name for t in tied]} are not adjacent slots")
+    return t0, t0 + len(tied)
+
+
+def capped_sum_of_products(pieces, v: Var, top: int, tied=()) -> MultiForm:
     """The sum of ``m * f1 * f2`` over ``pieces``, built only up to ``v <= top``.
 
     Each piece is ``(m, f1, f2)`` with an integer multiplicity ``m``, or
@@ -678,9 +733,28 @@ def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
     scaling the numerators.  A term outside the common ``hi`` is dropped.  A
     single form is the product with the exact constant 1, so every piece
     runs the one product loop.
+
+    The tied block: ``tied`` names variables, other than ``v``, that are
+    adjacent slots of the result.  Each factor holds a share of
+    them (a variable in both factors is refused), must be symmetric over its
+    share, and must have one window across it (else a
+    :class:`ConsistencyError` names the share).  A piece then stands for its
+    orbit: the sum over every way to deal the block's variables to the two
+    factors in shares of the same sizes.  The result is block-sorted: it
+    holds only the terms whose exponents are non-decreasing on the block,
+    each with the coefficient that the orbits' sum has at every arrangement
+    of those exponents (:func:`expand_tied` writes them all out).  Only the
+    factors' terms non-decreasing on their share are paired.  A pair with
+    shares λ and μ adds ``m * c1 * c2 * prod_x C(m_ν(x), m_λ(x))`` at the
+    sorted union ν, ``m_λ(x)`` being the multiplicity of ``x`` in λ: that
+    many ways of dealing the slots of one arrangement of ν give λ to the
+    first factor (the product rule of augmented monomial symmetric
+    functions).  Each tied slot's window is the minimum over the block,
+    which is the minimum over the piece's orbit.
     """
+    tied = tuple(tied)
     frames = []  # (vars, degs, lo, hi) of each piece
-    products = []  # (m, d1 * d2, f1's terms, f2's terms) of each piece
+    products = []  # (m, d1 * d2, f1's terms, f2's terms, their shares) of each piece
     for m, a, b in pieces:
         b = _ONE if b is None else b
         ia, ib = (f.vars.index(v) if v in f.vars else None for f in (a, b))
@@ -689,6 +763,22 @@ def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
         ha = _capped(a, ia, top - (0 if ib is None else b.lo[ib]))
         hb = _capped(b, ib, top - (0 if ia is None else a.lo[ia]))
         vs, pa, pb, degs, lo, hi = _product_frame(a, b, ha, hb)
+        shares = ()
+        if tied:
+            block = t0, t1 = _tied_block(vs, tied)
+            shares = tuple([k for k in range(t0, t1) if pos[k] is not None] for pos in (pa, pb))
+            if set(shares[0]) & set(shares[1]):
+                raise DegreeError("a tied variable in both factors of a piece")
+            for f, h, pos, share in ((a, ha, pa, shares[0]), (b, hb, pb, shares[1])):
+                if len({(f.lo[pos[k]], h[pos[k]]) for k in share}) > 1:
+                    raise ConsistencyError(
+                        f"windows differ across the tied slots "
+                        f"{', '.join(vs[k].name for k in share)} of a factor: "
+                        f"lo {tuple(f.lo[pos[k]] for k in share)}, "
+                        f"hi {tuple(h[pos[k]] for k in share)}"
+                    )
+            lo = lo[:t0] + (min(lo[t0:t1]),) * (t1 - t0) + lo[t1:]
+            hi = hi[:t0] + (min(hi[t0:t1]),) * (t1 - t0) + hi[t1:]
         frames.append((vs, degs, lo, hi))
         k = vs.index(v)
         lifted = []
@@ -697,19 +787,61 @@ def capped_sum_of_products(pieces, v: Var, top: int) -> MultiForm:
             if i is not None and h[i] < f.hi[i]:  # capped: drop the terms above
                 terms = [(e, c) for e, c in terms if e[k] <= h[i]]
             lifted.append(terms)
-        products.append((m, a.den * b.den, *lifted))
+        products.append((m, a.den * b.den, *lifted, shares))
     if not frames:
         raise DegreeError("capped_sum_of_products needs at least one piece")
     if any(f[:2] != frames[0][:2] for f in frames):
         raise DegreeError("sum requires identical variables and degrees")
     lo = tuple(map(min, zip(*(f[2] for f in frames))))
     hi = tuple(map(min, zip(*(f[3] for f in frames))))
-    den = lcm(*(d for _, d, _, _ in products))
-    out: dict[tuple, int] = {}
-    for m, d, a_terms, b_terms in products:
-        _add_products(out, m * (den // d), a_terms, b_terms, hi)
+    den = lcm(*(p[1] for p in products))
     vs, degs = frames[0][:2]
+    out: dict[tuple, int] = {}
+    for m, d, a_terms, b_terms, shares in products:
+        if shares:
+            _add_tied_products(out, m * (den // d), a_terms, b_terms, hi, block, shares)
+        else:
+            _add_products(out, m * (den // d), a_terms, b_terms, hi)
     return MultiForm.from_numerators(vs, degs, out, den, lo, hi)
+
+
+def _distinct_arrangements(block: tuple, memo: dict) -> list[tuple]:
+    """Every distinct arrangement of the sorted tuple ``block``, each once, in
+    lexicographic order: each distinct value in turn leads, followed by the
+    arrangements of the rest, which ``memo`` keeps for the caller's run."""
+    arr = memo.get(block)
+    if arr is None:
+        if len(block) < 2:
+            arr = [block]
+        else:
+            arr = []
+            for i, x in enumerate(block):
+                if not i or x != block[i - 1]:
+                    rest = _distinct_arrangements(block[:i] + block[i + 1 :], memo)
+                    arr += [(x,) + r for r in rest]
+        memo[block] = arr
+    return arr
+
+
+def expand_tied(form, tied) -> RawForm:
+    """A block-sorted form written out in full (:func:`capped_sum_of_products`).
+
+    ``form`` is a form or :class:`RawForm` whose terms are non-decreasing on
+    the adjacent slots of the ``tied`` variables; each term is placed at
+    every distinct arrangement of its exponents there, with its numerator.
+    The arrangements are generated distinct-only, once per sorted block of
+    the call.
+    """
+    t0, t1 = _tied_block(form.vars, tuple(tied))
+    memo: dict[tuple, list] = {}
+    out: dict[tuple, int] = {}
+    for e, c in form.nums.items():
+        if c:
+            block = e[t0:t1]
+            head, tail = e[:t0], e[t1:]
+            for x in memo.get(block) or _distinct_arrangements(block, memo):
+                out[head + x + tail] = c
+    return RawForm(form.vars, form.degs, out, form.den, form.lo, form.hi)
 
 
 def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:

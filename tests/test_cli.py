@@ -598,6 +598,34 @@ def test_internal_failure_while_planning_is_not_window_exhaustion(
     assert capsys.readouterr().err == "internal consistency failure: planted\n"
 
 
+def test_unequal_windows_across_a_tied_block_are_an_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    """The legs at the largest branch are tied in the bracket, which needs
+    every factor to have one window across its share of them.  A child
+    entry planted with a narrower last slot ends the run with exit 3 and
+    one line naming the entry being built and the slots."""
+    from localrec.recursion import OmegaTable
+
+    finalize = OmegaTable._finalize
+
+    def planted(self, g, n, raw):
+        form = finalize(self, g, n, raw)
+        if (g, n) == (0, 4):
+            return form.cap_hi(form.vars[-1], form.hi[-1] - 2)
+        return form
+
+    monkeypatch.setattr(OmegaTable, "_finalize", planted)
+    cfg = {**airy_config(), "R": "random", "L": 10, "seed": 3, "coeff_bound": 3}
+    del cfg["R_exact"]
+    path = write_config(tmp_path, cfg)
+    assert main(["omega", "--g", "0", "--n", "5", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: (0,(1, 1, 1, 1, 1)) entry: windows differ "
+        "across the tied slots x2, x3, x4 of a factor: lo (-4, -4, -4), hi (9, 9, 7)\n"
+    )
+
+
 def test_order_rule_shortfall_is_an_internal_failure(tmp_path, capsys, monkeypatch):
     """An order rule that admits one order too few leaves an entry's window
     short in ``_finalize``: the rule and the windows disagree, a fault of the

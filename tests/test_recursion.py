@@ -301,23 +301,30 @@ def test_bracket_of_indefinite_parity_is_caught():
         t.omega(0, (1, 1, 1, 1))
 
 
-def _unordered_splittings(g, n):
-    """Splittings of a (g, n) bracket up to the swap of its two factors."""
-    rest = n - 1
-    ordered = (g + 1) * 2**rest - 2  # less the two with a dropped one-point leg
-    self_paired = 1 if rest == 0 and g % 2 == 0 else 0
+def _unordered_splittings(g, n, tied):
+    """Splittings ``(g1, untied mask, c)`` of a (g, n) bracket up to the swap
+    of its two factors, with ``tied`` legs tied (0 for fewer than two) and
+    c of them in the left factor."""
+    untied = n - 1 - tied
+    ordered = (g + 1) * 2**untied * (tied + 1) - 2  # less the two with a dropped one-point leg
+    self_paired = 1 if untied == 0 and g % 2 == 0 and tied % 2 == 0 else 0
     return (ordered + self_paired) // 2
 
 
 @pytest.mark.parametrize(
-    "ctx, key",
+    "ctx, key, tied",
     [
-        (FormContext(decoupled_datum([0, 1]), RMatrix.identity_r(2)), (1, (1, 1, 2))),
-        (FormContext(airy_datum(), RMatrix.identity_r(1)), (2, (1,))),
+        (FormContext(decoupled_datum([0, 1]), RMatrix.identity_r(2)), (1, (1, 1, 2)), 0),
+        (FormContext(airy_datum(), RMatrix.identity_r(1)), (2, (1,)), 0),
+        (FormContext(airy_datum(), RMatrix.identity_r(1)), (0, (1,) * 6), 5),
+        (FormContext(decoupled_datum([0, 1]), RMatrix.identity_r(2)), (1, (1, 1, 2, 2)), 2),
     ],
-    ids=["mixed-N2", "self-paired-airy"],
+    ids=["mixed-N2", "self-paired-airy", "tied-airy", "tied-decoupled-N2"],
 )
-def test_bracket_builds_one_product_per_unordered_splitting(monkeypatch, ctx, key):
+def test_bracket_builds_one_product_per_unordered_splitting(monkeypatch, ctx, key, tied):
+    """One product piece per unordered splitting; the legs at the largest
+    branch, when two or more, are tied, so a piece stands for every choice
+    of its count of them."""
     import localrec.recursion as recursion
 
     g, branches = key
@@ -334,7 +341,7 @@ def test_bracket_builds_one_product_per_unordered_splitting(monkeypatch, ctx, ke
     monkeypatch.setattr(recursion, "capped_sum_of_products", counting)
     assert t.omega(*key) == first
     # one bracket per residue branch
-    assert len(products) == ctx.data.n * _unordered_splittings(g, len(branches))
+    assert len(products) == ctx.data.n * _unordered_splittings(g, len(branches), tied)
 
 
 def _loop_symmetric(form, branches):
@@ -492,6 +499,8 @@ def _pinned_table(name):
         return OmegaTable(ctx, bound=3)
     if name == "rotated-N2-L6-b2":
         return OmegaTable(FormContext(ROTATED_PAIR, random_symplectic_r(2, 6, 11)), bound=2)
+    if name == "truncated-airy-L10-b3":  # tied blocks with finite windows
+        return OmegaTable(FormContext(airy_datum(), random_symplectic_r(1, 10, 3)), bound=3)
     ctx = FormContext(decoupled_datum([0, 1, 2]), random_symplectic_r(3, 6, 1))
     return OmegaTable(ctx, bound=2)
 
@@ -501,6 +510,7 @@ _STORE_DIGESTS = {
     "decoupled-N2-L10-b3": "3aef235990818d19f5e59a555b007920b4e09b58a64ba79a9a5a2231bd911571",
     "rotated-N2-L6-b2": "cfb5aff875d1d42e608d362c82e9832238711473ce484b35670382fc6f24eca6",
     "decoupled-N3-L6-b2": "7716d3a5163672acbbdc1a16fcd5040762bb0e214dc9c07bc787fb1de60bc198",
+    "truncated-airy-L10-b3": "0e172c7b4f5a45ebff5b68d8571735942e5e55444b7363d644650dca0da217e6",
 }
 
 

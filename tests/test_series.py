@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -20,7 +21,9 @@ from localrec.series import (
     agreement_mismatch,
     SeriesError,
     capped_sum_of_products,
+    ConsistencyError,
     d_unit,
+    expand_tied,
     geometric_expand,
     invert,
     laurent,
@@ -389,9 +392,31 @@ def _capped_fold(pieces, v, top):
     return sum_forms(forms)
 
 
+def _orbit_pieces(pieces, block):
+    """Reference orbits of tied pieces: every product piece once per way to
+    deal the ``block`` to its factors in shares of the same sizes, each
+    share renamed in order."""
+    out = []
+    for m, a, b in pieces:
+        if b is None:
+            out.append((m, a, b))
+            continue
+        share_a = [w for w in block if w in a.vars]
+        share_b = [w for w in block if w in b.vars]
+        for dealt in combinations(block, len(share_a)):
+            rest = [w for w in block if w not in dealt]
+            out.append((
+                m,
+                a.rename({w.name: x for w, x in zip(share_a, dealt)}),
+                b.rename({w.name: x for w, x in zip(share_b, rest)}),
+            ))
+    return out
+
+
 @st.composite
-def bracket_pieces(draw):
-    """One to four pieces over (r, s, t) with shared degrees, capped in s.
+def bracket_pieces(draw, ties=(0,)):
+    """One to four pieces over (r, s, t) with shared degrees, capped in s,
+    and a tied block of ``k`` variables w1..wk, k drawn from ``ties``.
 
     A product piece splits the variables between two factors (each of r, s
     and t may sit in one factor or both, in any arrangement) and splits each
@@ -399,17 +424,29 @@ def bracket_pieces(draw):
     are finite or INF on either side (a finite r or t window in both factors
     makes the product refuse), multiplicities are 1 or 2, and sometimes one
     piece is broken: s in no factor, a degree out of range, degrees unlike
-    the other pieces', or r at a second branch.
+    the other pieces', or r at a second branch.  A tied block is dealt to
+    the two factors of a product piece in shares of any sizes, with one
+    degree for the block and one window (finite or INF) across each share;
+    each factor's terms are symmetric over its share.  No piece is broken
+    then.  Returns ``(pieces, top, block)``.
     """
     degs = {R: draw(st.integers(-1, 2)), S: draw(st.integers(-1, 1))}
     degs[T] = draw(st.integers(0, 1))
+    block = tuple(Var(f"w{i}", 1) for i in range(1, draw(st.sampled_from(ties)) + 1))
+    du = draw(st.integers(0, 1))
+    degs.update({w: du for w in block})
 
     def form(vs, dg):
         lo, hi = {}, {}
+        share_window = (
+            draw(st.sampled_from([-INF, -1, 0])), draw(st.sampled_from([INF, 2, 4]))
+        )
         for v in vs:
             if v == S:
                 lo[v] = draw(st.integers(-6, -3))
                 hi[v] = draw(st.sampled_from([INF, 0, 2, 5]))
+            elif v in block:
+                lo[v], hi[v] = share_window
             else:
                 lo[v] = draw(st.sampled_from([-INF, -1, -1, 0, 0]))
                 hi[v] = draw(st.sampled_from([INF, INF, INF, 2, 4]))
@@ -417,6 +454,21 @@ def bracket_pieces(draw):
         for _ in range(draw(st.integers(1, 6))):
             e = tuple(draw(st.integers(max(lo[v], -6), min(hi[v], 4))) for v in vs)
             coeffs[e] = draw(st.sampled_from([-2, -1, 1, 2, Fraction(1, 3), -Fraction(1, 3)]))
+        # symmetric over the share: one coefficient per sorted share
+        share = [i for i, v in enumerate(vs) if v in block]
+        sorted_share = {}
+        for e, c in coeffs.items():
+            key = list(e)
+            for i, x in zip(share, sorted(e[i] for i in share)):
+                key[i] = x
+            sorted_share[tuple(key)] = c
+        coeffs = {}
+        for e, c in sorted_share.items():
+            for p in set(permutations([e[i] for i in share])):
+                key = list(e)
+                for i, x in zip(share, p):
+                    key[i] = x
+                coeffs[tuple(key)] = c
         return MultiForm(
             vs, [dg[v] for v in vs], coeffs, [lo[v] for v in vs], [hi[v] for v in vs]
         )
@@ -425,13 +477,15 @@ def bracket_pieces(draw):
     for _ in range(draw(st.integers(1, 4))):
         m = draw(st.sampled_from([1, 2]))
         if draw(st.integers(0, 3)) == 0:
-            pieces.append((m, form((R, S, T), degs), None))
+            pieces.append((m, form((R, S, T) + block, degs), None))
             continue
         where = {v: draw(st.sampled_from(["a", "b", "ab"])) for v in (R, S, T)}
-        va = tuple(v for v in (R, S, T) if "a" in where[v])
-        vb = tuple(v for v in (R, S, T) if "b" in where[v])
+        dealt = draw(st.permutations(block))[: draw(st.integers(0, len(block)))]
+        where.update({w: "a" if w in dealt else "b" for w in block})
+        va = tuple(v for v in (R, S, T) + block if "a" in where[v])
+        vb = tuple(v for v in (R, S, T) + block if "b" in where[v])
         da, db = {}, {}
-        for v in (R, S, T):
+        for v in (R, S, T) + block:
             if v in va and v in vb:
                 da[v] = draw(st.integers(max(-1, degs[v] - 2), min(2, degs[v] + 1)))
                 db[v] = degs[v] - da[v]
@@ -440,7 +494,9 @@ def bracket_pieces(draw):
             else:
                 db[v] = degs[v]
         pieces.append((m, form(va, da), form(vb, db)))
-    broken = draw(st.sampled_from([None] * 6 + ["no-s", "degree", "unlike", "branch"]))
+    broken = None
+    if not block:
+        broken = draw(st.sampled_from([None] * 6 + ["no-s", "degree", "unlike", "branch"]))
     if broken is not None:
         k = draw(st.integers(0, len(pieces) - 1))
         m, a, b = pieces[k]
@@ -454,23 +510,42 @@ def bracket_pieces(draw):
         else:
             b = laurent(Var("r", 2), {0: 1}) * laurent(S, {0: 1})
         pieces[k] = (m, a, b)
-    return pieces, draw(st.integers(-6, 8))
+    return pieces, draw(st.integers(-6, 8)), block
 
 
-@given(bracket_pieces())
+@given(bracket_pieces(ties=(0, 0, 0, 2, 3, 4)))
 @settings(max_examples=300, deadline=None)
 def test_capped_sum_of_products_is_the_capped_fold(drawn):
-    pieces, top = drawn
+    """The accumulator is the fold of capped products.  With a tied block,
+    each piece stands for its orbit: the block-sorted result, written out
+    by ``expand_tied``, is the fold over every dealing of the block."""
+    pieces, top, block = drawn
     try:
-        want = _capped_fold(pieces, S, top)
+        want = _capped_fold(_orbit_pieces(pieces, block), S, top)
     except SeriesError as exc:
         with pytest.raises(type(exc)) as got:
-            capped_sum_of_products(pieces, S, top)
+            capped_sum_of_products(pieces, S, top, block)
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return
-    got = capped_sum_of_products(pieces, S, top)
-    assert got == want  # coefficients, degrees, lo and hi
+    got = capped_sum_of_products(pieces, S, top, block)
     _assert_canonical(got)
+    if block:
+        at = [got.vars.index(w) for w in block]
+        assert all(list(e[i] for i in at) == sorted(e[i] for i in at) for e in got.nums)
+        got = MultiForm.from_numerators(*expand_tied(got, block))
+    assert got == want  # coefficients, degrees, lo and hi
+
+
+def test_tied_factor_with_unequal_windows_is_refused():
+    """A factor must have one window across its share of the tied block:
+    the orbit's window is the block minimum only then."""
+    w1, w2 = Var("w1", 1), Var("w2", 1)
+    a = MultiForm((S, w1, w2), (1, 0, 0), {(-2, 0, 0): 1}, (-2, 0, 0), (INF, 4, 2))
+    with pytest.raises(ConsistencyError) as got:
+        capped_sum_of_products([(1, a, None)], S, 0, (w1, w2))
+    assert str(got.value) == (
+        "windows differ across the tied slots w1, w2 of a factor: lo (0, 0), hi (4, 2)"
+    )
 
 
 def test_capped_sum_of_products_refuses_no_pieces():
@@ -830,7 +905,7 @@ def test_capped_sum_of_products_reads_relabelled_operands(drawn, mapping, which)
     """Relabelled factors (slots in the stored order, names not sorted) give
     the form that the renamed factors give; ``which`` picks the first, the
     second, both or neither factor of every piece to read in place."""
-    pieces, top = drawn
+    pieces, top, _ = drawn
     v = mapping.get(S.name, S)
     renamed, relabelled = [], []
     for m, a, b in pieces:
