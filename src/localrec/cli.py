@@ -147,6 +147,8 @@ class RunConfig:
 
 def _load_config(path: str, seed_override=None) -> RunConfig:
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError("the config must be a JSON object")
     return RunConfig(raw, seed_override)
 
 

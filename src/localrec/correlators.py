@@ -77,7 +77,7 @@ from .recursion import (
     ConsistencyError,
     OmegaTable,
     TruncationOrderError,
-    capped_residue,
+    capped_slice,
     pole_bound,
     stable_entries,
 )
@@ -509,14 +509,14 @@ def virasoro_check(
                     continue
                 pieces.append((1, factor(g1, left, j, y), factor(g - g1, right, j, y)))
         terms.append(
-            capped_residue(
+            capped_slice(
                 y,
                 pole_bound(g, n + 1),
                 pieces,
                 lambda kmax: ctx.memo(_constraint_weight, i_ext, j, rv, y, kmax),
             )
         )
-    rhs = sum_forms(terms)
+    rhs = sum_forms(terms)  # the raw branch residues, normalized once
 
     deepest = min((e for (e,) in lhs.nums), default=0)
     hi_common = min(lhs.hi[0], rhs.hi[0])

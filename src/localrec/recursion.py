@@ -23,19 +23,6 @@ One normalization per entry: each branch point's residue is a raw slice
 ``hi`` dropped), and ``_finalize`` drops the zero terms, checks the pole bound
 and evenness, raises the support bound to the pole bound and normalizes once.
 
-The twin rule: the splitting ``(g1, mask)`` and its twin ``(g - g1, ~mask)``
-give the same two factors in swapped order, so the bracket holds one product
-per unordered splitting, from the twin that sorts lower, with multiplicity
-2.  The doubling is exact.  Multiplication is commutative, each factor is
-capped at ``ycap`` minus the *other* factor's support bound, and a piece's
-bound is ``lo(f1) + lo(f2)``.  So the piece of multiplicity 2 has the window
-and the coefficients of the two twins' sum, and the kernel depth and the cap
-(which depend only on the pieces' bounds) do not change.  The one splitting
-that is its own twin (``n = 1`` and ``g1 = g / 2``) has multiplicity 1.
-The entry itself is never requested as a factor: it is the right factor of
-the splitting ``(g, full mask)``, whose twin ``(0, 0)`` sorts lower for every
-stable entry and is dropped as the one-point term, so neither is built.
-
 The tie rule: in the residue at branch j, the rest legs at the largest
 branch N are tied when there are two or more; the sorted branches end with
 them.
@@ -62,19 +49,30 @@ them.
   (the symmetry above, checked: else a ``ConsistencyError`` names the entry
   and the slots), so the minimum over the orbit is the minimum over the
   piece's block at every tied slot.
-* *The twin rule over (mask, c).*  The orbit of ``(g - g1, ~mask, m - c)``,
-  with m the number of tied legs, is the orbit of ``(g1, mask, c)`` with
-  the factors swapped, so the twin that sorts lower stands for both with
-  multiplicity 2; a splitting is its own twin only with no untied leg,
-  ``2 g1 = g`` and ``2 c = m``.
 * *The expansion.*  The kernel holds no tied leg, so the residue of the
   block-sorted bracket is block-sorted, and :func:`capped_slice` writes
   each of its terms out at every distinct arrangement of its tied
   exponents (``series.expand_tied``) before the branch residues are summed.
   ``_finalize``, the store and every reader see the full entry.
 
-A block of fewer than two legs is the empty tie, which leaves the twin
-rule's bracket.  The constraint checker's pieces are never tied.
+A block of fewer than two legs is the empty tie: ``c = 0`` in every
+splitting, and each piece is one plain product.  The constraint checker's
+pieces are never tied.
+
+The twin rule: the orbit of the splitting ``(g - g1, ~mask, m - c)``, with m
+the number of tied legs, is the orbit of ``(g1, mask, c)`` with the two
+factors swapped, so the bracket holds one piece per unordered splitting,
+from the twin that sorts lower, with multiplicity 2.  The doubling is exact.
+Multiplication is commutative, each factor is capped at ``ycap`` minus the
+*other* factor's support bound, and a piece's bound is ``lo(f1) + lo(f2)``.
+So the piece of multiplicity 2 has the window and the coefficients of the
+two twins' sum, and the kernel depth and the cap (which depend only on the
+pieces' bounds) do not change.  A splitting is its own twin only with no
+untied leg, ``2 g1 = g`` and ``2 c = m``; it has multiplicity 1.  The entry
+itself is never requested as a factor: it is the right factor of the
+splitting ``(0, 0, 0)``, whose left factor is the dropped one-point term,
+and that splitting sorts below its twin for every stable entry, so neither
+is built.
 
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
 kernel term sits at or above the kernel's support bound lo_K in y, so no
@@ -97,9 +95,7 @@ above it.  A merged term at y <= ycap combines only terms at
 gives what capping both slots before the merge would.  Capping only narrows
 a certified window: the residue still refuses when y^-1 is not certified,
 and the windows of the other slots stay those of the full bracket.  The
-constraint checker in ``correlators`` hands its own pieces and weight to
-:func:`capped_residue`, without a loop child.  The residue is
-``series.residue_slice``, which forms only the y^-1 slice of
+residue is ``series.residue_slice``, which forms only the y^-1 slice of
 ``kernel * bracket`` and checks single valuedness on the two factors: the
 kernel and the capped bracket must each have a definite reflection parity
 in y, of odd sum, so every bracket term up to the cap is checked whether
@@ -173,8 +169,9 @@ def pole_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 2 + n)
 
 
-def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
-    """``Res_y weight * bracket``, with the bracket built only up to the cap.
+def capped_slice(y: Var, p: int, pieces, weight, loop=None, tied=()) -> RawForm:
+    """``Res_y weight * bracket``, with the bracket built only up to the cap,
+    not normalized.
 
     The bracket is the sum of the ``pieces``, each ``(m, f1, f2)`` for
     ``m * f1 * f2`` or ``(m, f, None)`` for ``m * f``
@@ -183,12 +180,6 @@ def capped_residue(y: Var, p: int, pieces, weight) -> MultiForm:
     entry; ``weight(kmax)`` fetches the residue weight.  Every coefficient
     the residue reads is that of the full bracket (the cap rule in the
     module docstring), and only the y^-1 slice of the product is formed.
-    """
-    return MultiForm.from_numerators(*capped_slice(y, p, pieces, weight))
-
-
-def capped_slice(y: Var, p: int, pieces, weight, loop=None, tied=()) -> RawForm:
-    """The residue of :func:`capped_residue`, not normalized.
 
     ``loop`` is None or ``(child, ya, yb)``: then the bracket holds, before
     the pieces, the loop piece ``child`` merged from ``ya`` and ``yb`` onto

@@ -23,9 +23,7 @@ def rat_to_str(x: Fraction | int) -> str:
 
 
 def rat_from_str(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str):
+    if not isinstance(s, str):  # refuses JSON numbers and booleans too
         raise ValueError(f"rational must be a 'p/q' string, got {s!r}")
     try:
         return Fraction(s)
@@ -84,6 +82,9 @@ def form_from_json(d: dict) -> MultiForm:
 
 
 def datum_from_json(cfg: dict) -> CanonicalData:
+    for key in ("u", "eta", "psi", "unit"):
+        if key not in cfg:
+            raise ValueError(f"missing key {key}")
     return CanonicalData.make(
         u=vector_from_json(cfg["u"], "u"),
         eta=matrix_from_json(cfg["eta"], "eta"),

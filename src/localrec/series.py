@@ -53,16 +53,18 @@ without building forms that would be summed and thrown away:
 * :func:`capped_sum_of_products` builds a sum of products ``m * f1 * f2``
   and single forms only up to ``v <= top``, in one integer accumulator.
   The caps shrink each factor's window in ``v`` and filter its terms; no
-  capped form, product or scaled form is built.  Its products and
-  :func:`_mul` share one product loop.  With a tied block of variables,
-  each piece stands for its orbit over the ways to deal the block to its
-  two factors, whose terms are symmetric over their shares: only terms
-  non-decreasing on their share are paired, the accumulator holds
-  block-sorted exponents only, each pair weighted by the product rule of
-  augmented monomial symmetric functions, and each tied slot's window is
+  capped form, product or scaled form is built.  With a tied block of
+  variables, each piece stands for its orbit over the ways to deal the
+  block to its two factors, whose terms are symmetric over their shares:
+  only terms non-decreasing on their share are paired, the accumulator
+  holds block-sorted exponents only, each pair weighted by the product rule
+  of augmented monomial symmetric functions, and each tied slot's window is
   the minimum over the block.  :func:`expand_tied` writes a block-sorted
-  form out at every distinct arrangement.
-* :func:`residue_of_product` gives ``(a * b).residue_half_loop(v)`` without
+  form out at every distinct arrangement.  Its products and :func:`_mul`
+  share one product loop, :func:`_add_products`, and the plain Cauchy
+  product is its empty tie: each factor's terms form one group, and every
+  pair meets at its own exponents with no extra weight.
+* :func:`residue_slice` gives the v^-1 slice of ``a * b``, halved, without
   forming ``a * b``, as a grouped contraction: each factor's terms are
   grouped by their exponents at ``v`` and at the slots both factors hold,
   only groups whose ``v`` exponents sum to -1 meet, and the window is
@@ -71,16 +73,16 @@ without building forms that would be summed and thrown away:
   product's window at that slot is the holder's own ``hi``, which each of
   its stored terms satisfies.  Single valuedness is checked on the factors
   (each of definite reflection parity in ``v``, the parities summing to
-  odd), which implies the residue's check on every product term;
-  :meth:`MultiForm.residue_half_loop` is the case of a constant second
-  factor.  :func:`residue_slice` gives the same slice as a
-  :class:`RawForm`, not normalized, and :func:`sum_raw` sums such slices
-  under the sum rule, so that a sum of residues is normalized once.
+  odd), which implies the residue's check on every product term.  The
+  slice is a :class:`RawForm`, not normalized:
+  :meth:`MultiForm.residue_half_loop` normalizes one (of ``self`` and
+  ``times``, or of ``self`` and the constant 1), and :func:`sum_raw` sums
+  several under the sum rule, so that a sum of residues is normalized once.
 
 Relabelled operands: :func:`_relabelled` names a form's slots anew without
 copying a term, keeping the stored slot order, so its variables need not be
 sorted.  :func:`_product_frame` and :func:`_lifted_terms`, and through them
-:func:`capped_sum_of_products`, :func:`residue_of_product` and
+:func:`capped_sum_of_products`, :func:`residue_slice` and
 :meth:`MultiForm.merge_diagonal`, read slots by position and accept it as
 they accept a renamed form; each builds its result through
 :meth:`MultiForm.from_numerators`, which sorts the variables, so the result
@@ -96,7 +98,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter, le
+from operator import add, itemgetter, le, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -426,10 +428,11 @@ class MultiForm:
         With ``times``, the integrand is ``self * times``, and only its v^-1
         slice is formed; the degree and window rules then apply to that
         product, and single valuedness is checked on the two factors.  This
-        is :func:`residue_of_product` of ``self`` and ``times``, which is the
-        constant 1 when ``times`` is None.
+        is :func:`residue_slice` of ``self`` and ``times``, normalized;
+        ``times`` is the constant 1 when None.
         """
-        return residue_of_product(self, _ONE if times is None else times, v)
+        raw = residue_slice(self, _ONE if times is None else times, v)
+        return MultiForm.from_numerators(*raw)
 
     def cap_hi(self, v: Var, new_hi: int) -> "MultiForm":
         """Shrink the certified window of ``v`` (used after truncating a sum)."""
@@ -520,7 +523,7 @@ def _relabelled(f: MultiForm, vars: Iterable[Var]) -> MultiForm:
     numerators, degrees and windows, so its variables need not be sorted.
     It is an operand only, for the functions that read slots by position
     (:func:`_product_frame`, :func:`_lifted_terms`,
-    :func:`capped_sum_of_products`, :func:`residue_of_product` and
+    :func:`capped_sum_of_products`, :func:`residue_slice` and
     :meth:`MultiForm.merge_diagonal`); each builds its result through
     :meth:`MultiForm.from_numerators`, which sorts the variables.  It equals
     ``f.rename(...)`` up to that order.
@@ -535,7 +538,9 @@ def sum_forms(forms: Iterable[MultiForm]) -> MultiForm:
 
     Equal to the left fold of ``+``: ``lo = min`` and ``hi = min`` over all
     summands, and a term counts only where every summand is certified.  The
-    numerators are summed over the lcm of the summands' denominators.
+    numerators are summed over the lcm of the summands' denominators.  The
+    summands may be :class:`RawForm` s, as in :func:`sum_raw`, which are then
+    normalized once, in the sum.
     """
     return MultiForm.from_numerators(*sum_raw(forms))
 
@@ -637,16 +642,35 @@ def _lifted_terms(f: MultiForm, pos):
     return [(lift(e + (0,)), c) for e, c in f.nums.items()]
 
 
-def _add_products(out: dict, m: int, a_terms, b_terms, hi: tuple) -> None:
+def _add_products(out: dict, m: int, a_terms, b_terms, hi: tuple, t0=0, shares=((), ())) -> None:
     """Add ``m * ca * cb`` at ``ea + eb`` to ``out`` for every pair of terms
-    whose exponents sum to within ``hi``: the one product loop."""
+    whose exponents sum to within ``hi``: the one product loop.
+
+    The factors are symmetric over their ``shares`` of the tied block of
+    slots from ``t0`` on: only terms non-decreasing on their share meet, and
+    a pair adds at its exponents with the block sorted, weighted by the
+    number of ways to split that sorted block into the two shares.  With no
+    shares the block is empty, every pair meets once at its own exponents
+    with weight ``m``, and this is the Cauchy product."""
+    t1 = t0 + len(shares[0]) + len(shares[1])
     get = out.get
-    for ea, ca in a_terms:
-        ca *= m
-        for eb, cb in b_terms:
-            e = tuple(map(add, ea, eb))
-            if all(map(le, e, hi)):
-                out[e] = get(e, 0) + ca * cb
+    b_groups = _by_share(b_terms, shares[1]).items()
+    for lam, ta in _by_share(a_terms, shares[0]).items():
+        for mu, tb in b_groups:
+            nu = tuple(sorted(lam + mu))
+            if nu and nu[-1] > hi[t0]:  # one window across the block
+                continue
+            w = m * prod(comb(nu.count(x), lam.count(x)) for x in set(lam))
+            # a group of b's terms shares its block, so a's block moved to nu
+            # minus it makes every pair's sum hold the sorted block
+            shift = tuple(map(sub, nu, tb[0][0][t0:t1]))
+            for ea, ca in ta:
+                ea = ea[:t0] + shift + ea[t1:]
+                ca *= w
+                for eb, cb in tb:
+                    e = tuple(map(add, ea, eb))
+                    if all(map(le, e, hi)):
+                        out[e] = get(e, 0) + ca * cb
 
 
 def _mul(a: MultiForm, b: MultiForm) -> MultiForm:
@@ -670,7 +694,11 @@ def _capped(f: MultiForm, i: int | None, top: int) -> tuple:
 
 def _by_share(terms, share) -> dict:
     """The terms whose exponents are non-decreasing on the slots ``share``,
-    grouped by those exponents."""
+    grouped by those exponents into lists: every term in one group for no
+    share."""
+    if not share:  # what the loop below gives, in one copy
+        terms = list(terms)
+        return {(): terms} if terms else {}
     at = _picker(share)
     groups: dict[tuple, list] = {}
     for e, c in terms:
@@ -680,34 +708,11 @@ def _by_share(terms, share) -> dict:
     return groups
 
 
-def _add_tied_products(out: dict, m: int, a_terms, b_terms, hi: tuple, block, shares) -> None:
-    """:func:`_add_products` for factors symmetric over their ``shares`` of
-    the tied ``block`` of slots: only terms non-decreasing on their share
-    meet, and a pair adds at its exponents with the block sorted, weighted
-    by the number of ways to split that sorted block into the two shares."""
-    t0, t1 = block
-    top = hi[t0]  # one window across the block
-    get = out.get
-    b_groups = _by_share(b_terms, shares[1]).items()
-    for lam, ta in _by_share(a_terms, shares[0]).items():
-        for mu, tb in b_groups:
-            nu = tuple(sorted(lam + mu))
-            if nu[-1] > top:
-                continue
-            w = m * prod(comb(nu.count(x), lam.count(x)) for x in set(lam))
-            for ea, ca in ta:
-                ca *= w
-                for eb, cb in tb:
-                    e = tuple(map(add, ea, eb))
-                    if all(map(le, e, hi)):
-                        key = e[:t0] + nu + e[t1:]
-                        out[key] = get(key, 0) + ca * cb
-
-
 def _tied_block(vs: tuple, tied: tuple) -> tuple[int, int]:
-    """The slots ``[t0, t1)`` of ``vs`` that hold the ``tied`` variables, in order."""
-    t0 = vs.index(tied[0]) if tied[0] in vs else None
-    if t0 is None or vs[t0 : t0 + len(tied)] != tied:
+    """The slots ``[t0, t1)`` of ``vs`` that hold the ``tied`` variables, in
+    order; ``(0, 0)`` for no tied variable."""
+    t0 = vs.index(tied[0]) if tied and tied[0] in vs else 0
+    if vs[t0 : t0 + len(tied)] != tied:
         raise DegreeError(f"tied variables {[t.name for t in tied]} are not adjacent slots")
     return t0, t0 + len(tied)
 
@@ -750,7 +755,8 @@ def capped_sum_of_products(pieces, v: Var, top: int, tied=()) -> MultiForm:
     many ways of dealing the slots of one arrangement of ν give λ to the
     first factor (the product rule of augmented monomial symmetric
     functions).  Each tied slot's window is the minimum over the block,
-    which is the minimum over the piece's orbit.
+    which is the minimum over the piece's orbit.  No tied variable is the
+    empty block, whose one arrangement makes each piece its plain product.
     """
     tied = tuple(tied)
     frames = []  # (vars, degs, lo, hi) of each piece
@@ -763,22 +769,18 @@ def capped_sum_of_products(pieces, v: Var, top: int, tied=()) -> MultiForm:
         ha = _capped(a, ia, top - (0 if ib is None else b.lo[ib]))
         hb = _capped(b, ib, top - (0 if ia is None else a.lo[ia]))
         vs, pa, pb, degs, lo, hi = _product_frame(a, b, ha, hb)
-        shares = ()
-        if tied:
-            block = t0, t1 = _tied_block(vs, tied)
-            shares = tuple([k for k in range(t0, t1) if pos[k] is not None] for pos in (pa, pb))
-            if set(shares[0]) & set(shares[1]):
-                raise DegreeError("a tied variable in both factors of a piece")
-            for f, h, pos, share in ((a, ha, pa, shares[0]), (b, hb, pb, shares[1])):
-                if len({(f.lo[pos[k]], h[pos[k]]) for k in share}) > 1:
-                    raise ConsistencyError(
-                        f"windows differ across the tied slots "
-                        f"{', '.join(vs[k].name for k in share)} of a factor: "
-                        f"lo {tuple(f.lo[pos[k]] for k in share)}, "
-                        f"hi {tuple(h[pos[k]] for k in share)}"
-                    )
-            lo = lo[:t0] + (min(lo[t0:t1]),) * (t1 - t0) + lo[t1:]
-            hi = hi[:t0] + (min(hi[t0:t1]),) * (t1 - t0) + hi[t1:]
+        block = range(*_tied_block(vs, tied))
+        shares = [k for k in block if pa[k] is not None], [k for k in block if pb[k] is not None]
+        if len(shares[0]) + len(shares[1]) > len(block):  # a slot in both shares
+            raise DegreeError("a tied variable in both factors of a piece")
+        for f, h, pos, share in ((a, ha, pa, shares[0]), (b, hb, pb, shares[1])):
+            if len({(f.lo[pos[k]], h[pos[k]]) for k in share}) > 1:
+                raise ConsistencyError(
+                    f"windows differ across the tied slots "
+                    f"{', '.join(vs[k].name for k in share)} of a factor: "
+                    f"lo {tuple(f.lo[pos[k]] for k in share)}, "
+                    f"hi {tuple(h[pos[k]] for k in share)}"
+                )
         frames.append((vs, degs, lo, hi))
         k = vs.index(v)
         lifted = []
@@ -792,16 +794,18 @@ def capped_sum_of_products(pieces, v: Var, top: int, tied=()) -> MultiForm:
         raise DegreeError("capped_sum_of_products needs at least one piece")
     if any(f[:2] != frames[0][:2] for f in frames):
         raise DegreeError("sum requires identical variables and degrees")
+    vs, degs = frames[0][:2]
     lo = tuple(map(min, zip(*(f[2] for f in frames))))
     hi = tuple(map(min, zip(*(f[3] for f in frames))))
+    # each tied slot takes the block minimum: taken once over the pieces'
+    # minimum, it is the minimum of every piece's block minimum
+    t0, t1 = _tied_block(vs, tied)
+    lo = lo[:t0] + (min(lo[t0:t1], default=0),) * (t1 - t0) + lo[t1:]
+    hi = hi[:t0] + (min(hi[t0:t1], default=0),) * (t1 - t0) + hi[t1:]
     den = lcm(*(p[1] for p in products))
-    vs, degs = frames[0][:2]
     out: dict[tuple, int] = {}
     for m, d, a_terms, b_terms, shares in products:
-        if shares:
-            _add_tied_products(out, m * (den // d), a_terms, b_terms, hi, block, shares)
-        else:
-            _add_products(out, m * (den // d), a_terms, b_terms, hi)
+        _add_products(out, m * (den // d), a_terms, b_terms, hi, t0, shares)
     return MultiForm.from_numerators(vs, degs, out, den, lo, hi)
 
 
@@ -844,16 +848,9 @@ def expand_tied(form, tied) -> RawForm:
     return RawForm(form.vars, form.degs, out, form.den, form.lo, form.hi)
 
 
-def residue_of_product(a: MultiForm, b: MultiForm, v: Var) -> MultiForm:
-    """``(a * b).residue_half_loop(v)``, forming only the product's slice at v^-1.
-
-    It is :func:`residue_slice`, normalized.
-    """
-    return MultiForm.from_numerators(*residue_slice(a, b, v))
-
-
 def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
-    """The slice of :func:`residue_of_product`, not normalized.
+    """The slice ``(a * b).residue_half_loop(v)``, forming only the product's
+    v^-1 terms, not normalized.
 
     The variables, degrees and windows are those of ``a * b`` (the same
     helper), and the residue's degree and window rules are checked on them.

@@ -51,6 +51,21 @@ def pair_config(seed=1, order=6):
     }
 
 
+def array_config():
+    """A config whose top level is a JSON array, not an object."""
+    return []
+
+
+def airy_config_without(key):
+    """``airy_config`` with ``key`` left out, named for the test ids."""
+
+    def config():
+        return {k: v for k, v in airy_config().items() if k != key}
+
+    config.__name__ = f"airy_config_without_{key}"
+    return config
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -454,12 +469,32 @@ def test_omega_beyond_bound_is_validation_error(tmp_path):
             ["random-r"],
             "invalid datum: shapes failed: N must be at least 1, got 0\n",
         ),
+        # a rational is a "p/q" string, never a JSON boolean or number
+        (
+            airy_config,
+            {"u": [True]},
+            ["validate"],
+            "config error: rational must be a 'p/q' string, got True\n",
+        ),
+        (
+            pair_config,
+            {"eta": [["1/1", 0], ["0/1", "1/1"]]},
+            ["validate"],
+            "config error: rational must be a 'p/q' string, got 0\n",
+        ),
+        # a config of the wrong shape is named as such
+        (array_config, {}, ["validate"], "config error: the config must be a JSON object\n"),
+        *(
+            (airy_config_without(key), {}, ["validate"], f"config error: missing key {key}\n")
+            for key in ("u", "eta", "psi", "unit")
+        ),
     ],
 )
 def test_bad_input_is_one_line_validation_error(
     tmp_path, capsys, base, change, argv, message
 ):
-    path = write_config(tmp_path, {**base(), **change})
+    cfg = base()
+    path = write_config(tmp_path, {**cfg, **change} if change else cfg)
     assert main([*argv, "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
