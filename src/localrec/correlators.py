@@ -10,16 +10,28 @@ factors slot by slot,
     omega[jv](e) = sum over (k, a) of corr(k, a) * prod_m W_{jv[m]}(k_m, a_m; e_m),
 
 a slotwise contraction (one linear map per slot, mode products) of the
-ordered tensor of correlators, indexed by insertion tuples in every slot
-order.  So its inverse is slotwise too.  At the leading exponents
-e = -2k' - 2 with 0 <= k' <= 3g - 3 + n one slot's map is the matrix
-A[(j, k'), (k, a)] = W_j(k, a; -2k' - 2), block triangular in k with the
-invertible diagonal blocks -2 (2k+1)!! psi[a][j].  The solve contracts the
-stored coefficients at those exponents, over every ordered branch tuple,
-against the inverse of A in every slot: one ``_mode_products`` call on
-integer numerators, kept at sorted insertion tuples only.  An ordered branch
-tuple reads the stored entry of its sorted tuple through the slot
-permutation, without renaming the entry.
+tensor of correlators, indexed by insertion tuples in every slot order.  So
+its inverse is slotwise too.  At the leading exponents e = -2k' - 2 with
+0 <= k' <= 3g - 3 + n one slot's map is the matrix
+A[(j, k'), (k, a)] = W_j(k, a; -2k' - 2), block upper triangular in k with
+the invertible diagonal blocks -2 (2k+1)!! psi[a][j].  So its inverse
+through k' = K is the leading principal block of any larger inverse: the
+context keeps the largest built so far and inverts anew only for a larger K,
+when the entry that first needs the new weights reads them.  The solve
+contracts the stored coefficients at the leading exponents against the
+inverse in every slot: one ``_mode_products`` call on integer numerators,
+kept at sorted insertion tuples only.
+
+The tensor of correlators is symmetric, so a contraction of it reads sorted
+keys alone, each standing for all its slot orders, and a slot draws each
+distinct index of the multiset not yet mapped once (the symmetric-tensor
+contraction of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 36,
+2014).  The solve's input, the stored coefficients keyed by (branch, k') per
+slot, is symmetric too when every slot's window reaches -2, so every read is
+certified, and every entry with a repeated branch passes the orbit verdict
+of ``recursion.symmetry_check``: then only the block-sorted exponents of the
+sorted branch tuples are read.  Otherwise every ordered branch tuple reads
+the stored entry of its sorted tuple through the slot permutation.
 
 Keys past the tameness bound (total degree above 3g - 3 + n) must come out
 zero.  A nonzero one is named by the first key in the order (total degree
@@ -27,16 +39,17 @@ descending, degree vector, flat indices), the key a triangular solve by
 decreasing total degree meets first.  When some slot's window ends below
 -2, the degree vectors up to that key are read in that order first, so an
 uncertified coefficient fails as that solve would fail on it.  The solve is
-deliberately overdetermined: afterwards the tensor is contracted against the
-full weight series, and the result must reproduce every certified
-coefficient of every branch tuple.
+deliberately overdetermined: afterwards the solved values are contracted
+against the full weight series, and the result must reproduce every
+certified coefficient of every branch tuple.
 
 The residual is formed at the sorted branch tuples only.  Every ordered
 tuple ``jv`` is a slot permutation of its sorted one: ``omega[jv]`` is the
-stored entry renamed, the tensor holds every slot order of each value, and
-the weight series and their windows depend on the slot's branch alone.  So
-the residual at ``jv`` is the residual at ``sorted(jv)`` with its slots
-permuted, and the sorted tuples check every certified coefficient.
+stored entry renamed, the tensor is symmetric, and the weight series and
+their windows depend on the slot's branch alone.  So the residual at ``jv``
+is the residual at ``sorted(jv)`` with its slots permuted, and the sorted
+tuples check every certified coefficient.  The solved values are the
+symmetric tensor stored at sorted keys, and they are contracted as they are.
 
 Within a sorted tuple the residual is compared at block-sorted exponents
 only.  Slots m and m + 1 are tied when they share a branch and the window
@@ -49,14 +62,14 @@ on it, and tied slots share their window, so an exponent tuple and its sort
 within the tied blocks are compared together.  Under a passing verdict every
 certified coefficient is therefore checked by the one at its block-sorted
 arrangement, and ``_mode_products`` drops each partial key with
-e_m > e_(m+1) at a tied pair as soon as slot m is mapped (the
-symmetric-tensor contraction of Schatz, Low, van de Geijn and Kolda, SIAM J.
-Sci. Comput. 36, 2014, restricted to blocks).  The verdict is computed once
-per stored entry and shared with ``symmetry_check``; with no tied pair or a
-failed verdict the full residual runs.  A failure names the coefficient it
-named without the cut: under a passing verdict, sorting the first mismatch of
-the full residual within the tied blocks gives a mismatch that is no later
-in lexicographic order, so that first mismatch is itself block-sorted.
+e_m > e_(m+1) at a tied pair as soon as slot m is mapped (the output cut
+of the symmetric-tensor contraction above, restricted to blocks).  The
+verdict is computed once per stored entry and shared with the solve and
+``symmetry_check``; with no tied pair or a failed verdict the full residual
+runs.  A failure names the coefficient it named without the cut: under a
+passing verdict, sorting the first mismatch of the full residual within the
+tied blocks gives a mismatch that is no later in lexicographic order, so
+that first mismatch is itself block-sorted.
 
 The quadratic-constraint checker reassembles its residue weight directly from
 period pairings (sharing no code with the engine's kernel object) and
@@ -161,7 +174,7 @@ def insertion_weight(ctx: FormContext, j: int, k: int, a: int, v: Var) -> MultiF
     return -w if k % 2 else w
 
 
-def _mode_products(tensor: dict, maps, ties=()) -> dict:
+def _mode_products(tensor: dict, maps, ties=(), symmetric=False) -> dict:
     """Apply one linear map per slot to a sparse tensor.
 
     ``tensor`` maps index tuples to values; ``maps[m]`` sends an index of
@@ -171,6 +184,13 @@ def _mode_products(tensor: dict, maps, ties=()) -> dict:
     merged, so a slot costs one pass over the merged partial tensor.  Sums
     that cancel are dropped.  The last slot goes first.
 
+    With ``symmetric`` the tensor is keyed by sorted tuples, each standing
+    for every order of its indices.  The indices not yet mapped then stay a
+    sorted multiset, and mapping slot m draws each distinct one of them once
+    into the slot, the rest staying sorted; the result is the one for the
+    fully expanded tensor.  An ordered tensor is the case where slot m draws
+    from its own index alone.
+
     For each m in ``ties`` only the images with ``new[m] <= new[m + 1]`` are
     kept, dropped as soon as slot m is mapped: the result is the full one
     restricted to those keys.
@@ -178,29 +198,27 @@ def _mode_products(tensor: dict, maps, ties=()) -> dict:
     for m in reversed(range(len(maps))):
         image = maps[m]
         tied = m in ties
+        first = 0 if symmetric else m  # the slots slot m draws from
         out: dict[tuple, Rat | int] = {}
         for idx, c in tensor.items():
-            head, tail = idx[:m], idx[m + 1 :]
-            for new, w in image(idx[m]).items():
-                if tied and new > tail[0]:
-                    continue
-                key = head + (new,) + tail
-                out[key] = out.get(key, 0) + c * w
+            tail = idx[m + 1 :]
+            for i in range(first, m + 1):
+                if i < m and idx[i] == idx[i + 1]:
+                    continue  # a repeated value is drawn at its last place
+                head = idx[:i] + idx[i + 1 : m + 1]
+                for new, w in image(idx[i]).items():
+                    if tied and new > tail[0]:
+                        continue
+                    key = head + (new,) + tail
+                    out[key] = out.get(key, 0) + c * w
         tensor = {key: c for key, c in out.items() if c}
     return tensor
 
 
-def _ordered_indices(n: int, flat, budget: int) -> list[tuple[Insertion, ...]]:
-    """Every ordered n-tuple of insertions with total psi degree <= budget."""
-    out: list[tuple[tuple[Insertion, ...], int]] = [((), 0)]
-    for _ in range(n):
-        out = [
-            (idx + ((k, a),), deg + k)
-            for idx, deg in out
-            for k in range(budget - deg + 1)
-            for a in flat
-        ]
-    return [idx for idx, _ in out]
+def _slot_inverse(ctx: FormContext) -> dict:
+    """The context's largest inverse of the slot map built so far, filled
+    by :func:`extract_correlators`: row (j, k') -> {(k, a): entry}."""
+    return {}
 
 
 def extract_correlators(
@@ -209,7 +227,9 @@ def extract_correlators(
     """Solve the coefficient-matching system for all (g, n) correlators.
 
     The stored coefficients at the leading exponents are mapped to
-    correlators by the inverse of the slot map, slot by slot (module
+    correlators slot by slot by the leading block of the context's slot
+    inverse, read as a symmetric tensor where every read is certified and
+    every entry symmetric, and in every branch order otherwise (module
     docstring).  Keys beyond the tameness bound must come out zero, and the
     fully reassembled expansion must match the computed table entry on its
     certified window; both are hard errors otherwise.
@@ -225,17 +245,25 @@ def extract_correlators(
     def weight(j: int, ka: Insertion) -> MultiForm:
         return ctx.memo(insertion_weight, j, *ka, Var("w", j))
 
-    # the slot map, rows (j, k') at exponent -2k' - 2 and columns (k, a), and
-    # its inverse as integers over one denominator
-    rows = list(product(flat, range(kslot + 1)))
+    # the slot map, rows (j, k') at exponent -2k' - 2 and columns (k, a), is
+    # block upper triangular in k, so its inverse through kslot is the block
+    # k, k' <= kslot of any larger one; as integers over one denominator
     cols = list(product(range(kslot + 1), flat))
-    inverse = mat_inv(
-        [[weight(j, ka).coefficient((-2 * k - 2,)) for ka in cols] for j, k in rows]
-    )
-    iden = lcm(*(c.denominator for line in inverse for c in line))
+    inverse = ctx.memo(_slot_inverse)
+    if (flat[0], kslot) not in inverse:  # the held inverse stops below kslot
+        rows = list(product(flat, range(kslot + 1)))
+        full = mat_inv(
+            [[weight(j, ka).coefficient((-2 * k - 2,)) for ka in cols] for j, k in rows]
+        )
+        inverse.update(
+            (r, {ka: c for ka, c in zip(cols, col) if c})
+            for r, col in zip(rows, zip(*full))
+        )
+    block = {r: col for r, col in inverse.items() if r[1] <= kslot}
+    iden = lcm(*(c.denominator for col in block.values() for c in col.values()))
     image = {
-        r: {ka: c.numerator * (iden // c.denominator) for ka, c in zip(cols, col) if c}
-        for r, col in zip(rows, zip(*inverse))
+        r: {ka: c.numerator * (iden // c.denominator) for ka, c in col.items()}
+        for r, col in block.items()
     }
 
     # every ordered branch tuple reads the stored entry of its sorted tuple
@@ -254,15 +282,24 @@ def extract_correlators(
         for e, c in f.nums.items():
             if None not in (ks := tuple(map(depth.get, e))):
                 leading[jv].append((tuple(zip(jv, ks)), c * (sden // f.den)))
-    stored = {}
-    for jv, o in reads:
-        back = sorted(range(n), key=o.__getitem__)  # the stored slot each slot reads
-        for key, c in leading[jv]:
-            stored[tuple(key[t] for t in back)] = c
+    floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
+    # certified reads of entries symmetric over equal-branch slots: the
+    # block-sorted keys stand for the ordered tensor (module docstring)
+    symmetric = floor >= -2 and all(
+        len(set(jv)) == n or table.orbit_symmetric(g, jv) for jv in forms
+    )
+    if symmetric:
+        stored = {k: c for t in leading.values() for k, c in t if list(k) == sorted(k)}
+    else:
+        stored = {}
+        for jv, o in reads:
+            back = sorted(range(n), key=o.__getitem__)  # the stored slot each slot reads
+            for key, c in leading[jv]:
+                stored[tuple(key[t] for t in back)] = c
     values = {
         idx: Fraction(c, sden * iden**n)
         for idx, c in _mode_products(
-            stored, [image.__getitem__] * n, set(range(n - 1))
+            stored, [image.__getitem__] * n, set(range(n - 1)), symmetric
         ).items()
     }
 
@@ -272,7 +309,6 @@ def extract_correlators(
         return -sum(ks), ks, avec
 
     bad = min((idx for idx in values if -met(idx)[0] > kslot), key=met, default=None)
-    floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
     if floor < -2:  # a read may be uncertified: read in the triangular order
         kvecs = combinations_with_replacement(range(kslot + 1), n)
         for kvec in sorted(kvecs, key=lambda kv: (-sum(kv), kv)):
@@ -292,15 +328,17 @@ def extract_correlators(
         raise ConsistencyError(
             f"nonzero correlator {bad} beyond the tameness bound: {values[bad]}"
         )
-    for idx in combinations_with_replacement(cols, n):
-        if -met(idx)[0] <= kslot:
-            out.put(CorrelatorKey(g, idx), values.get(idx, Rat(0)), source)
-    # the ordered tensor: every solved nonzero value under each of its slot orders
-    tensor = {
-        idx: v
-        for idx in _ordered_indices(n, flat, kslot)
-        if (v := values.get(tuple(sorted(idx))))
-    }
+    # the tame sorted insertion tuples in order: (tuple, degree, last column)
+    tame = [((), 0, 0)]
+    for _ in range(n):
+        tame = [
+            (idx + (cols[i],), deg + cols[i][0], i)
+            for idx, deg, start in tame
+            for i in range(start, len(cols))
+            if deg + cols[i][0] <= kslot
+        ]
+    for idx, _, _ in tame:
+        out.put(CorrelatorKey(g, idx), values.get(idx, Rat(0)), source)
 
     # overdetermined residual: every certified coefficient of every branch
     # tuple must be explained, which the sorted branch tuples already show
@@ -310,10 +348,10 @@ def extract_correlators(
     # the contraction: every key it drops lies outside that window.  The
     # contraction runs on integer numerators over common denominators, which
     # are divided out once per coefficient.
-    support = {ka for idx in tensor for ka in idx}
+    support = {ka for idx in values for ka in idx}
     los = {j: min([0] + [weight(j, ka).lo[0] for ka in support]) for j in flat}
     his = {j: min([INF] + [weight(j, ka).hi[0] for ka in support]) for j in flat}
-    den, numerators = common_denominator(tensor)
+    den, numerators = common_denominator(values)
     wden = lcm(*(weight(j, ka).den for j in flat for ka in support))
     scale = den * wden**n
 
@@ -340,7 +378,7 @@ def extract_correlators(
         predicted = MultiForm.from_numerators(
             form.vars,
             form.degs,
-            _mode_products(numerators, maps, ties),
+            _mode_products(numerators, maps, ties, symmetric=True),
             scale,
             [los[j] for j in jv],
             tops,
@@ -386,7 +424,7 @@ def insertion_reconstruct_check(ctx: FormContext, k: int, a: int) -> Report:
         except WindowError:
             rep.add(name, False, f"window exhausted at psi power {m}")
             return rep
-        got = Fraction(-1, 2) * (-1) ** m * total
+        got = Fraction(-1, 2) * (-1 if m % 2 else 1) * total
         if got != expected:
             rep.add(name, False, f"psi power {m}, component {b}: {got} != {expected}")
             return rep

@@ -3,9 +3,13 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import localrec.correlators as correlators
 
 from localrec.correlators import (
     CorrelatorKey,
@@ -105,6 +109,21 @@ def test_insertion_reconstruct_airy():
     ctx = FormContext(airy_datum(), RMatrix.identity_r(1))
     for k in (0, 1, 2):
         assert insertion_reconstruct_check(ctx, k, 1).ok
+
+
+def test_insertion_reconstruct_is_exact_at_negative_psi_powers(monkeypatch):
+    # psi power -2 reads the pairing at (-1, 1, -1, 1); a value far below
+    # any float must still fail, and the reported value is the exact one
+    real = correlators.period_pairing
+
+    def tiny(ctx, *args):
+        return Fraction(1, 10**400) if args == (-1, 1, -1, 1) else real(ctx, *args)
+
+    monkeypatch.setattr(correlators, "period_pairing", tiny)
+    rep = insertion_reconstruct_check(FormContext(airy_datum(), RMatrix.identity_r(1)), 0, 1)
+    assert [c.detail for c in rep.failures()] == [
+        f"psi power -2, component 1: {Fraction(-1, 2 * 10**400)} != 0"
+    ]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -326,6 +345,52 @@ def test_off_sorted_coefficient_is_caught_through_the_orbit_verdict(monkeypatch)
     )
     monkeypatch.setattr(OmegaTable, "orbit_symmetric", lambda *args: True)
     extract_correlators(table, 0, 4)  # the block-sorted comparison alone passes
+
+
+@st.composite
+def symmetric_contractions(draw):
+    """A symmetric sparse tensor over a few indices, one map per slot and a
+    set of tied slot pairs."""
+    n = draw(st.integers(1, 4))
+    indices = range(3)
+    keys = st.lists(st.sampled_from(indices), min_size=n, max_size=n).map(
+        lambda ks: tuple(sorted(ks))
+    )
+    tensor = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=8))
+    entries = st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=3)
+    maps = [draw(st.fixed_dictionaries({i: entries for i in indices})) for _ in range(n)]
+    ties = draw(st.sets(st.integers(0, n - 2))) if n > 1 else set()
+    return tensor, maps, ties
+
+
+@given(symmetric_contractions())
+@settings(max_examples=200, deadline=None)
+def test_symmetric_mode_products_are_the_expanded_contraction(case):
+    """The symmetric contraction equals the ordered contraction of the tensor
+    written out in every slot order, restricted to the tied keys."""
+    tensor, maps, ties = case
+    expanded = {perm: c for key, c in tensor.items() for perm in permutations(key)}
+    getters = [m.__getitem__ for m in maps]
+    full = correlators._mode_products(expanded, getters)
+    want = {
+        key: c for key, c in full.items() if all(key[m] <= key[m + 1] for m in ties)
+    }
+    assert correlators._mode_products(tensor, getters, ties, symmetric=True) == want
+
+
+def test_slot_inverse_is_built_once_per_new_largest_psi_power(monkeypatch):
+    # exact Airy at bound 6 asks for psi powers 0..8 over 18 entries; each
+    # smaller one is a leading principal block of the largest built so far
+    builds = []
+    real = correlators.mat_inv
+
+    def spy(matrix):
+        builds.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(correlators, "mat_inv", spy)
+    extract_all(airy_table(bound=6))
+    assert builds == list(range(1, 10))
 
 
 def random_pair_table(bound=2):

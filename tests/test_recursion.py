@@ -453,16 +453,18 @@ def _extraction_outcome(table, g, n):
 def test_block_sorted_residual_gives_the_full_verdict(monkeypatch, make):
     """On the entries of the orbit-verdict test, unperturbed and perturbed,
     the extraction with the block-sorted residual ends as the one that runs
-    the full residual everywhere, with the same failure text."""
+    the full residual everywhere, with the same failure text.  The fast
+    run's solve reads the symmetric tensor on every unperturbed entry; the
+    forced-full run's solve reads the ordered one wherever a branch repeats."""
     import localrec.correlators as correlators
 
     t = make()
     real = correlators._mode_products
-    sorted_runs = []
+    runs = []
 
-    def spy(tensor, maps, ties=()):
-        sorted_runs.append(bool(ties))
-        return real(tensor, maps, ties)
+    def spy(tensor, maps, ties=(), symmetric=False):
+        runs.append((bool(ties), symmetric))
+        return real(tensor, maps, ties, symmetric)
 
     monkeypatch.setattr(correlators, "_mode_products", spy)
     outcomes = []
@@ -474,21 +476,25 @@ def test_block_sorted_residual_gives_the_full_verdict(monkeypatch, make):
                 t._store[key] = MultiForm.from_numerators(
                     form.vars, form.degs, nums, form.den, form.lo, form.hi
                 )
-                sorted_runs.clear()
+                runs.clear()
                 fast = _extraction_outcome(t, g, n)
-                block_sorted = any(sorted_runs[1:])  # the first call is the solve
+                (_, symmetric_solve), *residual = runs  # the first call is the solve
+                block_sorted = any(tied for tied, _ in residual)
+                runs.clear()
                 with monkeypatch.context() as m:
                     m.setattr(OmegaTable, "orbit_symmetric", lambda *args: False)
                     full = _extraction_outcome(t, g, n)
                 assert fast == full, (key, label)
-                outcomes.append((label, fast is None, block_sorted))
+                assert n == 1 or not runs[0][1], (key, label)
+                outcomes.append((label, fast is None, block_sorted, symmetric_solve))
             t._store[key] = form
-    assert ("unperturbed", True, True) in outcomes
-    assert any(not ok for _, ok, _ in outcomes)
+    assert ("unperturbed", True, True, True) in outcomes
+    assert all(sym for label, _, _, sym in outcomes if label == "unperturbed")
+    assert any(not ok for _, ok, _, _ in outcomes)
     # a symmetric term added where only the wide slot 0 sees it: the
     # block-sorted residual finds it and the full one words the failure
-    if any(label == "added-above" for label, _, _ in outcomes):
-        assert ("added-above", False, True) in outcomes
+    if any(label == "added-above" for label, _, _, _ in outcomes):
+        assert ("added-above", False, True, True) in outcomes
 
 
 def _pinned_table(name):
