@@ -30,8 +30,13 @@ contraction of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 36,
 slot, is symmetric too when every slot's window reaches -2, so every read is
 certified, and every entry with a repeated branch passes the orbit verdict
 of ``recursion.symmetry_check``: then only the block-sorted exponents of the
-sorted branch tuples are read.  Otherwise every ordered branch tuple reads
-the stored entry of its sorted tuple through the slot permutation.
+sorted branch tuples are read.  They are the terms that the verdict's own
+pass over the entry keeps (``OmegaTable.block_sorted``), non-decreasing in
+the exponents, so non-increasing in k' on each block; sorted, each key
+holds the numerator of the arrangement it was read at, which the passing
+verdict makes that of every arrangement.  Otherwise every ordered branch
+tuple reads the stored entry of its sorted tuple through the slot
+permutation.
 
 Keys past the tameness bound (total degree above 3g - 3 + n) must come out
 zero.  A nonzero one is named by the first key in the order (total degree
@@ -64,9 +69,11 @@ certified coefficient is therefore checked by the one at its block-sorted
 arrangement, and ``_mode_products`` drops each partial key with
 e_m > e_(m+1) at a tied pair as soon as slot m is mapped (the output cut
 of the symmetric-tensor contraction above, restricted to blocks).  The
-verdict is computed once per stored entry and shared with the solve and
-``symmetry_check``; with no tied pair or a failed verdict the full residual
-runs.  A failure names the coefficient it named without the cut: under a
+entry's side is cut the same way; when the tied pairs are every adjacent
+pair of every block, the cut is the block-sorted terms the verdict's pass
+kept.  The verdict is computed once per stored entry and shared with the
+solve and ``symmetry_check``; with no tied pair or a failed verdict the full
+residual runs.  A failure names the coefficient it named without the cut: under a
 passing verdict, sorting the first mismatch of the full residual within the
 tied blocks gives a mismatch that is no later in lexicographic order, so
 that first mismatch is itself block-sorted.
@@ -277,21 +284,28 @@ def extract_correlators(
     # per slot, over one denominator
     depth = {-2 * k - 2: k for k in range(kslot + 1)}
     sden = lcm(*(f.den for f in forms.values()))
-    leading = {jv: [] for jv in forms}
-    for jv, f in forms.items():
-        for e, c in f.nums.items():
-            if None not in (ks := tuple(map(depth.get, e))):
-                leading[jv].append((tuple(zip(jv, ks)), c * (sden // f.den)))
     floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
     # certified reads of entries symmetric over equal-branch slots: the
     # block-sorted keys stand for the ordered tensor (module docstring)
     symmetric = floor >= -2 and all(
         len(set(jv)) == n or table.orbit_symmetric(g, jv) for jv in forms
     )
+    stored = {}
     if symmetric:
-        stored = {k: c for t in leading.values() for k, c in t if list(k) == sorted(k)}
+        # the block-sorted terms, kept with each verdict, have non-decreasing
+        # exponents, so non-increasing k' on a block: sorted, the key holds
+        # the numerator of its own arrangement under the passing verdict
+        for jv, f in forms.items():
+            terms = f.nums if len(set(jv)) == n else table.block_sorted(g, jv)
+            for e, c in terms.items():
+                if None not in (ks := tuple(map(depth.get, e))):
+                    stored[tuple(sorted(zip(jv, ks)))] = c * (sden // f.den)
     else:
-        stored = {}
+        leading = {jv: [] for jv in forms}
+        for jv, f in forms.items():
+            for e, c in f.nums.items():
+                if None not in (ks := tuple(map(depth.get, e))):
+                    leading[jv].append((tuple(zip(jv, ks)), c * (sden // f.den)))
         for jv, o in reads:
             back = sorted(range(n), key=o.__getitem__)  # the stored slot each slot reads
             for key, c in leading[jv]:
@@ -385,9 +399,14 @@ def extract_correlators(
         )
         computed = form
         if ties:
-            nums = {
-                e: c for e, c in form.nums.items() if all(e[m] <= e[m + 1] for m in ties)
-            }
+            if ties == {m for m in range(n - 1) if jv[m] == jv[m + 1]}:  # every block
+                nums = table.block_sorted(g, jv)
+            else:
+                nums = {
+                    e: c
+                    for e, c in form.nums.items()
+                    if all(e[m] <= e[m + 1] for m in ties)
+                }
             computed = MultiForm.from_numerators(
                 form.vars, form.degs, nums, form.den, form.lo, form.hi
             )

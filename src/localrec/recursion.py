@@ -18,14 +18,14 @@ or a caller.
 
 One normalization per entry: each branch point's residue is a raw slice
 (``series.residue_slice``: numerators, denominator and window).
-``_compute`` sums the slices in one integer accumulator under the sum rule
+``_build`` sums the slices in one integer accumulator under the sum rule
 (``series.sum_raw``: ``lo = min``, ``hi = min``, a term outside the common
 ``hi`` dropped), and ``_finalize`` drops the zero terms, checks the pole bound
 and evenness, raises the support bound to the pole bound and normalizes once.
 
 The tie rule: in the residue at branch j, the rest legs at the largest
-branch N are tied when there are two or more; the sorted branches end with
-them.
+branch N that carry no cap (the loop child's cap, below) are tied when there
+are two or more; the sorted branches end with them.
 * *No tied leg reaches a child's slot 0.*  A child's legs are y (or ``ya``
   and ``yb`` for the loop child) followed by rest legs in order, and the
   stored entry sorts them stably, so y, at branch j <= N, sorts before every
@@ -34,7 +34,9 @@ them.
   legs, and each child is, by induction, symmetric over its share of them.
   So every child, seed and loop piece is symmetric over its share of the
   tied legs, and this does not use the exchange of slot 0 with the other
-  slots, which :func:`symmetry_check` certifies.
+  slots, which :func:`symmetry_check` certifies.  A cap cuts only the leg
+  it is on, and no tied leg carries one, so a factor or loop child cut at
+  its caps keeps that symmetry.
 * *One piece per orbit.*  The splitting ``(g1, mask, c)`` gives its left
   factor genus g1, the untied legs in ``mask`` and the first c tied legs,
   and stands for the sum over every choice of c tied legs.
@@ -90,9 +92,11 @@ otherwise the loop child merged onto y, built only up to the cap: its
 support bound ``lo(ya) + lo(yb)`` joins the pieces' in the kernel depth,
 and once the kernel is fetched ``merge_diagonal`` merges the child with
 ``top = ycap``, capping the merged window there and skipping every term
-above it.  A merged term at y <= ycap combines only terms at
-``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``, so the merge to the cap
-gives what capping both slots before the merge would.  Capping only narrows
+above it, and every term the tied block drops (the bracket pairs only the
+merged terms non-decreasing on the tied legs).  A merged term at y <= ycap
+combines only terms at ``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``,
+so the merge to the cap gives what capping both slots before the merge
+would.  Capping only narrows
 a certified window: the residue still refuses when y^-1 is not certified,
 and the windows of the other slots stay those of the full bracket.  The
 residue is ``series.residue_slice``, which forms only the y^-1 slice of
@@ -103,6 +107,34 @@ the slice reads it or not.  The terms above the cap are covered by the
 context memo, which checks every form it stores (the seeds, the kernel, the
 weights) for a definite reflection parity on its full window, and by
 ``_finalize``, which checks every entry.
+
+The loop child's cap: a loop child that is stored is read in place.  One
+that is not, met by a request to a cold table, is built only as far as its
+merge reads (``correlators`` and ``check`` fill the table in complexity
+order, so there every child is stored before its parent).  The order:
+* the pieces come first: their factors are stored entries, built in full;
+* then the kernel, whose depth takes each loop leg's support bound to be
+  ``-pole_bound(g - 1, n + 1)``, the bound ``_finalize`` raises every
+  slot of a (g - 1, n + 1) entry to;
+* then the caps, ``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``, which
+  keep every term at ``ya + yb <= ycap``, so the merged piece and its
+  window, ``min(hi_a + lo_b, hi_b + lo_a, ycap)``, are unchanged;
+* then the child, built to its caps and kept apart from the store, under
+  (g, sorted branches, the cap of each slot) in ``OmegaTable._capped``;
+* last, its support bounds in ya and yb are checked against the assumed
+  one: a mismatch is a ``ConsistencyError`` naming the entry.
+A capped entry is the full entry restricted to its caps.  A cap on the
+pivot filters the kernel's x0 terms; a cap on a rest leg filters the terms
+of the one factor that holds the leg (``series._cut_terms``) and passes
+down into that entry's own loop child.  A product, residue or merge term at
+or below a cap combines only factor terms at or below it, and every operand
+keeps its full windows, so the summed residues have the full entry's
+windows and are exact up to the caps: ``_finalize`` runs every check of the
+full entry on its windows, and the entry is then cut at its caps (its
+windows narrowed there, as ``cap_hi`` narrows them).  No tied leg carries a
+cap: a capped leg is a loop leg of the entry or of an ancestor, and loop
+legs lead their branch in the stable sort, so the uncapped legs at N trail
+the capped ones.
 
 The order rule: ``_finalize`` requires each slot of a (g, n) entry to reach
 B - pole_bound(g, n), with B the table's ``budget``.  The windows depend only
@@ -144,6 +176,7 @@ from .series import (
     RawForm,
     SeriesError,
     Var,
+    _cut_terms,
     _relabelled,
     agreement_mismatch,
     capped_sum_of_products,
@@ -169,6 +202,16 @@ def pole_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 2 + n)
 
 
+def _kernel_depth(y: Var, p: int, pieces, loop_lo: int | None = None) -> int:
+    """The kernel's pole depth kmax for the bracket of ``pieces`` and, unless
+    ``loop_lo`` is None, a loop piece of support bound ``loop_lo`` in y, in
+    an entry of pole bound ``p``."""
+    bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
+    if loop_lo is not None:
+        bounds.append(loop_lo)
+    return max(-min(bounds) // 2, (p - 2) // 2, 0)
+
+
 def capped_slice(y: Var, p: int, pieces, weight, loop=None, tied=()) -> RawForm:
     """``Res_y weight * bracket``, with the bracket built only up to the cap,
     not normalized.
@@ -187,16 +230,17 @@ def capped_slice(y: Var, p: int, pieces, weight, loop=None, tied=()) -> RawForm:
     the kernel depth, and it is merged only up to the cap once the kernel
     is fetched.  With ``tied`` (the tie rule in the module docstring), each
     piece stands for its orbit over the tied slots, the bracket and its
-    residue are block-sorted, and the residue is written out in full.
+    residue are block-sorted, only the loop child's terms non-decreasing on
+    the tied slots are merged, and the residue is written out in full.
     """
-    bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
+    loop_lo = None
     if loop is not None:
         child, ya, yb = loop
-        bounds.append(child.lo_of(ya) + child.lo_of(yb))
-    w = weight(max(-min(bounds) // 2, (p - 2) // 2, 0))
+        loop_lo = child.lo_of(ya) + child.lo_of(yb)
+    w = weight(_kernel_depth(y, p, pieces, loop_lo))
     top = -1 - w.lo_of(y)
     if loop is not None:
-        pieces = [(1, child.merge_diagonal(ya, yb, y, top), None)] + pieces
+        pieces = [(1, child.merge_diagonal(ya, yb, y, top, tied), None)] + pieces
     raw = residue_slice(w, capped_sum_of_products(pieces, y, top, tied), y)
     return expand_tied(raw, tied) if tied else raw
 
@@ -220,6 +264,9 @@ class OmegaTable:
     bound: int = 4
     min_budget: int = 0  # extra window request beyond the pole-bound budget
     _store: dict = field(default_factory=dict, repr=False)
+    # (g, sorted branches, cap of each slot) -> (the entry cut at its caps,
+    # the full entry's windows): loop children built only as far as read
+    _capped: dict = field(default_factory=dict, repr=False)
     _verdicts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -251,10 +298,10 @@ class OmegaTable:
         (``series._relabelled``): no term is copied."""
         return _relabelled(*self._stored(g, tuple(branches), vars))
 
-    def _stored(self, g: int, branches: tuple, vars) -> tuple[MultiForm, tuple]:
-        """The stored entry for ``branches`` and the name of each of its
-        slots: slot ``x{s}`` holds the leg named ``vars[order[s]]``, where
-        ``order`` sorts the branches."""
+    def _key(self, g: int, branches: tuple, vars) -> tuple[tuple, tuple]:
+        """The store key of the entry for ``branches`` and the name of each
+        of its slots: slot ``x{s}`` holds the leg named ``vars[order[s]]``,
+        where ``order`` sorts the branches."""
         n = len(branches)
         if 2 * g - 2 + n <= 0:
             raise ConsistencyError(f"({g},{n}) is not a stable entry")
@@ -263,60 +310,73 @@ class OmegaTable:
                 f"complexity {2 * g - 2 + n} beyond the table bound {self.bound}"
             )
         order = sorted(range(n), key=lambda i: branches[i])
-        key = (g, tuple(branches[i] for i in order))
+        return (g, tuple(branches[i] for i in order)), tuple(vars[i] for i in order)
+
+    def _stored(self, g: int, branches: tuple, vars) -> tuple[MultiForm, tuple]:
+        """The stored entry for ``branches``, computed on a miss, and the name
+        of each of its slots (:meth:`_key`)."""
+        key, names = self._key(g, branches, vars)
         if key not in self._store:
-            self._store[key] = self._compute(g, key[1])
-        return self._store[key], tuple(vars[i] for i in order)
+            self._store[key] = self._compute(*key)
+        return self._store[key], names
 
     def orbit_symmetric(self, g: int, branches: tuple[int, ...]) -> bool:
         """The orbit verdict of :func:`symmetry_check` on the stored entry at
         the sorted ``branches``, computed once per stored entry: it is kept
         with the entry it was read off, so a replaced entry is judged anew."""
+        return self._orbit(g, branches)[0]
+
+    def block_sorted(self, g: int, branches: tuple[int, ...]) -> dict:
+        """The stored terms of the entry at the sorted ``branches`` whose
+        exponents are non-decreasing on each block of equal branches, kept
+        from the pass that gives :meth:`orbit_symmetric`."""
+        return self._orbit(g, branches)[1]
+
+    def _orbit(self, g: int, branches: tuple[int, ...]) -> tuple[bool, dict]:
         form = self.omega(g, branches)
         hit = self._verdicts.get((g, branches))
         if hit is None or hit[0] is not form:
-            hit = self._verdicts[g, branches] = (form, _orbit_symmetric(form, branches))
-        return hit[1]
+            hit = self._verdicts[g, branches] = (form, *_orbit_symmetric(form, branches))
+        return hit[1:]
 
     # -- the recursion ------------------------------------------------------
 
-    def _factor(self, g1: int, positions, branches, xs, j: int, y: Var):
+    def _factor(self, g1: int, positions, branches, xs, j: int, y: Var, caps):
         """One splitting factor with first leg at the residue variable, read
-        in place."""
+        in place and cut at the ``caps`` of its legs."""
         if g1 == 0 and len(positions) == 1:  # unstable (0, 2): the two-point seed
             (m,) = positions
             i = branches[m]
             seed = self.ctx.memo(two_point_form, i, j, Var("a", i), Var("b", j), self.budget)
-            return _relabelled(seed, (xs[m], y))  # slots (a, b)
+            return _cut_terms(_relabelled(seed, (xs[m], y)), caps)  # slots (a, b)
         sub_branches = (j,) + tuple(branches[m] for m in positions)
         sub_vars = (y,) + tuple(xs[m] for m in positions)
-        return self._child(g1, sub_branches, sub_vars)
+        return _cut_terms(self._child(g1, sub_branches, sub_vars), caps)
 
-    def _bracket(self, g: int, branches, xs, j: int, y: Var):
-        """The bracket for :func:`capped_slice`: its pieces, its loop and its
-        tied slots.
+    def _bracket(self, g: int, branches, xs, j: int, y: Var, caps):
+        """The pieces of the bracket for :func:`capped_slice` and its tied
+        slots, each factor cut at the ``caps`` of its legs.
 
-        The loop is None in genus 0 and for the (1, 1) entry, whose loop
-        piece P_0 in y leads the pieces; otherwise it is the loop child with
-        legs ``ya``, ``yb``, which :func:`capped_slice` merges onto y up to
-        the cap.  The tied slots are the legs at the largest branch when
-        there are two or more, else none.  Then one product piece per
-        unordered splitting ``(g1, mask, c)``, each factor with a leg at y:
-        the left factor takes genus g1, the untied legs in ``mask`` and the
-        first c tied legs, and the piece stands for every choice of c tied
-        legs (the tie rule in the module docstring).  The twin that sorts
-        lower stands for both, with multiplicity 2 (the twin rule), and a
-        self-paired splitting stands for itself.
+        In the (1, 1) entry the loop piece P_0 in y leads the pieces; the
+        loop child of any other entry of genus g >= 1 is the caller's
+        (:meth:`_loop_child`).  The tied slots are the trailing legs at the
+        largest branch that carry no cap, when there are two or more, else
+        none; a capped leg sorts before every uncapped one at its branch.
+        Then one product piece per unordered splitting ``(g1, mask, c)``,
+        each factor with a leg at y: the left factor takes genus g1, the
+        untied legs in ``mask`` and the first c tied legs, and the piece
+        stands for every choice of c tied legs (the tie rule in the module
+        docstring).  The twin that sorts lower stands for both, with
+        multiplicity 2 (the twin rule), and a self-paired splitting stands
+        for itself.
         """
         n_rest = len(branches)
-        pieces, loop = [], None
+        pieces = []
         if g == 1 and n_rest == 0:
             pieces.append((1, self.ctx.memo(propagator_p0, j, y), None))
-        elif g >= 1:
-            ya, yb = Var("ya", j), Var("yb", j)
-            child = self._child(g - 1, (j, j) + tuple(branches), (ya, yb) + tuple(xs))
-            loop = (child, ya, yb)
-        m = branches.count(self.ctx.data.n)  # the sorted branches end with them
+        m = 0
+        while m < n_rest and branches[-1 - m] == self.ctx.data.n and xs[-1 - m] not in caps:
+            m += 1
         if m < 2:
             m = 0
         u = n_rest - m
@@ -334,27 +394,87 @@ class OmegaTable:
                         continue  # a dropped one-point leg kills the term
                     pieces.append((
                         1 if twin == (g1, mask, c) else 2,
-                        self._factor(g1, left, branches, xs, j, y),
-                        self._factor(g - g1, right, branches, xs, j, y),
+                        self._factor(g1, left, branches, xs, j, y, caps),
+                        self._factor(g - g1, right, branches, xs, j, y, caps),
                     ))
-        return pieces, loop, tuple(xs[p] for p in tied)
+        return pieces, tuple(xs[p] for p in tied)
 
-    def _residue_at(self, g, rest, xs, x0, j0, j) -> RawForm:
-        y = Var("y", j)
-        pieces, loop, tied = self._bracket(g, rest, xs, j, y)
-        try:
-            return capped_slice(
-                y,
-                pole_bound(g, len(rest) + 1),
-                pieces,
-                lambda kmax: self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax),
-                loop,
-                tied,
+    def _loop_child(self, g: int, branches, vars, caps, cap) -> MultiForm:
+        """The loop child (g, branches) with slots named ``vars``, the loop
+        legs first, cut at the ``caps`` of its other legs.
+
+        A stored child is read in place.  Otherwise ``cap()`` gives the cap
+        of the two loop legs, and the child is built only up to the caps
+        (:meth:`_capped_entry`): the operand is exact up to them and has the
+        full entry's windows.
+        """
+        key, names = self._key(g, branches, vars)
+        if key in self._store:
+            return _cut_terms(_relabelled(self._store[key], names), caps)
+        c = cap()
+        leg_caps = {**caps, vars[0]: c, vars[1]: c}
+        form, hi = self._capped_entry(*key, tuple(leg_caps.get(v) for v in names))
+        return _relabelled(form, names, hi)
+
+    def _capped_entry(self, g: int, branches: tuple, caps: tuple) -> tuple[MultiForm, tuple]:
+        """The entry at the sorted ``branches`` cut at ``caps``, one per slot
+        (None for no cap), built once, and the full entry's windows."""
+        key = (g, branches, caps)
+        hit = self._capped.get(key)
+        if hit is None:
+            f = self._build(g, branches, caps)
+            # every term of the build lies within the caps: only the windows narrow
+            cut = tuple(h if c is None else min(h, c) for h, c in zip(f.hi, caps))
+            hit = self._capped[key] = (
+                MultiForm.from_numerators(f.vars, f.degs, f.nums, f.den, f.lo, cut),
+                f.hi,
             )
+        return hit
+
+    def _residue_at(self, g, rest, xs, x0, j0, j, caps) -> RawForm:
+        """The residue at branch j of the entry ``(g, (j0,) + rest)``, exact up
+        to ``caps`` (the cap of each capped slot, by variable).
+
+        The loop child, when it is not stored, is built after the kernel,
+        whose depth takes each loop leg's support bound to be minus the
+        child's pole bound; the child's own bounds are then checked against
+        it (the loop child's cap in the module docstring)."""
+        y = Var("y", j)
+        p = pole_bound(g, len(rest) + 1)
+        pieces, tied = self._bracket(g, rest, xs, j, y, caps)
+
+        def weight(kmax):
+            return _cut_terms(self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax), caps)
+
+        loop = None
+        if g >= 1 and (g, len(rest)) != (1, 0):
+            ya, yb = Var("ya", j), Var("yb", j)
+            legs, names = (j, j) + tuple(rest), (ya, yb) + tuple(xs)
+            lo = -pole_bound(g - 1, len(legs))
+
+            def cap():  # ya <= ycap - lo(yb) and yb <= ycap - lo(ya)
+                return -1 - weight(_kernel_depth(y, p, pieces, 2 * lo)).lo_of(y) - lo
+
+            loop = (self._loop_child(g - 1, legs, names, caps, cap), ya, yb)
+        try:
+            if loop is not None:
+                bounds = (loop[0].lo_of(ya), loop[0].lo_of(yb))
+                if bounds != (lo, lo):
+                    raise ConsistencyError(
+                        f"loop child ({g - 1},{tuple(sorted(legs))}) has support "
+                        f"bounds {bounds} in ya, yb, assumed {lo}"
+                    )
+            return capped_slice(y, p, pieces, weight, loop, tied)
         except ConsistencyError as exc:
             raise ConsistencyError(f"({g},{(j0,) + tuple(rest)}) entry: {exc}") from None
 
     def _compute(self, g: int, branches: tuple[int, ...]) -> MultiForm:
+        """The full entry at the sorted ``branches``."""
+        return self._build(g, branches, (None,) * len(branches))
+
+    def _build(self, g: int, branches: tuple[int, ...], caps: tuple) -> MultiForm:
+        """The entry at the sorted ``branches``, exact up to ``caps`` (one per
+        slot, None for no cap), with the full entry's windows."""
         n = len(branches)
         if not self.ctx.r.exact:
             need = self.required_order(g, n)
@@ -367,8 +487,9 @@ class OmegaTable:
         j0, rest = branches[0], branches[1:]
         x0 = Var("x0", j0)
         xs = tuple(Var(f"x{i + 1}", b) for i, b in enumerate(rest))
+        cut = {v: c for v, c in zip((x0,) + xs, caps) if c is not None}
         total = sum_raw(
-            self._residue_at(g, rest, xs, x0, j0, j)
+            self._residue_at(g, rest, xs, x0, j0, j, cut)
             for j in range(1, self.ctx.data.n + 1)
         )
         return self._finalize(g, n, total)
@@ -440,10 +561,11 @@ def _arrangements(exps, his) -> int:
     return count
 
 
-def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> bool:
+def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> tuple[bool, dict]:
     """The symmetry verdict of :func:`symmetry_check` (the orbit rule in its
-    docstring) from one pass over the stored terms of the entry at the
-    sorted ``branches``."""
+    docstring) and the block-sorted stored terms, those equal to their key,
+    from one pass over the stored terms of the entry at the sorted
+    ``branches``."""
     blocks = [
         (branches.index(b), branches.index(b) + branches.count(b))
         for b in sorted(set(branches))
@@ -451,16 +573,21 @@ def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> bool:
     # a key is the exponents with each block of two or more slots sorted
     ties = [slice(a, b) for a, b in blocks if b - a > 1]
     groups = defaultdict(list)
+    kept = {}
     for e, c in form.nums.items():
         key = list(e)
         for s in ties:
             key[s] = sorted(e[s])
-        groups[tuple(key)].append(c)
-    return all(
+        key = tuple(key)
+        groups[key].append(c)
+        if key == e:
+            kept[e] = c
+    verdict = all(
         len(set(cs)) == 1
         and len(cs) == prod(_arrangements(key[a:b], form.hi[a:b]) for a, b in blocks)
         for key, cs in groups.items()
     )
+    return verdict, kept
 
 
 def symmetry_check(table: OmegaTable, g: int, branches) -> Report:

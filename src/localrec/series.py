@@ -52,10 +52,11 @@ without building forms that would be summed and thrown away:
 
 * :func:`capped_sum_of_products` builds a sum of products ``m * f1 * f2``
   and single forms only up to ``v <= top``, in one integer accumulator.
-  The caps shrink each factor's window in ``v`` and filter its terms; no
-  capped form, product or scaled form is built.  With a tied block of
-  variables, each piece stands for its orbit over the ways to deal the
-  block to its two factors, whose terms are symmetric over their shares:
+  The caps shrink each factor's window in ``v`` and filter its terms, no
+  pair of terms past the cap in ``v`` is formed, and no capped form,
+  product or scaled form is built.  With a tied block of variables, each
+  piece stands for its orbit over the ways to deal the block to its two
+  factors, whose terms are symmetric over their shares:
   only terms non-decreasing on their share are paired, the accumulator
   holds block-sorted exponents only, each pair weighted by the product rule
   of augmented monomial symmetric functions, and each tied slot's window is
@@ -88,7 +89,10 @@ they accept a renamed form; each builds its result through
 :meth:`MultiForm.from_numerators`, which sorts the variables, so the result
 equals the one for the renamed operand and the exponents are permuted once,
 where the result's terms are built.  No other operation may be handed a
-relabelled form.
+relabelled form.  :func:`_cut_terms` gives the same kind of operand holding
+only the terms at or below a cap in some slots, with the windows kept: the
+results built from it are exact up to the caps, which the recursion cuts
+them at (the loop child's cap in ``recursion``).
 
 All values are immutable after construction and all operations are pure, so
 forms may be shared freely across threads.
@@ -96,7 +100,9 @@ forms may be shared freely across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm, prod
 from operator import add, itemgetter, le, sub
 from types import MappingProxyType
@@ -462,7 +468,7 @@ class MultiForm:
         )
 
     def merge_diagonal(
-        self, v1: Var, v2: Var, target: Var, top: int | None = None
+        self, v1: Var, v2: Var, target: Var, top: int | None = None, tied=()
     ) -> "MultiForm":
         """Evaluate two variables on the diagonal: substitute both by ``target``.
 
@@ -470,10 +476,14 @@ class MultiForm:
         since the merged coefficient is a convolution of the two slots.  With
         ``top``, the merged window is capped there and no term above it is
         built: the result is ``merge_diagonal(v1, v2, target).cap_hi(target, top)``.
+        With ``tied`` variables, only the terms non-decreasing on them are
+        merged: the result holds the block-sorted terms alone, all that
+        :func:`capped_sum_of_products` pairs of it with that tied block.
         """
         i1, i2 = self.index_of(v1), self.index_of(v2)
         if v1.branch != v2.branch:
             raise DegreeError("diagonal merge requires variables at the same branch")
+        block = _picker([self.index_of(t) for t in tied])
         n = len(self.vars)
         lo_m, hi_m = _product_window(self.lo[i1], self.hi[i1], self.lo[i2], self.hi[i2])
         if top is not None:
@@ -492,6 +502,10 @@ class MultiForm:
             m = e[i1] + e[i2]
             if m > hi_m:
                 continue
+            if tied:
+                s = block(e)
+                if not all(map(le, s, s[1:])):
+                    continue
             key = pick(e + (m,))
             out[key] = get(key, 0) + c
         return MultiForm.from_numerators(
@@ -516,7 +530,7 @@ class RawForm(NamedTuple):
     hi: tuple
 
 
-def _relabelled(f: MultiForm, vars: Iterable[Var]) -> MultiForm:
+def _relabelled(f: MultiForm, vars: Iterable[Var], hi: tuple | None = None) -> MultiForm:
     """``f`` with its slots named ``vars``, kept in ``f``'s own slot order.
 
     No term is copied and nothing is checked: the result shares ``f``'s
@@ -526,10 +540,35 @@ def _relabelled(f: MultiForm, vars: Iterable[Var]) -> MultiForm:
     :func:`capped_sum_of_products`, :func:`residue_slice` and
     :meth:`MultiForm.merge_diagonal`); each builds its result through
     :meth:`MultiForm.from_numerators`, which sorts the variables.  It equals
-    ``f.rename(...)`` up to that order.
+    ``f.rename(...)`` up to that order.  With ``hi``, the windows' tops are
+    ``hi`` in place of ``f``'s: for a form cut at its caps, an operand exact
+    up to them with wider windows, as :func:`_cut_terms` gives.
     """
     r = object.__new__(MultiForm)
-    r.vars, r.degs, r.lo, r.hi, r.nums, r.den = tuple(vars), f.degs, f.lo, f.hi, f.nums, f.den
+    r.vars, r.degs, r.lo, r.nums, r.den = tuple(vars), f.degs, f.lo, f.nums, f.den
+    r.hi = f.hi if hi is None else hi
+    return r
+
+
+def _cut_terms(f: MultiForm, caps: Mapping[Var, int]) -> MultiForm:
+    """``f`` holding only its terms at or below ``caps[v]`` in each of its
+    variables v that ``caps`` holds, its windows kept.
+
+    The result is exact up to the caps: a coefficient above a cap that is
+    inside the window reads as zero though it is not.  It is an operand
+    only, like :func:`_relabelled`, for a caller that reads none of those
+    coefficients: a product term at or below a cap in a slot held by one
+    factor combines only that factor's terms at or below it, so every
+    product, residue and merge of such operands is exact up to the caps,
+    with the windows of the uncut one.  A cap at or above the window is no
+    cut, and ``f`` itself is returned when every cap is.
+    """
+    cut = [i for i, v in enumerate(f.vars) if v in caps and caps[v] < f.hi[i]]
+    if not cut:
+        return f
+    at, tops = _picker(cut), tuple(caps[f.vars[i]] for i in cut)
+    r = _relabelled(f, f.vars)
+    r.nums = {e: c for e, c in f.nums.items() if all(map(le, at(e), tops))}
     return r
 
 
@@ -642,7 +681,9 @@ def _lifted_terms(f: MultiForm, pos):
     return [(lift(e + (0,)), c) for e, c in f.nums.items()]
 
 
-def _add_products(out: dict, m: int, a_terms, b_terms, hi: tuple, t0=0, shares=((), ())) -> None:
+def _add_products(
+    out: dict, m: int, a_terms, b_terms, hi: tuple, t0=0, shares=((), ()), k=None
+) -> None:
     """Add ``m * ca * cb`` at ``ea + eb`` to ``out`` for every pair of terms
     whose exponents sum to within ``hi``: the one product loop.
 
@@ -651,12 +692,22 @@ def _add_products(out: dict, m: int, a_terms, b_terms, hi: tuple, t0=0, shares=(
     a pair adds at its exponents with the block sorted, weighted by the
     number of ways to split that sorted block into the two shares.  With no
     shares the block is empty, every pair meets once at its own exponents
-    with weight ``m``, and this is the Cauchy product."""
+    with weight ``m``, and this is the Cauchy product.
+
+    With ``k``, a slot outside the block (the capped variable of
+    :func:`capped_sum_of_products`), each group of b's terms is sorted at
+    slot k, and a term of a meets only the ones with ``eb[k] <= hi[k] -
+    ea[k]``, found by bisection: the pairs it skips are pairs the window
+    drops."""
     t1 = t0 + len(shares[0]) + len(shares[1])
     get = out.get
-    b_groups = _by_share(b_terms, shares[1]).items()
+    b_groups = []
+    for mu, tb in _by_share(b_terms, shares[1]).items():
+        if k is not None:
+            tb.sort(key=lambda t: t[0][k])
+        b_groups.append((mu, tb, None if k is None else [eb[k] for eb, _ in tb]))
     for lam, ta in _by_share(a_terms, shares[0]).items():
-        for mu, tb in b_groups:
+        for mu, tb, at_k in b_groups:
             nu = tuple(sorted(lam + mu))
             if nu and nu[-1] > hi[t0]:  # one window across the block
                 continue
@@ -667,7 +718,8 @@ def _add_products(out: dict, m: int, a_terms, b_terms, hi: tuple, t0=0, shares=(
             for ea, ca in ta:
                 ea = ea[:t0] + shift + ea[t1:]
                 ca *= w
-                for eb, cb in tb:
+                meets = tb if at_k is None else islice(tb, bisect_right(at_k, hi[k] - ea[k]))
+                for eb, cb in meets:
                     e = tuple(map(add, ea, eb))
                     if all(map(le, e, hi)):
                         out[e] = get(e, 0) + ca * cb
@@ -735,9 +787,11 @@ def capped_sum_of_products(pieces, v: Var, top: int, tied=()) -> MultiForm:
     factors' terms, the window of the sum is ``sum_forms``' (``lo = min``,
     ``hi = min``), and every term is added straight into one dict of integer
     numerators over the lcm of the pieces' ``d1 * d2``, the multiplicity
-    scaling the numerators.  A term outside the common ``hi`` is dropped.  A
-    single form is the product with the exact constant 1, so every piece
-    runs the one product loop.
+    scaling the numerators.  A term outside the common ``hi`` is dropped,
+    and a pair of terms whose exponents in ``v`` sum past it is never
+    formed: the product loop meets each term of f1 only with the terms of
+    f2 low enough in ``v``.  A single form is the product with the exact
+    constant 1, so every piece runs the one product loop.
 
     The tied block: ``tied`` names variables, other than ``v``, that are
     adjacent slots of the result.  Each factor holds a share of
@@ -805,7 +859,7 @@ def capped_sum_of_products(pieces, v: Var, top: int, tied=()) -> MultiForm:
     den = lcm(*(p[1] for p in products))
     out: dict[tuple, int] = {}
     for m, d, a_terms, b_terms, shares in products:
-        _add_products(out, m * (den // d), a_terms, b_terms, hi, t0, shares)
+        _add_products(out, m * (den // d), a_terms, b_terms, hi, t0, shares, vs.index(v))
     return MultiForm.from_numerators(vs, degs, out, den, lo, hi)
 
 

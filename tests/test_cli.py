@@ -661,6 +661,37 @@ def test_unequal_windows_across_a_tied_block_are_an_internal_failure(
     )
 
 
+def test_loop_child_support_bound_other_than_assumed_is_an_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    """The kernel of a residue is fetched before its unstored loop child is
+    built, taking each loop leg's support bound to be minus the child's pole
+    bound.  A child planted with a deeper support bound ends the run with
+    exit 3 and one line naming the entry being built, the child and both
+    bounds."""
+    from localrec.recursion import OmegaTable
+    from localrec.series import MultiForm
+
+    finalize = OmegaTable._finalize
+
+    def planted(self, g, n, raw):
+        form = finalize(self, g, n, raw)
+        if (g, n) == (0, 3):
+            lo = [x - 2 for x in form.lo]
+            form = MultiForm.from_numerators(
+                form.vars, form.degs, form.nums, form.den, lo, form.hi
+            )
+        return form
+
+    monkeypatch.setattr(OmegaTable, "_finalize", planted)
+    path = write_config(tmp_path, pair_config(seed=5, order=6))
+    assert main(["omega", "--g", "1", "--n", "2", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: (1,(1, 1)) entry: loop child (0,(1, 1, 1)) "
+        "has support bounds (-4, -4) in ya, yb, assumed -2\n"
+    )
+
+
 def test_order_rule_shortfall_is_an_internal_failure(tmp_path, capsys, monkeypatch):
     """An order rule that admits one order too few leaves an entry's window
     short in ``_finalize``: the rule and the windows disagree, a fault of the

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -520,14 +521,83 @@ _STORE_DIGESTS = {
 }
 
 
+def _requests(t):
+    """Every stable (g, sorted branches) of the table, in complexity order."""
+    return [
+        (g, branches)
+        for g, n in stable_entries(t.bound)
+        for branches in combinations_with_replacement(range(1, t.ctx.data.n + 1), n)
+    ]
+
+
+@cache
+def _filled_table(name):
+    """The pinned table with every stable entry requested in complexity order."""
+    t = _pinned_table(name)
+    for g, branches in _requests(t):
+        t.omega(g, branches)
+    return t
+
+
+def _store_digest(t):
+    """The canonical JSON of the store, sorted by key, hashed."""
+    rows = [[g, list(b), form_to_json(f)] for (g, b), f in sorted(t._store.items())]
+    return hashlib.sha256(dumps_canonical(rows).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(_STORE_DIGESTS))
 def test_every_stored_entry_is_pinned(name):
     """Every stored entry of the full table, byte for byte: the canonical
     JSON of the store, sorted by key, hashed."""
-    t = _pinned_table(name)
-    for g, n in stable_entries(t.bound):
-        for branches in combinations_with_replacement(range(1, t.ctx.data.n + 1), n):
-            t.omega(g, branches)
-    rows = [[g, list(b), form_to_json(f)] for (g, b), f in sorted(t._store.items())]
-    text = dumps_canonical(rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == _STORE_DIGESTS[name]
+    assert _store_digest(_filled_table(name)) == _STORE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(_STORE_DIGESTS))
+def test_cold_request_equals_the_table_filled_in_order(name):
+    """Every stable entry requested from a cold table, which builds each
+    unstored loop child only up to the caps its merge reads, is the entry of
+    the table filled in complexity order: equal forms, so the same
+    ``form_to_json``.  The cold tables share the filled table's context, so
+    only the entries are built anew."""
+    filled = _filled_table(name)
+    capped = 0
+    for g, branches in _requests(filled):
+        cold = OmegaTable(filled.ctx, bound=filled.bound)
+        assert cold.omega(g, branches) == filled.omega(g, branches), (g, branches)
+        capped += len(cold._capped)
+    assert capped
+
+
+@pytest.mark.parametrize("name", list(_STORE_DIGESTS))
+def test_top_down_fill_keeps_capped_entries_out_of_the_store(name):
+    """Filled from the top complexity down, the table builds its loop
+    children capped, yet stores what the table filled in order stores, entry
+    for entry, so its store has the pinned hash; every capped entry is the
+    full entry cut with ``cap_hi`` at its caps, kept with the full entry's
+    windows."""
+    filled = _filled_table(name)
+    t = OmegaTable(filled.ctx, bound=filled.bound)
+    for g, branches in reversed(_requests(t)):
+        t.omega(g, branches)
+    assert t._store == filled._store
+    assert t._capped
+    for (g, branches, caps), (form, hi) in t._capped.items():
+        full = t._store[g, branches]
+        for v, c in zip(full.vars, caps):
+            if c is not None:
+                full = full.cap_hi(v, c)
+        assert form == full and hi == t._store[g, branches].hi, (g, branches, caps)
+
+
+def test_loop_children_of_omega_1_3_are_built_capped():
+    """``omega(1, ·)`` on pair-b3-omega's datum reads its (0, 4) loop
+    children only up to the caps of their merges: no (0, 4) entry is
+    stored, and the capped ones hold fewer terms than the five full ones."""
+    filled = _filled_table("decoupled-N2-L10-b3")
+    t = OmegaTable(filled.ctx, bound=3)
+    for branches in combinations_with_replacement((1, 2), 3):
+        assert t.omega(1, branches) == filled.omega(1, branches)
+    full = sum(len(f.nums) for (g, b), f in filled._store.items() if (g, len(b)) == (0, 4))
+    capped = [f for (g, b, _), (f, _) in t._capped.items() if (g, len(b)) == (0, 4)]
+    assert not any((g, len(b)) == (0, 4) for g, b in t._store)
+    assert len(capped) >= 5 and sum(len(f.nums) for f in capped) < full == 16432
