@@ -112,7 +112,6 @@ from .series import (
     capped_sum_of_products,
     common_denominator,
     invert,
-    monomial,
     sum_forms,
     zero_form,
 )
@@ -467,7 +466,7 @@ def _constraint_weight(
         for k, c in product(range(kmax + 1), range(1, ctx.data.n + 1))
     ]
     acc = capped_sum_of_products(pieces, y, 2 * kmax + 2)
-    denom = ctx.period_unit(j, -1, y) * monomial(y, 1, 1, deg=1)
+    denom = ctx.period_unit(j, -1, y).times_dlambda(y)
     if denom.is_zero() or denom.coefficient((2,)) == 0:
         raise ConsistencyError(f"degenerate normalizing pairing at branch {j}")
     if ctx.r.exact:
@@ -489,7 +488,7 @@ def _assembled_factor(
     n1 = len(sub) + 1
     if (g1, n1) == (0, 2):  # unstable: the negative-frequency pairing
         ((k, a),) = sub
-        return (ctx.period_basis(j, -k, a, y) * monomial(y, 1, 1, deg=1)).scale(-1)
+        return ctx.period_basis(j, -k, a, y).times_dlambda(y).scale(-1)
     budget = 3 * g1 - 3 + n1 - sum(k for k, _ in sub)
     terms = [zero_form((y,), (1,))]
     for k in range(budget + 1):

@@ -13,8 +13,14 @@ it is fixed once by requiring the three-point genus-zero output of the
 recursion to give <tau_0^3> = +1, and every other sign (kernel prefactor,
 unstable pairing orientation) is locked to that choice by unit tests.
 
-Periods pair through one memoized primitive, :func:`period_pairing`, the
-summed half-loop residue of two period components.  :func:`hrp_check` checks
+Periods are built on integer numerators: each (weight, branch, component)
+memoizes the numerators of (-1)^l w_l over one denominator, and a period is
+written straight from them, the one-dimensional constants over (2M+1)!!
+(M the deepest positive power).  Multiplying by dlambda = s ds is a shift
+(``MultiForm.times_dlambda``).  Periods pair through one memoized primitive,
+:func:`period_pairing`, the summed half-loop residue of two period
+components; both factors are series in s alone, so each branch's residue is
+one scalar, a dot product of their coefficients.  :func:`hrp_check` checks
 its orthogonality, and ``correlators.insertion_reconstruct_check`` is the
 same orthogonality re-indexed, at (-k-1, a) against (m+1, b); the two checks
 share every pairing they both read.
@@ -38,6 +44,7 @@ from .series import (
     WindowError,
     agreement_mismatch,
     capped_sum_of_products,
+    common_denominator,
     d_unit,
     geometric_expand,
     invert,
@@ -61,15 +68,18 @@ def a1_period(k: int, v: Var) -> MultiForm:
     For k >= 0 this is 2 (-1)^k (2k-1)!! s^(-2k-1); for k = -(m+1) it is
     2 s^(2m+1) / (2m+1)!!.  Exact monomials, so the window is unbounded.
     """
-    exp, c = _a1_data(k)
-    return monomial(v, exp, c)
+    den = double_factorial(-2 * k - 1)
+    exp, c = _a1_data(k, den)
+    return monomial(v, exp, Fraction(c, den))
 
 
-def _a1_data(k: int) -> tuple[int, Rat]:
+def _a1_data(k: int, den: int) -> tuple[int, int]:
+    """Exponent and numerator over ``den`` of the coefficient of
+    :func:`a1_period`; for k = -(m+1), ``den`` is a multiple of (2m+1)!!."""
     if k >= 0:
-        return -2 * k - 1, Rat(2 * (-1) ** k * double_factorial(2 * k - 1))
+        return -2 * k - 1, 2 * (-1) ** k * double_factorial(2 * k - 1) * den
     m = -k - 1
-    return 2 * m + 1, Fraction(2, double_factorial(2 * m + 1))
+    return 2 * m + 1, 2 * den // double_factorial(2 * m + 1)
 
 
 @dataclass
@@ -157,27 +167,40 @@ def _vtable(ctx: FormContext, top: int) -> VTable:
     return compute_vkl(ctx.r, top)
 
 
+def _period_weights(ctx: FormContext, weight, j: int, a: int | None) -> tuple[int, tuple]:
+    """The numerators of (-1)^l w_l, l = 0..L, over one denominator.
+
+    w_l is ``weight(ctx, l, j)``, or its component a unless a is None.
+    Returns ``(den, numerators)``.
+    """
+    ws = {}
+    for l in range(ctx.r.order + 1):
+        w = ctx.memo(weight, l, j)
+        ws[l] = (-1) ** l * (w if a is None else w[a - 1])
+    den, nums = common_denominator(ws)
+    return den, tuple(nums.values())
+
+
 def _period_series(
     ctx: FormContext, weight, j: int, k: int, a: int | None, v: Var
 ) -> MultiForm:
     """sum over l of (-1)^l w_l times the one-dimensional period I^(k-l).
 
-    w_l is ``weight(ctx, l, j)``, or its component a unless a is None.
+    The term of l sits at the exponent -2(k-l)-1, so no two terms meet.  Its
+    numerator is that of (-1)^l w_l (:func:`_period_weights`) times the
+    constant of I^(k-l) over (2M+1)!!, M = L - k - 1 the deepest positive
+    power.
     """
-    coeffs: dict[tuple, Rat] = {}
-    for l in range(ctx.r.order + 1):
-        w = ctx.memo(weight, l, j)
-        if a is not None:
-            w = w[a - 1]
-        if w == 0:
-            continue
-        exp, c = _a1_data(k - l)
-        val = (-1) ** l * w * c
-        if val:
-            coeffs[(exp,)] = coeffs.get((exp,), Rat(0)) + val
+    den, nums = ctx.memo(_period_weights, weight, j, a)
+    a1_den = double_factorial(2 * (ctx.r.order - k) - 1)
+    coeffs = {}
+    for l, n in enumerate(nums):
+        if n:
+            exp, c = _a1_data(k - l, a1_den)
+            coeffs[(exp,)] = n * c
     lo = -2 * k - 1
     hi = INF if ctx.r.exact else 2 * ctx.r.order - 2 * k
-    return MultiForm((v,), (0,), coeffs, (lo,), (hi,))
+    return MultiForm.from_numerators((v,), (0,), coeffs, den * a1_den, (lo,), (hi,))
 
 
 def period_vector(ctx: FormContext, j: int, k: int, v: Var) -> tuple[MultiForm, ...]:
@@ -194,8 +217,7 @@ def one_point_form(ctx: FormContext, j: int, v: Var) -> MultiForm:
     closing Taylor expansion whose half powers of 2 cancel exactly against
     the pullback.
     """
-    dlam = monomial(v, 1, 1, deg=1)
-    route1 = (ctx.period_unit(j, -1, v) * dlam).scale(4)
+    route1 = ctx.period_unit(j, -1, v).times_dlambda(v).scale(4)
 
     coeffs: dict[tuple, Rat] = {}
     for k in range(ctx.r.order + 1):
@@ -258,7 +280,7 @@ def two_point_form(
         for k, c in product(range(kmax + 1), range(1, ctx.data.n + 1))
     ]
     # the trailing dsv = sv dsv lifts the sum's cap 2 kmax to 2 kmax + 1
-    route_a = capped_sum_of_products(pieces, sv, 2 * kmax) * monomial(sv, 1, 1, deg=1)
+    route_a = capped_sum_of_products(pieces, sv, 2 * kmax).times_dlambda(sv)
 
     parts = []
     if i == j:
@@ -431,7 +453,7 @@ def ope_normalization_check(ctx: FormContext, j: int) -> Report:
 
 def _dual_dlambda(ctx: FormContext, j: int, k: int, b: int, v: Var) -> MultiForm:
     """(I^(k), v^b) dlambda at branch j, the second factor of a period pairing."""
-    return ctx.period_dual(j, k, b, v) * monomial(v, 1, 1, deg=1)
+    return ctx.period_dual(j, k, b, v).times_dlambda(v)
 
 
 def period_pairing(ctx: FormContext, k1: int, a: int, k2: int, b: int) -> Rat:
@@ -439,7 +461,8 @@ def period_pairing(ctx: FormContext, k1: int, a: int, k2: int, b: int) -> Rat:
     half-loop residue of (I^(k1), v_a) (I^(k2), v^b) dlambda at branch j.
 
     Each branch takes one residue of the first period times the memoized
-    second factor, which forms only the product's s^-1 slice.  Raises
+    second factor; both are series in s alone, so the residue is the scalar
+    sum of their coefficients at exponents summing to -1, halved.  Raises
     WindowError when a branch's window cannot reach that coefficient.
     """
     total = Rat(0)

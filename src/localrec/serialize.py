@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .frobenius import CanonicalData, RMatrix
 from .series import INF, MultiForm, Var
@@ -66,8 +67,14 @@ def form_to_json(f: MultiForm) -> dict:
             "lo": [_bound_to_json(x, -1) for x in f.lo],
             "hi": [_bound_to_json(x, +1) for x in f.hi],
         },
-        "coeffs": [[list(e), rat_to_str(c)] for e, c in f.items()],
+        "coeffs": [[list(e), _num_to_str(c, f.den)] for e, c in sorted(f.nums.items())],
     }
+
+
+def _num_to_str(c: int, den: int) -> str:
+    """The coefficient ``c / den`` as a reduced "p/q" string."""
+    g = gcd(c, den)
+    return f"{c // g}/{den // g}"
 
 
 def form_from_json(d: dict) -> MultiForm:

@@ -74,7 +74,10 @@ without building forms that would be summed and thrown away:
   product's window at that slot is the holder's own ``hi``, which each of
   its stored terms satisfies.  Single valuedness is checked on the factors
   (each of definite reflection parity in ``v``, the parities summing to
-  odd), which implies the residue's check on every product term.  The
+  odd), which implies the residue's check on every product term.  When
+  neither factor holds a slot other than ``v`` (a period pairing), the
+  slice is one number, the sum of ``a[e] * b[-1 - e]`` over
+  ``2 * da * db``, taken after the same checks in the same order.  The
   slice is a :class:`RawForm`, not normalized:
   :meth:`MultiForm.residue_half_loop` normalizes one (of ``self`` and
   ``times``, or of ``self`` and the constant 1), and :func:`sum_raw` sums
@@ -440,6 +443,25 @@ class MultiForm:
         raw = residue_slice(self, _ONE if times is None else times, v)
         return MultiForm.from_numerators(*raw)
 
+    def times_dlambda(self, v: Var) -> "MultiForm":
+        """``self * monomial(v, 1, 1, deg=1)``: the product with dlambda = v dv.
+
+        Taken as a shift: every exponent in ``v``, the degree in ``v`` and
+        both window bounds in ``v`` go up by one, the bounds saturating at
+        the sentinels as the product rule's do.  ``v`` must be a variable
+        of the form.
+        """
+        i = self.index_of(v)
+        lo, hi = _product_window(self.lo[i], self.hi[i], 1, INF)
+        return MultiForm.from_numerators(
+            self.vars,
+            self.degs[:i] + (self.degs[i] + 1,) + self.degs[i + 1 :],
+            {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in self.nums.items()},
+            self.den,
+            self.lo[:i] + (lo,) + self.lo[i + 1 :],
+            self.hi[:i] + (hi,) + self.hi[i + 1 :],
+        )
+
     def cap_hi(self, v: Var, new_hi: int) -> "MultiForm":
         """Shrink the certified window of ``v`` (used after truncating a sum)."""
         i = self.index_of(v)
@@ -628,25 +650,33 @@ def _product_frame(
     window [0, INF]); likewise ``pb``.  ``ha`` and ``hb`` stand in for the
     factors' ``hi`` when given (a factor capped without building it).
     """
-    union: dict[str, Var] = {}
-    for v in a.vars + b.vars:
-        seen = union.get(v.name)
-        if seen is not None and seen.branch != v.branch:
-            raise DegreeError(f"variable {v.name} used at two branches")
-        union[v.name] = v
-    vs = tuple(sorted(union.values()))
-    pa = [a.vars.index(v) if v in a.vars else None for v in vs]
-    pb = [b.vars.index(v) if v in b.vars else None for v in vs]
+    ha = a.hi if ha is None else ha
+    hb = b.hi if hb is None else hb
+    if a.vars == b.vars and all(v.key < w.key for v, w in zip(a.vars, a.vars[1:])):
+        # one sorted set of variables, every slot held by both factors
+        vs, pa = a.vars, list(range(len(a.vars)))
+        pb = pa
+        da, la, db, lb = a.degs, a.lo, b.degs, b.lo
+    else:
+        union: dict[str, Var] = {}
+        for v in a.vars + b.vars:
+            seen = union.get(v.name)
+            if seen is not None and seen.branch != v.branch:
+                raise DegreeError(f"variable {v.name} used at two branches")
+            union[v.name] = v
+        vs = tuple(sorted(union.values()))
+        pa = [a.vars.index(v) if v in a.vars else None for v in vs]
+        pb = [b.vars.index(v) if v in b.vars else None for v in vs]
 
-    def lift(f: MultiForm, hi, pos):
-        return (
-            [f.degs[p] if p is not None else 0 for p in pos],
-            [f.lo[p] if p is not None else 0 for p in pos],
-            [hi[p] if p is not None else INF for p in pos],
-        )
+        def lift(f: MultiForm, hi, pos):
+            return (
+                [f.degs[p] if p is not None else 0 for p in pos],
+                [f.lo[p] if p is not None else 0 for p in pos],
+                [hi[p] if p is not None else INF for p in pos],
+            )
 
-    da, la, ha = lift(a, a.hi if ha is None else ha, pa)
-    db, lb, hb = lift(b, b.hi if hb is None else hb, pb)
+        da, la, ha = lift(a, ha, pa)
+        db, lb, hb = lift(b, hb, pb)
     if sum(1 for x, y in zip(ha, hb) if x < INF and y < INF) > 1:
         raise SeriesError(
             "product of two truncated expansions sharing several variables; "
@@ -922,7 +952,9 @@ def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
     own ``hi``, which each of its stored terms already satisfies.  Each key
     of the slice is the two factors' own exponents and the shared sums,
     placed in the product's slot order by one itemgetter.  The numerators
-    are multiplied and summed as integers over ``2 * a.den * b.den``.
+    are multiplied and summed as integers over ``2 * a.den * b.den``.  With
+    ``v`` the only slot of the product the slice is the one number
+    ``sum a[e] * b[-1 - e]``, taken after the same checks.
     """
     vs, pa, pb, degs, lo, hi = _product_frame(a, b)
     if v not in vs:
@@ -945,6 +977,13 @@ def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
             f"both factors have exponents of parity {parities[0]}"
         )
     keep = [j for j in range(len(vs)) if j != i]
+    if not keep:  # v alone: the slice is the one number sum of a[e] b[-1 - e]
+        ta, tb = (
+            {e[p] if p is not None else 0: c for e, c in f.nums.items()}
+            for f, p in ((a, pa[i]), (b, pb[i]))
+        )
+        total = sum(c * tb.get(-1 - x, 0) for x, c in ta.items())
+        return RawForm((), (), {(): total}, 2 * a.den * b.den, (), ())
     shared = [j for j in keep if pa[j] is not None and pb[j] is not None]
     own_a = [j for j in keep if pb[j] is None]
     own_b = [j for j in keep if pa[j] is None]

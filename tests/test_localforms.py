@@ -16,16 +16,18 @@ from localrec.frobenius import (
 )
 from localrec.localforms import (
     FormContext,
+    _dual_dlambda,
     a1_period,
     hrp_check,
     one_point_form,
     ope_normalization_check,
+    period_pairing,
     period_vector,
     propagator_p0,
     recursion_kernel,
     two_point_form,
 )
-from localrec.serialize import dumps_canonical, form_to_json
+from localrec.serialize import dumps_canonical, form_to_json, rat_to_str
 from localrec.series import MonodromyError, Var, WindowError, laurent
 
 Q = Fraction
@@ -289,3 +291,37 @@ def test_seed_kernel_and_constraint_weight_bytes_pinned(name):
             rows.append(["constraint_weight", i, j, kmax, w])
     text = dumps_canonical([row[:-1] + [form_to_json(row[-1])] for row in rows])
     assert hashlib.sha256(text.encode()).hexdigest() == _SEED_DIGESTS[name]
+
+
+_PERIOD_DIGESTS = {
+    "airy": "53c98e0ac7fff19d277aa62b0a1bc5b0047e5ac3c6d88a403b14c11aa70348e7",
+    "rotated-pair": "77b4eadfbb1b7a7930235d774ab2d4386400fbc909104b2ef90a9ba952686b94",
+    "decoupled-pair": "88ee9bb7d9569040e59d9b5b2db00e893255abadb2b0efa72efdebb462c5f3a8",
+    "decoupled-triple": "1e319370916cbc64c34199d52be7a2f8a1ea2ff1389162424d977104667c2f29",
+}
+
+
+@pytest.mark.parametrize("name", list(_PERIOD_DIGESTS))
+def test_period_layer_bytes_pinned(name):
+    """The periods, each dual period times dlambda, and every period pairing,
+    pinned byte for byte over every branch and component for |k| <= 5; a
+    pairing whose window cannot reach the pole slice is pinned as "window"."""
+    ctx = FormContext(*_seed_data(name))
+    indices, ks = range(1, ctx.data.n + 1), range(-5, 6)
+    rows = []
+    for j, k in product(indices, ks):
+        s = Var("s", j)
+        rows.append(["period_unit", j, k, ctx.period_unit(j, k, s)])
+        for a in indices:
+            rows.append(["period_basis", j, k, a, ctx.period_basis(j, k, a, s)])
+            rows.append(["period_dual", j, k, a, ctx.period_dual(j, k, a, s)])
+            rows.append(["dual_dlambda", j, k, a, _dual_dlambda(ctx, j, k, a, s)])
+    rows = [row[:-1] + [form_to_json(row[-1])] for row in rows]
+    for k1, k2, a, b in product(ks, ks, indices, indices):
+        try:
+            value = rat_to_str(period_pairing(ctx, k1, a, k2, b))
+        except WindowError:
+            value = "window"
+        rows.append(["period_pairing", k1, a, k2, b, value])
+    text = dumps_canonical(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PERIOD_DIGESTS[name]

@@ -662,6 +662,94 @@ def test_residue_of_product_refuses_like_the_residue(a, b, error):
         a.residue_half_loop(S, times=b)
 
 
+@st.composite
+def one_variable_factors(draw):
+    """Two factors in s alone, or the first and None, the constant 1 of
+    ``residue_half_loop`` without ``times``.  Each has a degree from -1 to 1,
+    one parity of exponent, a support bound, a window top that may be INF,
+    and one to five terms in the window.  Mostly the degrees sum to 1 and
+    the parities to odd, so that most pairs reach the residue."""
+
+    def factor(deg, parity):
+        lo = draw(st.integers(-7, 0))
+        hi = draw(st.sampled_from([INF, INF, INF, lo - 1, lo, lo + 3, lo + 6]))
+        exps = [e for e in range(lo, min(hi, lo + 10) + 1) if e % 2 == parity]
+        chosen = []
+        if exps:
+            chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=5, unique=True))
+        rats = st.sampled_from([1, -2, Fraction(1, 3), Fraction(-5, 6)])
+        coeffs = {(e,): draw(rats) for e in chosen}
+        return MultiForm((S,), (deg,), coeffs, (lo,), (hi,))
+
+    if draw(st.integers(0, 4)) == 0:  # b the constant 1: degree 0, even
+        db, pb, b = 0, 0, None
+    else:
+        db, pb = draw(st.integers(-1, 1)), draw(st.integers(0, 1))
+        b = factor(db, pb)
+    da = 1 - db if draw(st.integers(0, 4)) else draw(st.integers(-1, 1))
+    pa = 1 - pb if draw(st.integers(0, 2)) else pb
+    return factor(da, pa), b
+
+
+@given(one_variable_factors())
+@settings(max_examples=200, deadline=None)
+def test_scalar_residue_keeps_the_residue_rules(factors):
+    """Two factors in v alone give one number, under the residue's rules in
+    their order: the degrees must sum to 1, the window must reach v^-1, and
+    the factors' parities must sum to odd.  The number is the slice taken
+    through a second slot, where ``a`` is multiplied by an exact constant."""
+    a, b = factors
+    deg = a.degs[0] + (0 if b is None else b.degs[0])
+    ha, la = a.hi[0], a.lo[0]
+    hb, lb = (INF, 0) if b is None else (b.hi[0], b.lo[0])
+    top = min(INF if ha >= INF else ha + lb, INF if hb >= INF else hb + la)
+    parities = {a.check_definite_parity(S)} if a.nums else set()
+    if b is None or b.nums:
+        parities.add(0 if b is None else b.check_definite_parity(S))
+    lifted = a * laurent(Var("t", 1), {0: 3})
+    error = (
+        DegreeError if deg != 1
+        else WindowError if top < -1
+        else MonodromyError if len(parities) == 1 and a.nums and (b is None or b.nums)
+        else None
+    )
+    if error is not None:
+        for f in (a, lifted):
+            with pytest.raises(error):
+                f.residue_half_loop(S, times=b)
+        return
+    got = a.residue_half_loop(S, times=b)
+    bc = {(0,): 1} if b is None else b.coeffs
+    want = sum((c * bc.get((-1 - e[0],), 0) for e, c in a.coeffs.items()), Fraction(0)) / 2
+    assert got.vars == () and got.coefficient(()) == want
+    assert lifted.residue_half_loop(S, times=b).coefficient((0,)) == 3 * want
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        F(S, {-3: 2, 1: Fraction(1, 5)}, lo=-3, hi=4),
+        F(S, {0: 1}, deg=-1, lo=-INF, hi=INF),
+        MultiForm((R, S), (1, 0), {(-2, 3): Fraction(5, 7), (0, -1): -2}, (-2, -1), (4, 9)),
+        MultiForm((S, Var("t", 1)), (0, 1), {(2, 0): 3}, (0, 0), (INF, 6)),
+        zero_form((R, S), (0, 1)),
+    ],
+)
+def test_times_dlambda_is_the_product_with_dlambda(f):
+    dlam = MultiForm((S,), (1,), {(1,): 1}, (1,), (INF,))
+    assert f.times_dlambda(S) == f * dlam
+
+
+def test_times_dlambda_refuses_like_the_product():
+    dlam = MultiForm((S,), (1,), {(1,): 1}, (1,), (INF,))
+    for f in (F(S, {0: 1}, deg=2), F(S, {0: 1}).cap_hi(S, INF - 1)):
+        for g in (lambda: f * dlam, lambda: f.times_dlambda(S)):
+            with pytest.raises(SeriesError):
+                g()
+    with pytest.raises(DegreeError):
+        F(R, {0: 1}).times_dlambda(S)
+
+
 def _schoolbook_product(a, b):
     """Reference Cauchy product on Fractions, by variable name."""
     names = sorted({v.name for v in a.vars + b.vars})
