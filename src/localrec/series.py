@@ -650,33 +650,25 @@ def _product_frame(
     window [0, INF]); likewise ``pb``.  ``ha`` and ``hb`` stand in for the
     factors' ``hi`` when given (a factor capped without building it).
     """
-    ha = a.hi if ha is None else ha
-    hb = b.hi if hb is None else hb
-    if a.vars == b.vars and all(v.key < w.key for v, w in zip(a.vars, a.vars[1:])):
-        # one sorted set of variables, every slot held by both factors
-        vs, pa = a.vars, list(range(len(a.vars)))
-        pb = pa
-        da, la, db, lb = a.degs, a.lo, b.degs, b.lo
-    else:
-        union: dict[str, Var] = {}
-        for v in a.vars + b.vars:
-            seen = union.get(v.name)
-            if seen is not None and seen.branch != v.branch:
-                raise DegreeError(f"variable {v.name} used at two branches")
-            union[v.name] = v
-        vs = tuple(sorted(union.values()))
-        pa = [a.vars.index(v) if v in a.vars else None for v in vs]
-        pb = [b.vars.index(v) if v in b.vars else None for v in vs]
+    union: dict[str, Var] = {}
+    for v in a.vars + b.vars:
+        seen = union.get(v.name)
+        if seen is not None and seen.branch != v.branch:
+            raise DegreeError(f"variable {v.name} used at two branches")
+        union[v.name] = v
+    vs = tuple(sorted(union.values()))
+    pa = [a.vars.index(v) if v in a.vars else None for v in vs]
+    pb = [b.vars.index(v) if v in b.vars else None for v in vs]
 
-        def lift(f: MultiForm, hi, pos):
-            return (
-                [f.degs[p] if p is not None else 0 for p in pos],
-                [f.lo[p] if p is not None else 0 for p in pos],
-                [hi[p] if p is not None else INF for p in pos],
-            )
+    def lift(f: MultiForm, hi, pos):
+        return (
+            [f.degs[p] if p is not None else 0 for p in pos],
+            [f.lo[p] if p is not None else 0 for p in pos],
+            [hi[p] if p is not None else INF for p in pos],
+        )
 
-        da, la, ha = lift(a, ha, pa)
-        db, lb, hb = lift(b, hb, pb)
+    da, la, ha = lift(a, a.hi if ha is None else ha, pa)
+    db, lb, hb = lift(b, b.hi if hb is None else hb, pb)
     if sum(1 for x, y in zip(ha, hb) if x < INF and y < INF) > 1:
         raise SeriesError(
             "product of two truncated expansions sharing several variables; "
