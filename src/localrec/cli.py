@@ -93,6 +93,7 @@ class RunConfig:
         self.order = self._int(raw, "L", 0, least=0)
         self.r = self._resolve_r(raw)
         self._ctx: FormContext | None = None
+        self._validation: tuple[Report, Report] | None = None
 
     @staticmethod
     def _int(raw: dict, key: str, default: int, least: int | None = None) -> int:
@@ -136,9 +137,17 @@ class RunConfig:
             self._ctx = ctx
         return self._ctx
 
+    def validation(self) -> tuple[Report, Report]:
+        """The reports of ``validate_canonical`` on the datum and of
+        ``check_symplectic`` on R, made once per run and shared by every
+        command that reads them; callers must not change them."""
+        if self._validation is None:
+            self._validation = (validate_canonical(self.datum), check_symplectic(self.r))
+        return self._validation
+
     def table(self) -> OmegaTable:
         """The form table of this run; the datum and R must pass validation."""
-        for rep in (validate_canonical(self.datum), check_symplectic(self.r)):
+        for rep in self.validation():
             if not rep.ok:
                 bad = rep.failures()[0]
                 raise DatumError(f"{bad.name} failed: {bad.detail}")
@@ -177,8 +186,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_validate(cfg: RunConfig, out: str | None) -> int:
-    rep = validate_canonical(cfg.datum)
-    srep = check_symplectic(cfg.r)
+    rep, srep = cfg.validation()
     if rep.ok:
         cfg.context()  # R fits the datum and no unit pairing vanishes
     payload = {"datum": rep.as_dict(), "symplectic": srep.as_dict()}
@@ -280,8 +288,8 @@ def _check_battery(cfg: RunConfig) -> Report:
 
 
 def cmd_check(cfg: RunConfig, out: str | None) -> int:
-    rep = validate_canonical(cfg.datum)
-    rep.checks.extend(check_symplectic(cfg.r).checks)
+    datum_rep, r_rep = cfg.validation()
+    rep = Report(datum_rep.checks + r_rep.checks)
     valid = rep.ok
     if valid:
         rep.checks.extend(_check_battery(cfg).checks)

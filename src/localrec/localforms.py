@@ -30,7 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 from .frobenius import CanonicalData, RMatrix, VTable, compute_vkl, double_factorial
 from .linalg import mat_vec
@@ -310,7 +313,8 @@ def _sqrt_one_plus(v: Var, order: int) -> MultiForm:
     return MultiForm((v,), (0,), coeffs, (0,), (order,))
 
 
-def diagonal_expansion_weights(order: int) -> dict[int, Rat]:
+@cache
+def diagonal_expansion_weights(order: int) -> Mapping[int, Rat]:
     """Coefficients W_m of the universal double-pole part near the diagonal.
 
     Substituting r = s (1 + x)^(1/2), x = 2 eps / s^2, into the i = j
@@ -319,6 +323,8 @@ def diagonal_expansion_weights(order: int) -> dict[int, Rat]:
     coefficient of eps^m in the diagonal expansion is then
     2 W_m 2^m s^(-4-2m).  W_-2 = 4 and W_-1 = 0 encode the normalized
     second-order pole with no residue, which is asserted by the caller.
+    The weights depend on ``order`` alone: each order's are built once and
+    returned as one read-only mapping.
     """
     x = Var("_x", 0)
     u = _sqrt_one_plus(x, order + 4)
@@ -331,7 +337,7 @@ def diagonal_expansion_weights(order: int) -> dict[int, Rat]:
     out: dict[int, Rat] = {}
     for m in range(-2, order + 1):
         out[m] = w.coefficient((m,))
-    return out
+    return MappingProxyType(out)
 
 
 def propagator_p0(ctx: FormContext, j: int, v: Var) -> MultiForm:

@@ -158,7 +158,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import permutations
 from math import comb, prod
 from operator import or_
@@ -565,13 +565,19 @@ def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> tuple[bool, 
     """The symmetry verdict of :func:`symmetry_check` (the orbit rule in its
     docstring) and the block-sorted stored terms, those equal to their key,
     from one pass over the stored terms of the entry at the sorted
-    ``branches``."""
-    blocks = [
-        (branches.index(b), branches.index(b) + branches.count(b))
+    ``branches``.
+
+    Only blocks of two or more equal branches are counted: a one-slot
+    block's one arrangement is the stored term's own, which lies under
+    ``hi``.  A tied block's arrangements are counted once per sorted block
+    exponents and block ``hi``, not once per group.
+    """
+    ties = [
+        slice(branches.index(b), branches.index(b) + branches.count(b))
         for b in sorted(set(branches))
+        if branches.count(b) > 1
     ]
-    # a key is the exponents with each block of two or more slots sorted
-    ties = [slice(a, b) for a, b in blocks if b - a > 1]
+    # a key is the exponents with each tied block sorted
     groups = defaultdict(list)
     kept = {}
     for e, c in form.nums.items():
@@ -582,9 +588,9 @@ def _orbit_symmetric(form: MultiForm, branches: tuple[int, ...]) -> tuple[bool, 
         groups[key].append(c)
         if key == e:
             kept[e] = c
+    count, his = cache(_arrangements), [form.hi[s] for s in ties]
     verdict = all(
-        len(set(cs)) == 1
-        and len(cs) == prod(_arrangements(key[a:b], form.hi[a:b]) for a, b in blocks)
+        len(set(cs)) == 1 and len(cs) == prod(count(key[s], h) for s, h in zip(ties, his))
         for key, cs in groups.items()
     )
     return verdict, kept

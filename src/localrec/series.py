@@ -66,22 +66,17 @@ without building forms that would be summed and thrown away:
   product is its empty tie: each factor's terms form one group, and every
   pair meets at its own exponents with no extra weight.
 * :func:`residue_slice` gives the v^-1 slice of ``a * b``, halved, without
-  forming ``a * b``, as a grouped contraction: each factor's terms are
-  grouped by their exponents at ``v`` and at the slots both factors hold,
-  only groups whose ``v`` exponents sum to -1 meet, and the window is
-  tested once per pair of groups on the shared slots.  A slot held by one
-  factor needs no test: the other factor is exactly constant there, so the
-  product's window at that slot is the holder's own ``hi``, which each of
-  its stored terms satisfies.  Single valuedness is checked on the factors
-  (each of definite reflection parity in ``v``, the parities summing to
-  odd), which implies the residue's check on every product term.  When
-  neither factor holds a slot other than ``v`` (a period pairing), the
-  slice is one number, the sum of ``a[e] * b[-1 - e]`` over
-  ``2 * da * db``, taken after the same checks in the same order.  The
-  slice is a :class:`RawForm`, not normalized:
-  :meth:`MultiForm.residue_half_loop` normalizes one (of ``self`` and
-  ``times``, or of ``self`` and the constant 1), and :func:`sum_raw` sums
-  several under the sum rule, so that a sum of residues is normalized once.
+  forming ``a * b``.  When neither factor holds a slot other than ``v`` (a
+  period pairing), the slice is taken before the product's frame, on the
+  one window in ``v``: it is one number, the sum of ``a[e] * b[-1 - e]``
+  over ``2 * da * db``, after the same refusals in the same order.
+  Otherwise it is a grouped contraction that pairs only the terms whose
+  ``v`` exponents sum to -1 and tests the window once per pair of groups.
+  Single valuedness is checked on the factors.  The slice is a
+  :class:`RawForm`, not normalized: :meth:`MultiForm.residue_half_loop`
+  normalizes one (of ``self`` and ``times``, or of ``self`` and the
+  constant 1), and :func:`sum_raw` sums several under the sum rule, so
+  that a sum of residues is normalized once.
 
 Relabelled operands: :func:`_relabelled` names a form's slots anew without
 copying a term, keeping the stored slot order, so its variables need not be
@@ -926,67 +921,68 @@ def expand_tied(form, tied) -> RawForm:
 
 def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
     """The slice ``(a * b).residue_half_loop(v)``, forming only the product's
-    v^-1 terms, not normalized.
+    v^-1 terms, not normalized; the numerators are multiplied and summed as
+    integers over ``2 * a.den * b.den``.
 
-    The variables, degrees and windows are those of ``a * b`` (the same
-    helper), and the residue's degree and window rules are checked on them.
-    Single valuedness is checked on the factors: each must have a definite
+    When neither factor holds a slot other than ``v`` (a period pairing),
+    no frame is built: the product's degree in ``v`` is the factors' sum,
+    refused outside [-1, 2] as :func:`_product_frame` refuses it, and its
+    window in ``v`` is the one :func:`_product_window` gives, a factor
+    without ``v`` being the exact constant (degree 0, window [0, INF]).
+    Otherwise the variables, degrees and windows are those of ``a * b``
+    from that helper.  Then the residue's rules are checked, in order: the
+    degree in ``v`` must be 1 and the window must reach v^-1.  Single
+    valuedness is checked on the factors: each must have a definite
     reflection parity in ``v`` (a factor without ``v`` is even), and the two
     parities must sum to odd.  Then every product term is odd in ``v``,
     which is what :meth:`MultiForm.residue_half_loop` requires of them.
 
-    The slice is a grouped contraction.  Each factor's terms are grouped by
-    their exponents at ``v`` and at the slots the two factors share, and
-    only groups whose ``v`` exponents sum to -1 are paired.  The window is
-    tested once per pair of groups, on the shared slots alone: at a slot
-    held by one factor the other is exactly constant (exponent 0, support
-    bound 0, window INF), so the product's window there is that factor's
-    own ``hi``, which each of its stored terms already satisfies.  Each key
-    of the slice is the two factors' own exponents and the shared sums,
-    placed in the product's slot order by one itemgetter.  The numerators
-    are multiplied and summed as integers over ``2 * a.den * b.den``.  With
-    ``v`` the only slot of the product the slice is the one number
-    ``sum a[e] * b[-1 - e]``, taken after the same checks.
+    With ``v`` alone the slice is the one number ``sum a[e] * b[-1 - e]``.
+    Otherwise it is a grouped contraction: each factor's terms are grouped
+    by their exponents at ``v`` and at the slots the two factors share, only
+    groups whose ``v`` exponents sum to -1 meet, and the window is tested
+    once per pair of groups, on the shared slots alone.  At a slot held by
+    one factor the other is exactly constant, so the product's window there
+    is that factor's own ``hi``, which each of its stored terms already
+    satisfies.  One itemgetter places each key in the product's slot order.
     """
-    vs, pa, pb, degs, lo, hi = _product_frame(a, b)
-    if v not in vs:
-        raise DegreeError(f"{v!r} not a variable of this form")
-    i = vs.index(v)
-    if degs[i] != 1:
-        raise DegreeError(f"residue needs degree 1 in {v.name}, got {degs[i]}")
-    if hi[i] < -1:
-        raise WindowError(
-            f"window of {v.name} tops out at {hi[i]}, cannot certify the pole slice"
-        )
-    parities = [
-        0 if p is None else f.check_definite_parity(v)
-        for f, p in ((a, pa[i]), (b, pb[i]))
-        if f.nums
-    ]
+    if a.vars + b.vars in ((v,), (v, v)):  # v alone: one window, no frame
+        i, deg = None, sum(a.degs + b.degs)
+        if not -1 <= deg <= 2:
+            raise DegreeError(f"resulting form degree {deg} outside [-1, 2]")
+        top = _product_window(*(a.lo + a.hi or (0, INF)), *(b.lo + b.hi or (0, INF)))[1]
+    else:
+        vs, pa, pb, degs, lo, hi = _product_frame(a, b)
+        if v not in vs:
+            raise DegreeError(f"{v!r} not a variable of this form")
+        i = vs.index(v)
+        deg, top = degs[i], hi[i]
+    if deg != 1:
+        raise DegreeError(f"residue needs degree 1 in {v.name}, got {deg}")
+    if top < -1:
+        raise WindowError(f"window of {v.name} tops out at {top}, cannot certify the pole slice")
+    parities = [f.check_definite_parity(v) if v in f.vars else 0 for f in (a, b) if f.nums]
     if len(parities) == 2 and sum(parities) % 2 == 0:
         raise MonodromyError(
             f"integrand not reflection invariant in {v.name}: "
             f"both factors have exponents of parity {parities[0]}"
         )
-    keep = [j for j in range(len(vs)) if j != i]
-    if not keep:  # v alone: the slice is the one number sum of a[e] b[-1 - e]
-        ta, tb = (
-            {e[p] if p is not None else 0: c for e, c in f.nums.items()}
-            for f, p in ((a, pa[i]), (b, pb[i]))
-        )
-        total = sum(c * tb.get(-1 - x, 0) for x, c in ta.items())
+    if i is None:  # an exponent tuple e is (x,) or (), and sum(e) its x or 0
+        tb = {sum(e): c for e, c in b.nums.items()}
+        total = sum(c * tb.get(-1 - sum(e), 0) for e, c in a.nums.items())
         return RawForm((), (), {(): total}, 2 * a.den * b.den, (), ())
+    keep = [j for j in range(len(vs)) if j != i]
     shared = [j for j in keep if pa[j] is not None and pb[j] is not None]
     own_a = [j for j in keep if pb[j] is None]
     own_b = [j for j in keep if pa[j] is None]
-    hi_s = tuple(hi[j] for j in shared)
+    hi_s = _picker(shared)(hi)
 
     def grouped(f: MultiForm, pos, own):
         # v exponent -> shared exponents -> [(own exponents, numerator)]
         at_v = (lambda e: 0) if pos[i] is None else itemgetter(pos[i])
         at_shared = _picker([pos[j] for j in shared])
         at_own = _picker([pos[j] for j in own])
-        groups: dict[int, dict[tuple, list]] = {}
+        groups = {}
         for e, c in f.nums.items():
             by_shared = groups.setdefault(at_v(e), {})
             by_shared.setdefault(at_shared(e), []).append((at_own(e), c))
@@ -999,9 +995,7 @@ def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
     out: dict[tuple, int] = {}
     get = out.get
     for ex, a_groups in grouped(a, pa, own_a).items():
-        b_by_shared = b_groups.get(-1 - ex)
-        if b_by_shared is None:
-            continue
+        b_by_shared = b_groups.get(-1 - ex, {})
         for sa, ta in a_groups.items():
             for sb, tb in b_by_shared.items():
                 s = tuple(map(add, sa, sb))
@@ -1012,14 +1006,8 @@ def residue_slice(a: MultiForm, b: MultiForm, v: Var) -> RawForm:
                     for eb, cb in tb:
                         key = left + eb if place is None else place(left + eb)
                         out[key] = get(key, 0) + ca * cb
-    return RawForm(
-        tuple(vs[j] for j in keep),
-        tuple(degs[j] for j in keep),
-        out,
-        2 * a.den * b.den,
-        tuple(lo[j] for j in keep),
-        tuple(hi[j] for j in keep),
-    )
+    pick = _picker(keep)
+    return RawForm(pick(vs), pick(degs), out, 2 * a.den * b.den, pick(lo), pick(hi))
 
 
 # -- constructors ----------------------------------------------------------
@@ -1066,10 +1054,7 @@ def geometric_expand(m: int, r: Var, s: Var, s_max: int) -> MultiForm:
         if k > 0:
             c = c * (m - 1 + k) / k
         coeffs[(-m - k, k)] = c
-    f = MultiForm(
-        (r, s), (0, 0), coeffs, (-m - s_max, 0), (INF, s_max)
-    )
-    return f
+    return MultiForm((r, s), (0, 0), coeffs, (-m - s_max, 0), (INF, s_max))
 
 
 def invert(f: MultiForm, v: Var, order: int | None = None) -> MultiForm:
@@ -1108,7 +1093,7 @@ def invert(f: MultiForm, v: Var, order: int | None = None) -> MultiForm:
                     acc += ci * gj
         if acc:
             g[-val + t] = -acc / lead
-    out = {(e,): c for e, c in g.items() if c != 0}
+    out = {(e,): c for e, c in g.items()}  # every stored c is nonzero
     return MultiForm((v,), (-f.degs[0],), out, (-val,), (-val + order,))
 
 

@@ -107,6 +107,29 @@ def test_validate_non_symplectic_r_fails(tmp_path, capsys):
     assert failing and "order-1" in failing[0]["name"]
 
 
+def test_check_validates_once(tmp_path, monkeypatch, capsys):
+    """``check`` makes each validation report once and its table reads
+    them; ``omega`` on a non-symplectic R still stops with the validation
+    line, after one symplectic check."""
+    import localrec.cli as cli
+
+    calls = []
+    for name in ("validate_canonical", "check_symplectic"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, name=name, real=real: calls.append(name) or real(x))
+    path = write_config(tmp_path, pair_config())
+    assert main(["check", "--config", path, "--out", str(tmp_path / "check.json")]) == 0
+    assert json.loads((tmp_path / "check.json").read_text())["ok"] is True
+    assert calls == ["validate_canonical", "check_symplectic"]
+    cfg = pair_config()
+    cfg["R"] = [[["1/1", "0/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["-1/1", "0/1"]]]
+    calls.clear()
+    path = write_config(tmp_path, cfg, "bad.json")
+    assert main(["omega", "--config", path, "--g", "0", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "invalid datum: symplectic-order-1 failed: defect[1,2] = 2\n"
+    assert calls == ["validate_canonical", "check_symplectic"]
+
+
 def test_omega_airy_03(tmp_path):
     path = write_config(tmp_path, airy_config())
     out = tmp_path / "w.json"

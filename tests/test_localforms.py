@@ -18,6 +18,7 @@ from localrec.localforms import (
     FormContext,
     _dual_dlambda,
     a1_period,
+    diagonal_expansion_weights,
     hrp_check,
     one_point_form,
     ope_normalization_check,
@@ -325,3 +326,14 @@ def test_period_layer_bytes_pinned(name):
         rows.append(["period_pairing", k1, a, k2, b, value])
     text = dumps_canonical(rows)
     assert hashlib.sha256(text.encode()).hexdigest() == _PERIOD_DIGESTS[name]
+
+
+def test_diagonal_weights_are_built_once_and_read_only():
+    """The weights depend on the order alone: a second call returns the
+    same mapping, which cannot be written."""
+    w = diagonal_expansion_weights(2)
+    assert diagonal_expansion_weights(2) is w
+    assert (w[-2], w[-1]) == (4, 0) and sorted(w) == [-2, -1, 0, 1, 2]
+    with pytest.raises(TypeError):
+        w[0] = 1
+    assert diagonal_expansion_weights(0)[0] == w[0]

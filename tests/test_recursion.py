@@ -23,6 +23,8 @@ from localrec.recursion import (
     ConsistencyError,
     OmegaTable,
     TruncationOrderError,
+    _arrangements,
+    _orbit_symmetric,
     pole_bound,
     stable_entries,
     symmetry_check,
@@ -356,6 +358,39 @@ def _loop_symmetric(form, branches):
         for p in permutations(range(n))
         if tuple(branches[i] for i in p) == branches
     )
+
+
+def test_orbit_counts_each_block_under_its_own_windows():
+    """Two groups share the sorted exponents (1, 5): once on the block of
+    branch 1, whose slots have windows 3 and INF, where it has one
+    arrangement, and once on the open block of branch 2, where it has two.
+    The verdict and the kept terms equal the stabilizer loop's and those of
+    the count taken group by group, which a count kept by exponents alone
+    would not give."""
+    branches = (1, 1, 2, 2)
+    vs = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
+    hi = (3, INF, INF, INF)
+    symmetric = {(1, 5, 1, 1): 2, (1, 1, 1, 5): 3, (1, 1, 5, 1): 3}
+    verdicts = []
+    for nums in (
+        symmetric,
+        {**symmetric, (1, 1, 5, 1): 4},
+        {e: c for e, c in symmetric.items() if e != (1, 1, 5, 1)},
+    ):
+        form = MultiForm.from_numerators(vs, (1,) * 4, nums, 1, (-9,) * 4, hi)
+        groups = {}
+        for e, c in nums.items():
+            groups.setdefault(tuple(sorted(e[:2])) + tuple(sorted(e[2:])), []).append(c)
+        counted = all(
+            len(set(cs)) == 1
+            and len(cs) == _arrangements(key[:2], hi[:2]) * _arrangements(key[2:], hi[2:])
+            for key, cs in groups.items()
+        )
+        verdict, kept = _orbit_symmetric(form, branches)
+        assert verdict == counted == _loop_symmetric(form, branches)
+        assert kept == {e: c for e, c in nums.items() if e[0] <= e[1] and e[2] <= e[3]}
+        verdicts.append(verdict)
+    assert verdicts == [True, False, False]
 
 
 def _entry_perturbations(form):

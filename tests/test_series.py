@@ -664,65 +664,82 @@ def test_residue_of_product_refuses_like_the_residue(a, b, error):
 
 @st.composite
 def one_variable_factors(draw):
-    """Two factors in s alone, or the first and None, the constant 1 of
-    ``residue_half_loop`` without ``times``.  Each has a degree from -1 to 1,
-    one parity of exponent, a support bound, a window top that may be INF,
-    and one to five terms in the window.  Mostly the degrees sum to 1 and
-    the parities to odd, so that most pairs reach the residue."""
+    """Two factors that hold no slot but s, or the first and None, the
+    constant 1 of ``residue_half_loop`` without ``times``.  A factor in s has
+    a degree from -1 to 2, one parity of exponent, a support bound, a window
+    top that may be INF, and one to five terms in the window; a factor
+    without s is an exact constant, possibly zero.  Mostly the degrees sum
+    to 1 and the parities to odd, so that most pairs reach the residue; the
+    degrees may also sum to anything from -2 to 4."""
+    rats = st.sampled_from([1, -2, Fraction(1, 3), Fraction(-5, 6)])
 
     def factor(deg, parity):
+        if draw(st.sampled_from(range(8))) == 7:  # one in eight: without s, degree 0, even
+            return MultiForm((), (), {(): draw(st.sampled_from([0, 1, -2]))}, (), ())
         lo = draw(st.integers(-7, 0))
         hi = draw(st.sampled_from([INF, INF, INF, lo - 1, lo, lo + 3, lo + 6]))
         exps = [e for e in range(lo, min(hi, lo + 10) + 1) if e % 2 == parity]
         chosen = []
         if exps:
             chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=5, unique=True))
-        rats = st.sampled_from([1, -2, Fraction(1, 3), Fraction(-5, 6)])
         coeffs = {(e,): draw(rats) for e in chosen}
         return MultiForm((S,), (deg,), coeffs, (lo,), (hi,))
 
     if draw(st.integers(0, 4)) == 0:  # b the constant 1: degree 0, even
         db, pb, b = 0, 0, None
     else:
-        db, pb = draw(st.integers(-1, 1)), draw(st.integers(0, 1))
+        db, pb = draw(st.sampled_from([-1, 0, 1, 2])), draw(st.integers(0, 1))
         b = factor(db, pb)
-    da = 1 - db if draw(st.integers(0, 4)) else draw(st.integers(-1, 1))
+    da = 1 - db if draw(st.integers(0, 4)) else draw(st.sampled_from([-1, 0, 1, 2]))
     pa = 1 - pb if draw(st.integers(0, 2)) else pb
     return factor(da, pa), b
 
 
+def _slot_s(f):
+    """``(degree, support bound, window top, parity)`` of ``f`` in s; a form
+    without s is the exact constant there, of parity 0 (None for no terms)."""
+    if f is None or not f.vars:
+        return 0, 0, INF, 0 if f is None or f.nums else None
+    return f.degs[0], f.lo[0], f.hi[0], f.check_definite_parity(S) if f.nums else None
+
+
 @given(one_variable_factors())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_scalar_residue_keeps_the_residue_rules(factors):
-    """Two factors in v alone give one number, under the residue's rules in
-    their order: the degrees must sum to 1, the window must reach v^-1, and
-    the factors' parities must sum to odd.  The number is the slice taken
-    through a second slot, where ``a`` is multiplied by an exact constant."""
+    """Two factors holding no slot but s give one number, under the
+    residue's rules in their order: s must be a variable of the product, its
+    degree must lie in [-1, 2] and be 1, the window must reach s^-1, and
+    the factors' parities must sum to odd.  Every refusal is the one, with
+    the same text, of the slice taken through a second slot, where ``a`` is
+    multiplied by an exact constant in it, and the number is that slice."""
     a, b = factors
-    deg = a.degs[0] + (0 if b is None else b.degs[0])
-    ha, la = a.hi[0], a.lo[0]
-    hb, lb = (INF, 0) if b is None else (b.hi[0], b.lo[0])
+    (da, la, ha, pa), (db, lb, hb, pb) = _slot_s(a), _slot_s(b)
     top = min(INF if ha >= INF else ha + lb, INF if hb >= INF else hb + la)
-    parities = {a.check_definite_parity(S)} if a.nums else set()
-    if b is None or b.nums:
-        parities.add(0 if b is None else b.check_definite_parity(S))
     lifted = a * laurent(Var("t", 1), {0: 3})
+
+    def outcome(f):
+        try:
+            return f.residue_half_loop(S) if b is None else f.residue_half_loop(S, times=b)
+        except SeriesError as exc:
+            return type(exc), str(exc)
+
     error = (
-        DegreeError if deg != 1
+        DegreeError if S not in a.vars + (() if b is None else b.vars) or da + db != 1
         else WindowError if top < -1
-        else MonodromyError if len(parities) == 1 and a.nums and (b is None or b.nums)
+        else MonodromyError if None not in (pa, pb) and (pa + pb) % 2 == 0
         else None
     )
+    got, through = outcome(a), outcome(lifted)
     if error is not None:
-        for f in (a, lifted):
-            with pytest.raises(error):
-                f.residue_half_loop(S, times=b)
+        assert got[0] is error and got == through
+        if not -1 <= da + db <= 2:
+            assert got[1] == f"resulting form degree {da + db} outside [-1, 2]"
         return
-    got = a.residue_half_loop(S, times=b)
-    bc = {(0,): 1} if b is None else b.coeffs
-    want = sum((c * bc.get((-1 - e[0],), 0) for e, c in a.coeffs.items()), Fraction(0)) / 2
+    bc = {(0,): 1} if b is None else {e or (0,): c for e, c in b.coeffs.items()}
+    ac = {e or (0,): c for e, c in a.coeffs.items()}
+    want = sum((c * bc.get((-1 - e[0],), 0) for e, c in ac.items()), Fraction(0)) / 2
     assert got.vars == () and got.coefficient(()) == want
-    assert lifted.residue_half_loop(S, times=b).coefficient((0,)) == 3 * want
+    assert through.coefficient((0,)) == 3 * want
 
 
 @pytest.mark.parametrize(
