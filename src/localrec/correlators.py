@@ -14,13 +14,13 @@ tensor of correlators, indexed by insertion tuples in every slot order.  So
 its inverse is slotwise too.  At the leading exponents e = -2k' - 2 with
 0 <= k' <= 3g - 3 + n one slot's map is the matrix
 A[(j, k'), (k, a)] = W_j(k, a; -2k' - 2), block upper triangular in k with
-the invertible diagonal blocks -2 (2k+1)!! psi[a][j].  So its inverse
-through k' = K is the leading principal block of any larger inverse: the
-context keeps the largest built so far and inverts anew only for a larger K,
-when the entry that first needs the new weights reads them.  The solve
-contracts the stored coefficients at the leading exponents against the
-inverse in every slot: one ``_mode_products`` call on integer numerators,
-kept at sorted insertion tuples only.
+the invertible diagonal blocks -2 (2k+1)!! psi[a][j], so it is invertible.
+The context keeps its inverse through k' = K once per K, as integers over
+one denominator (``_slot_image``), built when the first entry with
+3g - 3 + n = K reads it.  The solve contracts the stored coefficients at
+the leading exponents against the inverse in every slot: one
+``_mode_products`` call on integer numerators, kept at sorted insertion
+tuples only.
 
 The tensor of correlators is symmetric, so a contraction of it reads sorted
 keys alone, each standing for all its slot orders, and a slot draws each
@@ -221,10 +221,21 @@ def _mode_products(tensor: dict, maps, ties=(), symmetric=False) -> dict:
     return tensor
 
 
-def _slot_inverse(ctx: FormContext) -> dict:
-    """The context's largest inverse of the slot map built so far, filled
-    by :func:`extract_correlators`: row (j, k') -> {(k, a): entry}."""
-    return {}
+def _slot_image(ctx: FormContext, kslot: int) -> tuple[int, dict]:
+    """The inverse of the slot map through psi power ``kslot``, as integers
+    over one denominator: ``(den, {(j, k'): {(k, a): numerator}})``.
+
+    The map's rows are (j, k') at exponent -2k' - 2 and its columns (k, a)."""
+    flat = range(1, ctx.data.n + 1)
+    cols = list(product(range(kslot + 1), flat))
+    rows = list(product(flat, range(kslot + 1)))
+    w = {(j, ka): ctx.memo(insertion_weight, j, *ka, Var("w", j)) for j in flat for ka in cols}
+    full = mat_inv([[w[j, ka].coefficient((-2 * k - 2,)) for ka in cols] for j, k in rows])
+    den = lcm(*(c.denominator for row in full for c in row))
+    return den, {
+        r: {ka: c.numerator * (den // c.denominator) for ka, c in zip(cols, col) if c}
+        for r, col in zip(rows, zip(*full))
+    }
 
 
 def extract_correlators(
@@ -251,26 +262,7 @@ def extract_correlators(
     def weight(j: int, ka: Insertion) -> MultiForm:
         return ctx.memo(insertion_weight, j, *ka, Var("w", j))
 
-    # the slot map, rows (j, k') at exponent -2k' - 2 and columns (k, a), is
-    # block upper triangular in k, so its inverse through kslot is the block
-    # k, k' <= kslot of any larger one; as integers over one denominator
-    cols = list(product(range(kslot + 1), flat))
-    inverse = ctx.memo(_slot_inverse)
-    if (flat[0], kslot) not in inverse:  # the held inverse stops below kslot
-        rows = list(product(flat, range(kslot + 1)))
-        full = mat_inv(
-            [[weight(j, ka).coefficient((-2 * k - 2,)) for ka in cols] for j, k in rows]
-        )
-        inverse.update(
-            (r, {ka: c for ka, c in zip(cols, col) if c})
-            for r, col in zip(rows, zip(*full))
-        )
-    block = {r: col for r, col in inverse.items() if r[1] <= kslot}
-    iden = lcm(*(c.denominator for col in block.values() for c in col.values()))
-    image = {
-        r: {ka: c.numerator * (iden // c.denominator) for ka, c in col.items()}
-        for r, col in block.items()
-    }
+    iden, image = ctx.memo(_slot_image, kslot)
 
     # every ordered branch tuple reads the stored entry of its sorted tuple
     # through the slot permutation of OmegaTable.omega
@@ -342,6 +334,7 @@ def extract_correlators(
             f"nonzero correlator {bad} beyond the tameness bound: {values[bad]}"
         )
     # the tame sorted insertion tuples in order: (tuple, degree, last column)
+    cols = list(product(range(kslot + 1), flat))
     tame = [((), 0, 0)]
     for _ in range(n):
         tame = [

@@ -65,7 +65,7 @@ The twin rule: the orbit of the splitting ``(g - g1, ~mask, m - c)``, with m
 the number of tied legs, is the orbit of ``(g1, mask, c)`` with the two
 factors swapped, so the bracket holds one piece per unordered splitting,
 from the twin that sorts lower, with multiplicity 2.  The doubling is exact.
-Multiplication is commutative, each factor is capped at ``ycap`` minus the
+Multiplication is commutative, each factor is capped at ``YCAP`` minus the
 *other* factor's support bound, and a piece's bound is ``lo(f1) + lo(f2)``.
 So the piece of multiplicity 2 has the window and the coefficients of the
 two twins' sum, and the kernel depth and the cap (which depend only on the
@@ -77,52 +77,56 @@ and that splitting sorts below its twin for every stable entry, so neither
 is built.
 
 The cap rule: only the y^-1 slice of ``kernel * bracket`` is read, and every
-kernel term sits at or above the kernel's support bound lo_K in y, so no
-bracket term above ``ycap = -1 - lo_K`` reaches that slice.  The bracket is
-handed to :func:`capped_slice` as a list of pieces, ``(m, f1, f2)`` for
-``m * f1 * f2`` and ``(m, f, None)`` for ``m * f``, and the loop child.  The
-kernel's pole depth follows from their support bounds in y, so it is fetched
-before the bracket is built.  The cap is a filter: ``series.capped_sum_of_products``
-caps f1 at ``ycap - lo(f2)``, f2 at ``ycap - lo(f1)`` and a single form at
-ycap, by shrinking their windows and dropping their terms above the caps,
-and sums the bracket in one accumulator.  A product term at y <= ycap only
-combines leg terms inside those caps, so every coefficient the residue
-reads is unchanged.  The loop piece is P_0 in y for the (1, 1) entry and
-otherwise the loop child merged onto y, built only up to the cap: its
-support bound ``lo(ya) + lo(yb)`` joins the pieces' in the kernel depth,
-and once the kernel is fetched ``merge_diagonal`` merges the child with
-``top = ycap``, capping the merged window there and skipping every term
+kernel term sits at or above the kernel's support bound in y, so no bracket
+term above minus one minus that bound reaches the slice.  The bound is a
+constant of the construction: the kernel is the period numerator, whose zero
+piece holds its support bound in y at 0, over the one-point form, which
+leads with y^2, so it is -2, and the cap is ``YCAP = 1``.  The constraint
+weight is built the same way and has the same bound.  :func:`capped_slice`
+checks it on every weight it fetches: another bound is a
+``ConsistencyError`` naming the entry.  The bracket is handed to
+:func:`capped_slice` as a list of pieces, ``(m, f1, f2)`` for
+``m * f1 * f2`` and ``(m, f, None)`` for ``m * f``, and the kernel's pole
+depth follows from their support bounds in y.  The cap is a filter:
+``series.capped_sum_of_products`` caps f1 at ``YCAP - lo(f2)``, f2 at
+``YCAP - lo(f1)`` and a single form at YCAP, by shrinking their windows and
+dropping their terms above the caps, and sums the bracket in one
+accumulator.  A product term at y <= YCAP only combines leg terms inside
+those caps, so every coefficient the residue reads is unchanged.  The loop
+piece leads the pieces, ``(1, f, None)``: P_0 in y for the (1, 1) entry,
+and otherwise the loop child merged onto y by ``merge_diagonal`` with
+``top = YCAP``, which caps the merged window there and skips every term
 above it, and every term the tied block drops (the bracket pairs only the
-merged terms non-decreasing on the tied legs).  A merged term at y <= ycap
-combines only terms at ``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``,
-so the merge to the cap gives what capping both slots before the merge
-would.  Capping only narrows
-a certified window: the residue still refuses when y^-1 is not certified,
-and the windows of the other slots stay those of the full bracket.  The
-residue is ``series.residue_slice``, which forms only the y^-1 slice of
-``kernel * bracket`` and checks single valuedness on the two factors: the
-kernel and the capped bracket must each have a definite reflection parity
-in y, of odd sum, so every bracket term up to the cap is checked whether
-the slice reads it or not.  The terms above the cap are covered by the
-context memo, which checks every form it stores (the seeds, the kernel, the
-weights) for a definite reflection parity on its full window, and by
-``_finalize``, which checks every entry.
+merged terms non-decreasing on the tied legs).  The merge rule gives the
+merged piece the support bound ``lo(ya) + lo(yb)``, so the kernel depth is
+that of the unmerged child.  A merged term at y <= YCAP combines only terms
+at ``ya <= YCAP - lo(yb)`` and ``yb <= YCAP - lo(ya)``, so the merge to the
+cap gives what capping both slots before the merge would.  Capping only
+narrows a certified window: the residue still refuses when y^-1 is not
+certified, and the windows of the other slots stay those of the full
+bracket.  The residue is ``series.residue_slice``, which forms only the
+y^-1 slice of ``kernel * bracket`` and checks single valuedness on the two
+factors: the kernel and the capped bracket must each have a definite
+reflection parity in y, of odd sum, so every bracket term up to the cap is
+checked whether the slice reads it or not.  The terms above the cap are
+covered by the context memo, which checks every form it stores (the seeds,
+the kernel, the weights) for a definite reflection parity on its full
+window, and by ``_finalize``, which checks every entry.
 
 The loop child's cap: a loop child that is stored is read in place.  One
 that is not, met by a request to a cold table, is built only as far as its
 merge reads (``correlators`` and ``check`` fill the table in complexity
-order, so there every child is stored before its parent).  The order:
-* the pieces come first: their factors are stored entries, built in full;
-* then the kernel, whose depth takes each loop leg's support bound to be
-  ``-pole_bound(g - 1, n + 1)``, the bound ``_finalize`` raises every
-  slot of a (g - 1, n + 1) entry to;
-* then the caps, ``ya <= ycap - lo(yb)`` and ``yb <= ycap - lo(ya)``, which
-  keep every term at ``ya + yb <= ycap``, so the merged piece and its
-  window, ``min(hi_a + lo_b, hi_b + lo_a, ycap)``, are unchanged;
-* then the child, built to its caps and kept apart from the store, under
-  (g, sorted branches, the cap of each slot) in ``OmegaTable._capped``;
-* last, its support bounds in ya and yb are checked against the assumed
-  one: a mismatch is a ``ConsistencyError`` naming the entry.
+order, so there every child is stored before its parent).  Its caps are
+known before anything is built: ``_finalize`` raises every slot of a
+(g - 1, n + 1) entry to the support bound ``-p``, with
+``p = pole_bound(g - 1, n + 1)``, so ``ya <= YCAP - lo(yb)`` and
+``yb <= YCAP - lo(ya)`` are both ``YCAP + p``.  They keep every term at
+``ya + yb <= YCAP``, so the merged piece and its window,
+``min(hi_a + lo_b, hi_b + lo_a, YCAP)``, are unchanged.  The child is built
+to its caps and kept apart from the store, under (g, sorted branches, the
+cap of each slot) in ``OmegaTable._capped``; then its support bounds in ya
+and yb are checked to be -p, and a mismatch is a ``ConsistencyError``
+naming the entry.
 A capped entry is the full entry restricted to its caps.  A cap on the
 pivot filters the kernel's x0 terms; a cap on a rest leg filters the terms
 of the one factor that holds the leg (``series._cut_terms``) and passes
@@ -202,58 +206,48 @@ def pole_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 2 + n)
 
 
-def _kernel_depth(y: Var, p: int, pieces, loop_lo: int | None = None) -> int:
-    """The kernel's pole depth kmax for the bracket of ``pieces`` and, unless
-    ``loop_lo`` is None, a loop piece of support bound ``loop_lo`` in y, in
-    an entry of pole bound ``p``."""
+#: The cap of every residue bracket in y: the recursion kernel and the
+#: constraint weight have support bound ``-1 - YCAP`` in y (the cap rule in
+#: the module docstring).
+YCAP = 1
+
+
+def _kernel_depth(y: Var, p: int, pieces) -> int:
+    """The kernel's pole depth kmax for the bracket of ``pieces`` in an entry
+    of pole bound ``p``."""
     bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
-    if loop_lo is not None:
-        bounds.append(loop_lo)
     return max(-min(bounds) // 2, (p - 2) // 2, 0)
 
 
-def capped_slice(y: Var, p: int, pieces, weight, loop=None, tied=()) -> RawForm:
-    """``Res_y weight * bracket``, with the bracket built only up to the cap,
-    not normalized.
+def capped_slice(y: Var, p: int, pieces, weight, tied=()) -> RawForm:
+    """``Res_y weight * bracket``, with the bracket built only up to
+    ``y <= YCAP``, not normalized.
 
     The bracket is the sum of the ``pieces``, each ``(m, f1, f2)`` for
     ``m * f1 * f2`` or ``(m, f, None)`` for ``m * f``
     (:func:`series.capped_sum_of_products`).  The kernel depth kmax follows
     from the bracket's support bound in y and the pole bound ``p`` of the
-    entry; ``weight(kmax)`` fetches the residue weight.  Every coefficient
-    the residue reads is that of the full bracket (the cap rule in the
-    module docstring), and only the y^-1 slice of the product is formed.
-
-    ``loop`` is None or ``(child, ya, yb)``: then the bracket holds, before
-    the pieces, the loop piece ``child`` merged from ``ya`` and ``yb`` onto
-    y.  Its support bound in y, ``lo(ya) + lo(yb)``, joins the pieces' in
-    the kernel depth, and it is merged only up to the cap once the kernel
-    is fetched.  With ``tied`` (the tie rule in the module docstring), each
+    entry; ``weight(kmax)`` fetches the residue weight, whose support bound
+    in y must be ``-1 - YCAP`` (else a ``ConsistencyError``).  Every
+    coefficient the residue reads is that of the full bracket (the cap rule
+    in the module docstring), and only the y^-1 slice of the product is
+    formed.  With ``tied`` (the tie rule in the module docstring), each
     piece stands for its orbit over the tied slots, the bracket and its
-    residue are block-sorted, only the loop child's terms non-decreasing on
-    the tied slots are merged, and the residue is written out in full.
+    residue are block-sorted, and the residue is written out in full.
     """
-    loop_lo = None
-    if loop is not None:
-        child, ya, yb = loop
-        loop_lo = child.lo_of(ya) + child.lo_of(yb)
-    w = weight(_kernel_depth(y, p, pieces, loop_lo))
-    top = -1 - w.lo_of(y)
-    if loop is not None:
-        pieces = [(1, child.merge_diagonal(ya, yb, y, top, tied), None)] + pieces
-    raw = residue_slice(w, capped_sum_of_products(pieces, y, top, tied), y)
+    w = weight(_kernel_depth(y, p, pieces))
+    if w.lo_of(y) != -1 - YCAP:
+        raise ConsistencyError(
+            f"residue weight has support bound {w.lo_of(y)} in {y.name}, "
+            f"the cap rule needs {-1 - YCAP}"
+        )
+    raw = residue_slice(w, capped_sum_of_products(pieces, y, YCAP, tied), y)
     return expand_tied(raw, tied) if tied else raw
 
 
 def stable_entries(bound: int) -> list[tuple[int, int]]:
     """All stable (g, n) with 2g - 2 + n <= bound, ordered by complexity."""
-    out = []
-    for c in range(1, bound + 1):
-        for g in range(0, (c + 1) // 2 + 1):
-            n = c + 2 - 2 * g
-            if n >= 1 and 2 * g - 2 + n == c:
-                out.append((g, n))
-    return out
+    return [(g, c + 2 - 2 * g) for c in range(1, bound + 1) for g in range((c + 1) // 2 + 1)]
 
 
 @dataclass
@@ -290,13 +284,36 @@ class OmegaTable:
         branches = tuple(branches)
         if vars is None:
             vars = tuple(Var(f"x{i}", b) for i, b in enumerate(branches))
-        stored, names = self._stored(g, branches, vars)
-        return stored.rename({f"x{slot}": v for slot, v in enumerate(names)})
+        key, names = self._key(g, branches, vars)
+        return self._stored(key).rename({f"x{slot}": v for slot, v in enumerate(names)})
 
-    def _child(self, g: int, branches, vars) -> MultiForm:
-        """The stored entry read in place, its slots named by ``vars``
-        (``series._relabelled``): no term is copied."""
-        return _relabelled(*self._stored(g, tuple(branches), vars))
+    def _child(self, g: int, branches, vars, caps, loop_cap=None) -> MultiForm:
+        """The entry (g, branches) with slots named ``vars``, cut at the
+        ``caps`` of its legs.
+
+        A stored entry, or a factor (``loop_cap`` None), stored first when
+        it is not, is read in place (``series._relabelled``): no term is
+        copied.  A loop child that is not stored, its loop legs ``vars[0]``
+        and ``vars[1]``, is built only up to ``loop_cap`` on them and the
+        caps of its other legs, once per caps, and kept apart from the store
+        in ``_capped`` (the loop child's cap in the module docstring): the
+        operand is exact up to the caps and has the full entry's windows.
+        """
+        key, names = self._key(g, tuple(branches), vars)
+        if loop_cap is None or key in self._store:
+            return _cut_terms(_relabelled(self._stored(key), names), caps)
+        leg_caps = {**caps, vars[0]: loop_cap, vars[1]: loop_cap}
+        ckey = (*key, tuple(leg_caps.get(v) for v in names))
+        if ckey not in self._capped:
+            f = self._build(*ckey)
+            # every term of the build lies within the caps: only the windows narrow
+            cut = tuple(h if c is None else min(h, c) for h, c in zip(f.hi, ckey[2]))
+            self._capped[ckey] = (
+                MultiForm.from_numerators(f.vars, f.degs, f.nums, f.den, f.lo, cut),
+                f.hi,
+            )
+        form, hi = self._capped[ckey]
+        return _relabelled(form, names, hi)
 
     def _key(self, g: int, branches: tuple, vars) -> tuple[tuple, tuple]:
         """The store key of the entry for ``branches`` and the name of each
@@ -312,13 +329,11 @@ class OmegaTable:
         order = sorted(range(n), key=lambda i: branches[i])
         return (g, tuple(branches[i] for i in order)), tuple(vars[i] for i in order)
 
-    def _stored(self, g: int, branches: tuple, vars) -> tuple[MultiForm, tuple]:
-        """The stored entry for ``branches``, computed on a miss, and the name
-        of each of its slots (:meth:`_key`)."""
-        key, names = self._key(g, branches, vars)
+    def _stored(self, key: tuple) -> MultiForm:
+        """The stored entry under ``key`` (:meth:`_key`), computed on a miss."""
         if key not in self._store:
             self._store[key] = self._compute(*key)
-        return self._store[key], names
+        return self._store[key]
 
     def orbit_symmetric(self, g: int, branches: tuple[int, ...]) -> bool:
         """The orbit verdict of :func:`symmetry_check` on the stored entry at
@@ -351,17 +366,18 @@ class OmegaTable:
             return _cut_terms(_relabelled(seed, (xs[m], y)), caps)  # slots (a, b)
         sub_branches = (j,) + tuple(branches[m] for m in positions)
         sub_vars = (y,) + tuple(xs[m] for m in positions)
-        return _cut_terms(self._child(g1, sub_branches, sub_vars), caps)
+        return self._child(g1, sub_branches, sub_vars, caps)
 
     def _bracket(self, g: int, branches, xs, j: int, y: Var, caps):
         """The pieces of the bracket for :func:`capped_slice` and its tied
         slots, each factor cut at the ``caps`` of its legs.
 
         In the (1, 1) entry the loop piece P_0 in y leads the pieces; the
-        loop child of any other entry of genus g >= 1 is the caller's
-        (:meth:`_loop_child`).  The tied slots are the trailing legs at the
-        largest branch that carry no cap, when there are two or more, else
-        none; a capped leg sorts before every uncapped one at its branch.
+        merged loop child of any other entry of genus g >= 1 is the
+        caller's (:meth:`_residue_at`).  The tied slots are the trailing
+        legs at the largest branch that carry no cap, when there are two or
+        more, else none; a capped leg sorts before every uncapped one at its
+        branch.
         Then one product piece per unordered splitting ``(g1, mask, c)``,
         each factor with a leg at y: the left factor takes genus g1, the
         untied legs in ``mask`` and the first c tied legs, and the piece
@@ -399,72 +415,36 @@ class OmegaTable:
                     ))
         return pieces, tuple(xs[p] for p in tied)
 
-    def _loop_child(self, g: int, branches, vars, caps, cap) -> MultiForm:
-        """The loop child (g, branches) with slots named ``vars``, the loop
-        legs first, cut at the ``caps`` of its other legs.
-
-        A stored child is read in place.  Otherwise ``cap()`` gives the cap
-        of the two loop legs, and the child is built only up to the caps
-        (:meth:`_capped_entry`): the operand is exact up to them and has the
-        full entry's windows.
-        """
-        key, names = self._key(g, branches, vars)
-        if key in self._store:
-            return _cut_terms(_relabelled(self._store[key], names), caps)
-        c = cap()
-        leg_caps = {**caps, vars[0]: c, vars[1]: c}
-        form, hi = self._capped_entry(*key, tuple(leg_caps.get(v) for v in names))
-        return _relabelled(form, names, hi)
-
-    def _capped_entry(self, g: int, branches: tuple, caps: tuple) -> tuple[MultiForm, tuple]:
-        """The entry at the sorted ``branches`` cut at ``caps``, one per slot
-        (None for no cap), built once, and the full entry's windows."""
-        key = (g, branches, caps)
-        hit = self._capped.get(key)
-        if hit is None:
-            f = self._build(g, branches, caps)
-            # every term of the build lies within the caps: only the windows narrow
-            cut = tuple(h if c is None else min(h, c) for h, c in zip(f.hi, caps))
-            hit = self._capped[key] = (
-                MultiForm.from_numerators(f.vars, f.degs, f.nums, f.den, f.lo, cut),
-                f.hi,
-            )
-        return hit
-
     def _residue_at(self, g, rest, xs, x0, j0, j, caps) -> RawForm:
         """The residue at branch j of the entry ``(g, (j0,) + rest)``, exact up
         to ``caps`` (the cap of each capped slot, by variable).
 
-        The loop child, when it is not stored, is built after the kernel,
-        whose depth takes each loop leg's support bound to be minus the
-        child's pole bound; the child's own bounds are then checked against
-        it (the loop child's cap in the module docstring)."""
+        The loop child, with p its pole bound, has its legs ya and yb capped
+        at ``YCAP + p`` before it is built; its support bounds in them are
+        then checked to be -p, and it is merged onto y up to ``YCAP``, the
+        first of the pieces (the loop child's cap in the module docstring)."""
         y = Var("y", j)
-        p = pole_bound(g, len(rest) + 1)
         pieces, tied = self._bracket(g, rest, xs, j, y, caps)
 
         def weight(kmax):
             return _cut_terms(self.ctx.memo(recursion_kernel, j0, j, x0, y, kmax), caps)
 
-        loop = None
+        child = None
         if g >= 1 and (g, len(rest)) != (1, 0):
             ya, yb = Var("ya", j), Var("yb", j)
-            legs, names = (j, j) + tuple(rest), (ya, yb) + tuple(xs)
-            lo = -pole_bound(g - 1, len(legs))
-
-            def cap():  # ya <= ycap - lo(yb) and yb <= ycap - lo(ya)
-                return -1 - weight(_kernel_depth(y, p, pieces, 2 * lo)).lo_of(y) - lo
-
-            loop = (self._loop_child(g - 1, legs, names, caps, cap), ya, yb)
+            legs = (j, j) + tuple(rest)
+            p = pole_bound(g - 1, len(legs))
+            child = self._child(g - 1, legs, (ya, yb) + tuple(xs), caps, YCAP + p)
         try:
-            if loop is not None:
-                bounds = (loop[0].lo_of(ya), loop[0].lo_of(yb))
-                if bounds != (lo, lo):
+            if child is not None:
+                bounds = (child.lo_of(ya), child.lo_of(yb))
+                if bounds != (-p, -p):
                     raise ConsistencyError(
                         f"loop child ({g - 1},{tuple(sorted(legs))}) has support "
-                        f"bounds {bounds} in ya, yb, assumed {lo}"
+                        f"bounds {bounds} in ya, yb, assumed {-p}"
                     )
-            return capped_slice(y, p, pieces, weight, loop, tied)
+                pieces.insert(0, (1, child.merge_diagonal(ya, yb, y, YCAP, tied), None))
+            return capped_slice(y, pole_bound(g, len(rest) + 1), pieces, weight, tied)
         except ConsistencyError as exc:
             raise ConsistencyError(f"({g},{(j0,) + tuple(rest)}) entry: {exc}") from None
 

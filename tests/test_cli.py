@@ -715,6 +715,32 @@ def test_loop_child_support_bound_other_than_assumed_is_an_internal_failure(
     )
 
 
+def test_residue_weight_of_another_support_bound_is_an_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    """Every residue caps its bracket at ``YCAP``, which holds only while the
+    kernel has support bound ``-1 - YCAP`` in y.  A kernel planted with a
+    deeper one ends the run with exit 3 and one line naming the entry being
+    built and both bounds."""
+    from localrec import recursion
+    from localrec.series import MultiForm
+
+    kernel = recursion.recursion_kernel
+
+    def planted(ctx, i, j, rv, sv, kmax):
+        w = kernel(ctx, i, j, rv, sv, kmax)
+        lo = [x - 2 if v == sv else x for v, x in zip(w.vars, w.lo)]
+        return MultiForm.from_numerators(w.vars, w.degs, w.nums, w.den, lo, w.hi)
+
+    monkeypatch.setattr(recursion, "recursion_kernel", planted)
+    path = write_config(tmp_path, pair_config(seed=5, order=6))
+    assert main(["omega", "--g", "1", "--n", "2", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: (1,(1,)) entry: residue weight has "
+        "support bound -4 in y, the cap rule needs -2\n"
+    )
+
+
 def test_order_rule_shortfall_is_an_internal_failure(tmp_path, capsys, monkeypatch):
     """An order rule that admits one order too few leaves an entry's window
     short in ``_finalize``: the rule and the windows disagree, a fault of the

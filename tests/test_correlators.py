@@ -379,8 +379,9 @@ def test_symmetric_mode_products_are_the_expanded_contraction(case):
 
 
 def test_slot_inverse_is_built_once_per_new_largest_psi_power(monkeypatch):
-    # exact Airy at bound 6 asks for psi powers 0..8 over 18 entries; each
-    # smaller one is a leading principal block of the largest built so far
+    # exact Airy at bound 6 asks for psi powers 0..8 over 18 entries; the
+    # inverse through each is built once, and extract_all meets them in
+    # increasing order
     builds = []
     real = correlators.mat_inv
 

@@ -3,12 +3,12 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from localrec.cli import RunConfig
-from localrec.correlators import extract_correlators
+from localrec.correlators import _constraint_weight, extract_correlators
 from localrec.frobenius import (
     CanonicalData,
     RMatrix,
@@ -17,9 +17,10 @@ from localrec.frobenius import (
     random_symplectic_r,
 )
 from localrec.linalg import identity, zeros
-from localrec.localforms import FormContext
+from localrec.localforms import FormContext, recursion_kernel
 from localrec.serialize import dumps_canonical, form_to_json
 from localrec.recursion import (
+    YCAP,
     ConsistencyError,
     OmegaTable,
     TruncationOrderError,
@@ -636,3 +637,50 @@ def test_loop_children_of_omega_1_3_are_built_capped():
     capped = [f for (g, b, _), (f, _) in t._capped.items() if (g, len(b)) == (0, 4)]
     assert not any((g, len(b)) == (0, 4) for g, b in t._store)
     assert len(capped) >= 5 and sum(len(f.nums) for f in capped) < full == 16432
+
+
+@pytest.mark.parametrize("name", list(_STORE_DIGESTS))
+def test_residue_weights_have_the_constant_support_bound(name):
+    """The cap rule's constant: the recursion kernel and the constraint
+    weight are the period numerator, of support bound 0 in y, over the
+    one-point form, which leads with y^2, so each has support bound
+    ``-1 - YCAP`` in y at every depth and branch pair."""
+    ctx = _pinned_table(name).ctx
+    for i, j in product(range(1, ctx.data.n + 1), repeat=2):
+        x, y = Var("x0", i), Var("y", j)
+        for kmax in range(5):
+            assert recursion_kernel(ctx, i, j, x, y, kmax).lo_of(y) == -1 - YCAP
+            assert _constraint_weight(ctx, i, j, x, y, kmax).lo_of(y) == -1 - YCAP
+
+
+# sha256 of the sorted reprs of the ``OmegaTable._capped`` keys after a cold
+# request, recorded when each loop child's cap was read off the kernel
+_CAPPED_KEY_DIGESTS = {
+    # pair-b3-omega's datum and R at workload seed 7: omega(1, ·)
+    "decoupled-N2-L10-b3-omega13": (
+        9, "4dc4f44ef2e2f58bc3b0f52d4ac61848c478ba0614d6fe33677d7286386cec22"
+    ),
+    # the rotated pair at R seed 11, L=12, bound 4: omega(2, ·)
+    "rotated-N2-L12-b4-omega22": (
+        21, "c20c8722962d9145b98234536c1d829dc1f23416b843f56210620c471f2b016a"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CAPPED_KEY_DIGESTS))
+def test_loop_child_caps_are_the_ones_the_kernel_gave(name):
+    """Every loop child a cold request builds capped, with the cap of each
+    slot: the closed form ``YCAP + pole_bound(g - 1, n + 1)`` gives the keys
+    the kernel's support bound gave."""
+    if name.startswith("decoupled"):
+        ctx = FormContext(decoupled_datum([0, 1]), random_symplectic_r(2, 10, 702))
+        t, g, n = OmegaTable(ctx, bound=3), 1, 3
+    else:
+        ctx = FormContext(ROTATED_PAIR, random_symplectic_r(2, 12, 11))
+        t, g, n = OmegaTable(ctx, bound=4), 2, 2
+    for branches in combinations_with_replacement((1, 2), n):
+        t.omega(g, branches)
+    keys = "\n".join(sorted(map(repr, t._capped)))
+    assert (len(t._capped), hashlib.sha256(keys.encode()).hexdigest()) == (
+        _CAPPED_KEY_DIGESTS[name]
+    )
