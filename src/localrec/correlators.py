@@ -28,15 +28,18 @@ distinct index of the multiset not yet mapped once (the symmetric-tensor
 contraction of Schatz, Low, van de Geijn and Kolda, SIAM J. Sci. Comput. 36,
 2014).  The solve's input, the stored coefficients keyed by (branch, k') per
 slot, is symmetric too when every slot's window reaches -2, so every read is
-certified, and every entry with a repeated branch passes the orbit verdict
-of ``recursion.symmetry_check``: then only the block-sorted exponents of the
+certified, and every entry passes the orbit verdict of
+``recursion.symmetry_check``: then only the block-sorted exponents of the
 sorted branch tuples are read.  They are the terms that the verdict's own
-pass over the entry keeps (``OmegaTable.block_sorted``), non-decreasing in
-the exponents, so non-increasing in k' on each block; sorted, each key
-holds the numerator of the arrangement it was read at, which the passing
-verdict makes that of every arrangement.  Otherwise every ordered branch
-tuple reads the stored entry of its sorted tuple through the slot
-permutation.
+pass over the entry keeps (``OmegaTable.block_sorted``; every term of an
+entry without a repeated branch), non-decreasing in the exponents, so
+non-increasing in k' on each block; sorted, each key holds the numerator of
+the arrangement it was read at, which the passing verdict makes that of
+every arrangement.  Otherwise every ordered branch tuple is read once,
+through ``OmegaTable.omega``, and keyed in its own slot order.  Only data
+that then fail take that path: a table that passes the order rule has
+every window at or above its ``hi_target`` >= 0, and its orbit verdicts
+hold by the tie rule of ``recursion``.
 
 Keys past the tameness bound (total degree above 3g - 3 + n) must come out
 zero.  A nonzero one is named by the first key in the order (total degree
@@ -246,10 +249,10 @@ def extract_correlators(
     The stored coefficients at the leading exponents are mapped to
     correlators slot by slot by the leading block of the context's slot
     inverse, read as a symmetric tensor where every read is certified and
-    every entry symmetric, and in every branch order otherwise (module
-    docstring).  Keys beyond the tameness bound must come out zero, and the
-    fully reassembled expansion must match the computed table entry on its
-    certified window; both are hard errors otherwise.
+    every entry symmetric, and at every ordered branch tuple otherwise
+    (module docstring).  Keys beyond the tameness bound must come out zero,
+    and the fully reassembled expansion must match the computed table entry
+    on its certified window; both are hard errors otherwise.
     """
     ctx = table.ctx
     flat = range(1, ctx.data.n + 1)
@@ -264,43 +267,30 @@ def extract_correlators(
 
     iden, image = ctx.memo(_slot_image, kslot)
 
-    # every ordered branch tuple reads the stored entry of its sorted tuple
-    # through the slot permutation of OmegaTable.omega
     forms = {jv: table.omega(g, jv) for jv in combinations_with_replacement(flat, n)}
-    reads = [
-        (tuple(sorted(jv)), tuple(sorted(range(n), key=jv.__getitem__)))
-        for jv in product(flat, repeat=n)
-    ]
     # the stored numerators at the leading exponents, keyed by (branch, k')
     # per slot, over one denominator
     depth = {-2 * k - 2: k for k in range(kslot + 1)}
     sden = lcm(*(f.den for f in forms.values()))
     floor = min(min(f.hi) for f in forms.values())  # every slot certified up to here
     # certified reads of entries symmetric over equal-branch slots: the
-    # block-sorted keys stand for the ordered tensor (module docstring)
-    symmetric = floor >= -2 and all(
-        len(set(jv)) == n or table.orbit_symmetric(g, jv) for jv in forms
-    )
-    stored = {}
+    # block-sorted terms of the sorted tuples, kept with each verdict, stand
+    # for the ordered tensor (module docstring); otherwise, on data that then
+    # fail, every ordered branch tuple is read through OmegaTable.omega
+    symmetric = floor >= -2 and all(table.orbit_symmetric(g, jv) for jv in forms)
     if symmetric:
-        # the block-sorted terms, kept with each verdict, have non-decreasing
-        # exponents, so non-increasing k' on a block: sorted, the key holds
-        # the numerator of its own arrangement under the passing verdict
-        for jv, f in forms.items():
-            terms = f.nums if len(set(jv)) == n else table.block_sorted(g, jv)
-            for e, c in terms.items():
-                if None not in (ks := tuple(map(depth.get, e))):
-                    stored[tuple(sorted(zip(jv, ks)))] = c * (sden // f.den)
+        entries = [(jv, table.block_sorted(g, jv), f.den) for jv, f in forms.items()]
     else:
-        leading = {jv: [] for jv in forms}
-        for jv, f in forms.items():
-            for e, c in f.nums.items():
-                if None not in (ks := tuple(map(depth.get, e))):
-                    leading[jv].append((tuple(zip(jv, ks)), c * (sden // f.den)))
-        for jv, o in reads:
-            back = sorted(range(n), key=o.__getitem__)  # the stored slot each slot reads
-            for key, c in leading[jv]:
-                stored[tuple(key[t] for t in back)] = c
+        ordered = {jv: table.omega(g, jv) for jv in product(flat, repeat=n)}
+        entries = [(jv, f.nums, f.den) for jv, f in ordered.items()]
+    stored = {}
+    for jv, terms, den in entries:
+        for e, c in terms.items():
+            if None not in (ks := tuple(map(depth.get, e))):
+                # symmetric: sorted, the key of a block-sorted read holds the
+                # numerator of every arrangement under the passing verdict
+                key = tuple(zip(jv, ks))
+                stored[tuple(sorted(key)) if symmetric else key] = c * (sden // den)
     values = {
         idx: Fraction(c, sden * iden**n)
         for idx, c in _mode_products(
@@ -314,7 +304,7 @@ def extract_correlators(
         return -sum(ks), ks, avec
 
     bad = min((idx for idx in values if -met(idx)[0] > kslot), key=met, default=None)
-    if floor < -2:  # a read may be uncertified: read in the triangular order
+    if floor < -2:  # a read may be uncertified: read the ordered tuples in the triangular order
         kvecs = combinations_with_replacement(range(kslot + 1), n)
         for kvec in sorted(kvecs, key=lambda kv: (-sum(kv), kv)):
             if bad is not None and (-sum(kvec), kvec) > met(bad)[:2]:
@@ -322,8 +312,8 @@ def extract_correlators(
             exps = tuple(-2 * k - 2 for k in kvec)
             if max(exps) > floor:
                 try:
-                    for jv, o in reads:
-                        forms[jv].coefficient(exps, o)
+                    for f in ordered.values():
+                        f.coefficient(exps)
                 except WindowError as exc:
                     raise TruncationOrderError(
                         f"extraction at ({g},{n}) psi-degrees {kvec} "

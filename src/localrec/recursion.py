@@ -96,8 +96,9 @@ those caps, so every coefficient the residue reads is unchanged.  The loop
 piece leads the pieces, ``(1, f, None)``: P_0 in y for the (1, 1) entry,
 and otherwise the loop child merged onto y by ``merge_diagonal`` with
 ``top = YCAP``, which caps the merged window there and skips every term
-above it, and every term the tied block drops (the bracket pairs only the
-merged terms non-decreasing on the tied legs).  The merge rule gives the
+above it.  The merge keeps its terms in every order on the tied legs: the
+product loop pairs only the terms of a factor, the merged piece too, that
+are non-decreasing on its share of the tied block.  The merge rule gives the
 merged piece the support bound ``lo(ya) + lo(yb)``, so the kernel depth is
 that of the unmerged child.  A merged term at y <= YCAP combines only terms
 at ``ya <= YCAP - lo(yb)`` and ``yb <= YCAP - lo(ya)``, so the merge to the
@@ -123,10 +124,10 @@ known before anything is built: ``_finalize`` raises every slot of a
 ``yb <= YCAP - lo(ya)`` are both ``YCAP + p``.  They keep every term at
 ``ya + yb <= YCAP``, so the merged piece and its window,
 ``min(hi_a + lo_b, hi_b + lo_a, YCAP)``, are unchanged.  The child is built
-to its caps and kept apart from the store, under (g, sorted branches, the
-cap of each slot) in ``OmegaTable._capped``; then its support bounds in ya
-and yb are checked to be -p, and a mismatch is a ``ConsistencyError``
-naming the entry.
+to its caps and kept as built, apart from the store, under (g, sorted
+branches, the cap of each slot) in ``OmegaTable._capped``; then its support
+bounds in ya and yb are checked to be -p, and a mismatch is a
+``ConsistencyError`` naming the entry.
 A capped entry is the full entry restricted to its caps.  A cap on the
 pivot filters the kernel's x0 terms; a cap on a rest leg filters the terms
 of the one factor that holds the leg (``series._cut_terms``) and passes
@@ -134,11 +135,14 @@ down into that entry's own loop child.  A product, residue or merge term at
 or below a cap combines only factor terms at or below it, and every operand
 keeps its full windows, so the summed residues have the full entry's
 windows and are exact up to the caps: ``_finalize`` runs every check of the
-full entry on its windows, and the entry is then cut at its caps (its
-windows narrowed there, as ``cap_hi`` narrows them).  No tied leg carries a
-cap: a capped leg is a loop leg of the entry or of an ancestor, and loop
-legs lead their branch in the stable sort, so the uncapped legs at N trail
-the capped ones.
+full entry on its windows.  The capped entry keeps those windows and is
+read as an operand exact up to its caps, like a form cut by
+``series._cut_terms``, so every one of its terms must lie within them;
+``OmegaTable._child`` checks that once per build, and a term above a cap is
+a ``ConsistencyError`` naming the child, the slot and the cap.  No tied leg
+carries a cap: a capped leg is a loop leg of the entry or of an ancestor,
+and loop legs lead their branch in the stable sort, so the uncapped legs at
+N trail the capped ones.
 
 The order rule: ``_finalize`` requires each slot of a (g, n) entry to reach
 B - pole_bound(g, n), with B the table's ``budget``.  The windows depend only
@@ -212,13 +216,6 @@ def pole_bound(g: int, n: int) -> int:
 YCAP = 1
 
 
-def _kernel_depth(y: Var, p: int, pieces) -> int:
-    """The kernel's pole depth kmax for the bracket of ``pieces`` in an entry
-    of pole bound ``p``."""
-    bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
-    return max(-min(bounds) // 2, (p - 2) // 2, 0)
-
-
 def capped_slice(y: Var, p: int, pieces, weight, tied=()) -> RawForm:
     """``Res_y weight * bracket``, with the bracket built only up to
     ``y <= YCAP``, not normalized.
@@ -235,7 +232,9 @@ def capped_slice(y: Var, p: int, pieces, weight, tied=()) -> RawForm:
     piece stands for its orbit over the tied slots, the bracket and its
     residue are block-sorted, and the residue is written out in full.
     """
-    w = weight(_kernel_depth(y, p, pieces))
+    # the kernel depth kmax, from the pieces' support bounds in y and p
+    bounds = [f1.lo_of(y) + (0 if f2 is None else f2.lo_of(y)) for _, f1, f2 in pieces]
+    w = weight(max(-min(bounds) // 2, (p - 2) // 2, 0))
     if w.lo_of(y) != -1 - YCAP:
         raise ConsistencyError(
             f"residue weight has support bound {w.lo_of(y)} in {y.name}, "
@@ -258,8 +257,8 @@ class OmegaTable:
     bound: int = 4
     min_budget: int = 0  # extra window request beyond the pole-bound budget
     _store: dict = field(default_factory=dict, repr=False)
-    # (g, sorted branches, cap of each slot) -> (the entry cut at its caps,
-    # the full entry's windows): loop children built only as far as read
+    # (g, sorted branches, cap of each slot) -> the entry built to those caps,
+    # as built: loop children built only as far as read
     _capped: dict = field(default_factory=dict, repr=False)
     _verdicts: dict = field(default_factory=dict, repr=False)
 
@@ -295,9 +294,11 @@ class OmegaTable:
         it is not, is read in place (``series._relabelled``): no term is
         copied.  A loop child that is not stored, its loop legs ``vars[0]``
         and ``vars[1]``, is built only up to ``loop_cap`` on them and the
-        caps of its other legs, once per caps, and kept apart from the store
-        in ``_capped`` (the loop child's cap in the module docstring): the
-        operand is exact up to the caps and has the full entry's windows.
+        caps of its other legs, once per caps, and kept as built apart from
+        the store in ``_capped`` (the loop child's cap in the module
+        docstring): the operand is exact up to the caps and has the full
+        entry's windows, and a term of the build above a cap is a
+        ``ConsistencyError``.
         """
         key, names = self._key(g, tuple(branches), vars)
         if loop_cap is None or key in self._store:
@@ -306,14 +307,13 @@ class OmegaTable:
         ckey = (*key, tuple(leg_caps.get(v) for v in names))
         if ckey not in self._capped:
             f = self._build(*ckey)
-            # every term of the build lies within the caps: only the windows narrow
-            cut = tuple(h if c is None else min(h, c) for h, c in zip(f.hi, ckey[2]))
-            self._capped[ckey] = (
-                MultiForm.from_numerators(f.vars, f.degs, f.nums, f.den, f.lo, cut),
-                f.hi,
-            )
-        form, hi = self._capped[ckey]
-        return _relabelled(form, names, hi)
+            for i, (col, c) in enumerate(zip(zip(*f.nums), ckey[2])):
+                if c is not None and max(col) > c:
+                    raise ConsistencyError(
+                        f"loop child ({g},{key[1]}) reaches {max(col)} in x{i}, above its cap {c}"
+                    )
+            self._capped[ckey] = f
+        return _relabelled(self._capped[ckey], names)
 
     def _key(self, g: int, branches: tuple, vars) -> tuple[tuple, tuple]:
         """The store key of the entry for ``branches`` and the name of each
@@ -443,7 +443,7 @@ class OmegaTable:
                         f"loop child ({g - 1},{tuple(sorted(legs))}) has support "
                         f"bounds {bounds} in ya, yb, assumed {-p}"
                     )
-                pieces.insert(0, (1, child.merge_diagonal(ya, yb, y, YCAP, tied), None))
+                pieces.insert(0, (1, child.merge_diagonal(ya, yb, y, YCAP), None))
             return capped_slice(y, pole_bound(g, len(rest) + 1), pieces, weight, tied)
         except ConsistencyError as exc:
             raise ConsistencyError(f"({g},{(j0,) + tuple(rest)}) entry: {exc}") from None

@@ -57,7 +57,8 @@ without building forms that would be summed and thrown away:
   product or scaled form is built.  With a tied block of variables, each
   piece stands for its orbit over the ways to deal the block to its two
   factors, whose terms are symmetric over their shares:
-  only terms non-decreasing on their share are paired, the accumulator
+  only terms non-decreasing on their share are paired (a factor may hold
+  every order, as the merged loop piece does), the accumulator
   holds block-sorted exponents only, each pair weighted by the product rule
   of augmented monomial symmetric functions, and each tied slot's window is
   the minimum over the block.  :func:`expand_tied` writes a block-sorted
@@ -89,8 +90,9 @@ equals the one for the renamed operand and the exponents are permuted once,
 where the result's terms are built.  No other operation may be handed a
 relabelled form.  :func:`_cut_terms` gives the same kind of operand holding
 only the terms at or below a cap in some slots, with the windows kept: the
-results built from it are exact up to the caps, which the recursion cuts
-them at (the loop child's cap in ``recursion``).
+results built from it are exact up to the caps.  A loop child built only up
+to its caps is such an operand as it stands, with the full entry's windows
+(the loop child's cap in ``recursion``).
 
 All values are immutable after construction and all operations are pure, so
 forms may be shared freely across threads.
@@ -313,21 +315,14 @@ class MultiForm:
         den = self.den
         return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
 
-    def coefficient(self, exps: tuple, order: tuple[int, ...] | None = None) -> Rat:
-        """Certified coefficient at an exponent tuple (0 if absent).
-
-        With ``order``, variable ``t`` takes the exponent ``exps[order[t]]``:
-        this is the coefficient at ``exps`` of the form renamed so that
-        variable ``t`` comes at position ``order[t]``, read without building
-        that form.
-        """
+    def coefficient(self, exps: tuple) -> Rat:
+        """Certified coefficient at an exponent tuple (0 if absent)."""
         if len(exps) != len(self.vars):
             raise DegreeError("exponent tuple has wrong length")
-        key = tuple(exps) if order is None else tuple(exps[i] for i in order)
-        for x, h in zip(key, self.hi):
+        for x, h in zip(exps, self.hi):
             if x > h:
                 raise WindowError(f"coefficient at {exps} not certified")
-        return Fraction(self.nums.get(key, 0), self.den)
+        return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -484,23 +479,17 @@ class MultiForm:
             self.hi,
         )
 
-    def merge_diagonal(
-        self, v1: Var, v2: Var, target: Var, top: int | None = None, tied=()
-    ) -> "MultiForm":
+    def merge_diagonal(self, v1: Var, v2: Var, target: Var, top: int | None = None) -> "MultiForm":
         """Evaluate two variables on the diagonal: substitute both by ``target``.
 
         Exponents and degrees add; the window follows the multiplication rule
         since the merged coefficient is a convolution of the two slots.  With
         ``top``, the merged window is capped there and no term above it is
         built: the result is ``merge_diagonal(v1, v2, target).cap_hi(target, top)``.
-        With ``tied`` variables, only the terms non-decreasing on them are
-        merged: the result holds the block-sorted terms alone, all that
-        :func:`capped_sum_of_products` pairs of it with that tied block.
         """
         i1, i2 = self.index_of(v1), self.index_of(v2)
         if v1.branch != v2.branch:
             raise DegreeError("diagonal merge requires variables at the same branch")
-        block = _picker([self.index_of(t) for t in tied])
         n = len(self.vars)
         lo_m, hi_m = _product_window(self.lo[i1], self.hi[i1], self.lo[i2], self.hi[i2])
         if top is not None:
@@ -519,10 +508,6 @@ class MultiForm:
             m = e[i1] + e[i2]
             if m > hi_m:
                 continue
-            if tied:
-                s = block(e)
-                if not all(map(le, s, s[1:])):
-                    continue
             key = pick(e + (m,))
             out[key] = get(key, 0) + c
         return MultiForm.from_numerators(
@@ -547,7 +532,7 @@ class RawForm(NamedTuple):
     hi: tuple
 
 
-def _relabelled(f: MultiForm, vars: Iterable[Var], hi: tuple | None = None) -> MultiForm:
+def _relabelled(f: MultiForm, vars: Iterable[Var]) -> MultiForm:
     """``f`` with its slots named ``vars``, kept in ``f``'s own slot order.
 
     No term is copied and nothing is checked: the result shares ``f``'s
@@ -557,13 +542,10 @@ def _relabelled(f: MultiForm, vars: Iterable[Var], hi: tuple | None = None) -> M
     :func:`capped_sum_of_products`, :func:`residue_slice` and
     :meth:`MultiForm.merge_diagonal`); each builds its result through
     :meth:`MultiForm.from_numerators`, which sorts the variables.  It equals
-    ``f.rename(...)`` up to that order.  With ``hi``, the windows' tops are
-    ``hi`` in place of ``f``'s: for a form cut at its caps, an operand exact
-    up to them with wider windows, as :func:`_cut_terms` gives.
+    ``f.rename(...)`` up to that order.
     """
     r = object.__new__(MultiForm)
-    r.vars, r.degs, r.lo, r.nums, r.den = tuple(vars), f.degs, f.lo, f.nums, f.den
-    r.hi = f.hi if hi is None else hi
+    r.vars, r.degs, r.lo, r.hi, r.nums, r.den = tuple(vars), f.degs, f.lo, f.hi, f.nums, f.den
     return r
 
 

@@ -715,6 +715,40 @@ def test_loop_child_support_bound_other_than_assumed_is_an_internal_failure(
     )
 
 
+def test_capped_loop_child_with_a_term_above_its_caps_is_an_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    """A loop child that is not stored is built only up to its caps and
+    kept as built, so every term of the build must lie within them.  A
+    build planted with a term above the cap of its first capped slot ends
+    the run with exit 3 and one line naming the child, the slot, its top
+    exponent and the cap, never as window exhaustion (exit 2)."""
+    from localrec.recursion import OmegaTable
+    from localrec.series import MultiForm
+
+    build = OmegaTable._build
+
+    def planted(self, g, branches, caps):
+        form = build(self, g, branches, caps)
+        capped = [i for i, c in enumerate(caps) if c is not None]
+        if capped:
+            i = capped[0]
+            e = form.lo[:i] + (caps[i] + 1,) + form.lo[i + 1 :]
+            nums = {**form.nums, e: 1}
+            form = MultiForm.from_numerators(
+                form.vars, form.degs, nums, form.den, form.lo, form.hi
+            )
+        return form
+
+    monkeypatch.setattr(OmegaTable, "_build", planted)
+    path = write_config(tmp_path, pair_config(seed=5, order=6))
+    assert main(["omega", "--g", "1", "--n", "2", "--config", path]) == 3
+    assert capsys.readouterr().err == (
+        "internal consistency failure: loop child (0,(1, 1, 1)) reaches 4 in x0, "
+        "above its cap 3\n"
+    )
+
+
 def test_residue_weight_of_another_support_bound_is_an_internal_failure(
     tmp_path, capsys, monkeypatch
 ):

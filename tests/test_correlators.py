@@ -347,6 +347,39 @@ def test_off_sorted_coefficient_is_caught_through_the_orbit_verdict(monkeypatch)
     extract_correlators(table, 0, 4)  # the block-sorted comparison alone passes
 
 
+def test_off_sorted_defect_reads_every_ordered_branch_tuple(monkeypatch):
+    # on the planted defect above the orbit verdict fails, so the solve
+    # reads every ordered branch tuple through OmegaTable.omega, each once
+    table = OmegaTable(FormContext(ROTATED_PAIR, random_symplectic_r(2, 6, 11)), bound=2)
+    key = (0, (1, 1, 1, 1))
+    table._store[key] = _perturbed(table.omega(*key), (-2, 0, -2, -2))
+    requested = []
+    omega = OmegaTable.omega
+
+    def spy(self, g, branches, vars=None):
+        requested.append(tuple(branches))
+        return omega(self, g, branches, vars)
+
+    monkeypatch.setattr(OmegaTable, "omega", spy)
+    with pytest.raises(ConsistencyError, match="extraction residual"):
+        extract_correlators(table, 0, 4)
+    unsorted = [b for b in requested if b != tuple(sorted(b))]
+    assert sorted(unsorted) == [b for b in product((1, 2), repeat=4) if b != tuple(sorted(b))]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: airy_table(bound=4), lambda: random_pair_table()], ids=["airy-b4", "pair"]
+)
+def test_ordered_read_gives_the_values_of_the_symmetric_one(monkeypatch, make):
+    # with every orbit verdict failed, the solve reads every ordered branch
+    # tuple and the residual runs in full: the reference for the
+    # block-sorted reads that passing data take
+    want = extract_all(make())
+    monkeypatch.setattr(OmegaTable, "orbit_symmetric", lambda *args: False)
+    got = extract_all(make())
+    assert got.items() == want.items() and got.provenance == want.provenance
+
+
 @st.composite
 def symmetric_contractions(draw):
     """A symmetric sparse tensor over a few indices, one map per slot and a
@@ -631,6 +664,21 @@ def test_extract_rotated_random_r_values_pinned(datum, seed, rows, digest):
     # the branches
     ctx = FormContext(datum, random_symplectic_r(datum.n, 6, seed))
     assert _values_digest(OmegaTable(ctx, bound=2)) == (rows, digest)
+
+
+# the one extraction pin whose eta is not the identity
+ETA_PAIR = CanonicalData.make(
+    u=[0, 1], eta=[[2, 1], [1, 1]], psi=[[0, 1], [1, -1]], unit=[1, 3]
+)
+
+
+def test_extract_non_identity_eta_values_pinned():
+    assert validate_canonical(ETA_PAIR).ok
+    ctx = FormContext(ETA_PAIR, random_symplectic_r(2, 6, 11))
+    assert _values_digest(OmegaTable(ctx, bound=2)) == (
+        35,
+        "b496c8623ca82ea121062da808f5563577d70fed31eca954ac27525cf6ed3108",
+    )
 
 
 def identity_r_oracle(datum: CanonicalData, g: int, insertions) -> Fraction:

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from localrec.cli import RunConfig
-from localrec.correlators import _constraint_weight, extract_correlators
+from localrec.correlators import _constraint_weight, extract_all, extract_correlators
 from localrec.frobenius import (
     CanonicalData,
     RMatrix,
@@ -608,21 +608,40 @@ def test_cold_request_equals_the_table_filled_in_order(name):
 def test_top_down_fill_keeps_capped_entries_out_of_the_store(name):
     """Filled from the top complexity down, the table builds its loop
     children capped, yet stores what the table filled in order stores, entry
-    for entry, so its store has the pinned hash; every capped entry is the
-    full entry cut with ``cap_hi`` at its caps, kept with the full entry's
-    windows."""
+    for entry, so its store has the pinned hash; every capped entry, kept as
+    built, has the full entry's windows, and narrowed at its caps it is the
+    full entry cut with ``cap_hi`` there."""
     filled = _filled_table(name)
     t = OmegaTable(filled.ctx, bound=filled.bound)
     for g, branches in reversed(_requests(t)):
         t.omega(g, branches)
     assert t._store == filled._store
     assert t._capped
-    for (g, branches, caps), (form, hi) in t._capped.items():
+    for (g, branches, caps), form in t._capped.items():
         full = t._store[g, branches]
         for v, c in zip(full.vars, caps):
             if c is not None:
                 full = full.cap_hi(v, c)
-        assert form == full and hi == t._store[g, branches].hi, (g, branches, caps)
+        narrowed = form._over(form.nums, form.den, full.hi)
+        assert narrowed == full and form.hi == t._store[g, branches].hi, (g, branches, caps)
+
+
+@pytest.mark.parametrize("name", list(_STORE_DIGESTS))
+def test_extraction_of_a_passing_table_reads_sorted_branch_tuples(name, monkeypatch):
+    """Every window of a table that passes the order rule reaches -2 and
+    every orbit verdict holds, so the extraction reads each entry at its
+    sorted branch tuple only: the ordered read is never taken."""
+    t = _filled_table(name)
+    requested = []
+    omega = OmegaTable.omega
+
+    def spy(self, g, branches, vars=None):
+        requested.append(tuple(branches))
+        return omega(self, g, branches, vars)
+
+    monkeypatch.setattr(OmegaTable, "omega", spy)
+    extract_all(t)
+    assert requested and all(b == tuple(sorted(b)) for b in requested)
 
 
 def test_loop_children_of_omega_1_3_are_built_capped():
@@ -634,7 +653,7 @@ def test_loop_children_of_omega_1_3_are_built_capped():
     for branches in combinations_with_replacement((1, 2), 3):
         assert t.omega(1, branches) == filled.omega(1, branches)
     full = sum(len(f.nums) for (g, b), f in filled._store.items() if (g, len(b)) == (0, 4))
-    capped = [f for (g, b, _), (f, _) in t._capped.items() if (g, len(b)) == (0, 4)]
+    capped = [f for (g, b, _), f in t._capped.items() if (g, len(b)) == (0, 4)]
     assert not any((g, len(b)) == (0, 4) for g, b in t._store)
     assert len(capped) >= 5 and sum(len(f.nums) for f in capped) < full == 16432
 
